@@ -61,22 +61,22 @@ def parse_sequence(spec: str) -> PositiveSequence:
     raise SequenceDomainError(f"unknown sequence family {name!r}")
 
 
+# the flag carrying each `bruno --family` argument, and its usage hint
+_FAMILY_FLAGS = {
+    "geometric": ("q", "geometric needs --q"),
+    "exp_power": ("alpha", "exp_power needs --alpha (signed)"),
+    "tabulated": ("values", "tabulated needs --values v1,v2,..."),
+}
+
+
 def _family_from_flags(args) -> PositiveSequence:
-    if args.family == "geometric":
-        if args.q is None:
-            raise SequenceDomainError("geometric needs --q")
-        return PositiveSequence.geometric(args.q)
-    if args.family == "exp_power":
-        if args.alpha is None:
-            raise SequenceDomainError("exp_power needs --alpha (signed)")
-        return PositiveSequence.exp_power(1 if args.alpha >= 0 else -1,
-                                          abs(args.alpha))
-    if args.family == "tabulated":
-        if not args.values:
-            raise SequenceDomainError("tabulated needs --values v1,v2,...")
-        return PositiveSequence.tabulated(
-            [float(v) for v in args.values.split(",")])
-    raise SequenceDomainError(f"unknown family {args.family!r}")
+    """The `bruno --family` flags as a family:argument spec (a float flag
+    prints as its exact repr, so parsing it back is lossless)."""
+    flag, hint = _FAMILY_FLAGS[args.family]
+    arg = getattr(args, flag)
+    if arg is None or arg == "":
+        raise SequenceDomainError(hint)
+    return parse_sequence(f"{args.family}:{arg}")
 
 
 def _scaled(seq: PositiveSequence, factor: float | None) -> PositiveSequence:

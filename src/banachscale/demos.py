@@ -63,7 +63,7 @@ class DemoReport:
 
 
 def _entry_check(r0: TruncatedSeries, t: float, schedule: LieSchedule) -> float:
-    norm = r0.majorant_norm(min(t, r0.ref_radius)).value
+    norm = r0.norm_at(t)
     threshold = schedule.report.threshold
     if norm > threshold:
         raise LieError(
@@ -276,7 +276,7 @@ def _mean_projector(cap: int) -> LocalOperator:
     direction of constant fields, norm 1 in every strip."""
     def action(g, t, s):
         out = TruncatedSeries(g.dim, g.cap, min(s, g.ref_radius), "fourier")
-        out.coeffs[g.cap] = g.coefficient(0)
+        out.set_coefficient(0, g.coefficient(0))
         out.tail = g.tail
         return out
     return LocalOperator(action, WeightFunction(k=0), 0, 1.0,
@@ -315,8 +315,8 @@ def circle_problem(omega: float = GOLDEN_MEAN, *, C: float = GOLDEN_C,
             raise LieError("the rotation number collapsed to zero")
         m = TruncatedSeries(1, cap, r.ref_radius, "fourier")
         for k in range(1, top + 1):
-            m.coeffs[cap + k] = r.coefficient(k) / mean
-            m.coeffs[cap - k] = r.coefficient(-k) / mean
+            m.set_coefficient(k, r.coefficient(k) / mean)
+            m.set_coefficient(-k, r.coefficient(-k) / mean)
         if divisor_log is not None:
             # homological solve in the flow convention: v_k = r_k/(i k w)
             worst = max((max(abs(r.coefficient(k)), abs(r.coefficient(-k)))
@@ -376,7 +376,7 @@ def circle(omega: float = GOLDEN_MEAN, eps: float = 1e-3, steps: int = 8, *,
     trace, conjugacy = run_lie(problem, radii, f, steps)
     gx = trace.metadata["conjugacy_coeff_defect"]
     tau_mean = 2.0 * math.pi * omega
-    f_norm = f.majorant_norm(min(strip, f.ref_radius)).value
+    f_norm = f.norm_at(strip)
     sigma = math.sqrt(2.0 * math.pi * omega) / math.e
     details = {
         "omega": omega,

@@ -27,8 +27,8 @@ from .iterate import RadiusSchedule
 from .local_ops import (EXP_NEG, PHI, PSI, LocalOperator, OperatorError,
                         borel_apply, product_of_exponentials)
 from .sequences import (PositiveSequence, SequenceDomainError, bruno_check,
-                        lemma_rho, strictness_check)
-from .series import SeriesError, TruncatedSeries
+                        lemma_rho, log_one_minus_exp, strictness_check)
+from .series import SeriesError, TruncatedSeries, align
 from .trace import IterationTrace, StepRecord
 
 _LOG2 = math.log(2.0)
@@ -41,37 +41,18 @@ class LieError(ValueError):
 
 # ---- small series helpers ----
 
-def _norm_at(g: TruncatedSeries, s: float) -> float:
-    return g.majorant_norm(min(s, g.ref_radius)).value
-
-
-def _aligned(a: TruncatedSeries, b: TruncatedSeries):
-    r = min(a.ref_radius, b.ref_radius)
-    a = a if a.ref_radius == r else a.restrict(r)
-    b = b if b.ref_radius == r else b.restrict(r)
-    if a.cap != b.cap:
-        if a.cap < b.cap and a.tail == 0.0:
-            a = a.with_cap(b.cap)
-        elif b.cap < a.cap and b.tail == 0.0:
-            b = b.with_cap(a.cap)
-        else:
-            c = min(a.cap, b.cap)
-            a, b = a.with_cap(c), b.with_cap(c)
-    return a, b
-
-
 def _add(a: TruncatedSeries, b: TruncatedSeries) -> TruncatedSeries:
-    a, b = _aligned(a, b)
+    a, b = align(a, b)
     return a + b
 
 
 def _sub(a: TruncatedSeries, b: TruncatedSeries) -> TruncatedSeries:
-    a, b = _aligned(a, b)
+    a, b = align(a, b)
     return a - b
 
 
 def _max_coeff_diff(a: TruncatedSeries, b: TruncatedSeries) -> float:
-    a, b = _aligned(a, b)
+    a, b = align(a, b)
     return float(np.max(np.abs(a.coeffs - b.coeffs)))
 
 
@@ -170,7 +151,7 @@ class ActionProblem:
                 pi = self.projector(0)
                 a = pi(m, t, 0.75 * t)
                 b = pi(a, 0.75 * t, 0.5 * t)
-                scale = 1.0 + _norm_at(a, 0.75 * t)
+                scale = 1.0 + a.norm_at(0.75 * t)
                 if _max_coeff_diff(b, a.restrict(0.5 * t)) > 1e-12 * scale:
                     raise LieError(
                         f"projector is not iota on its own image (sample {i})")
@@ -210,15 +191,15 @@ class LieState:
 
     @property
     def r_norm(self) -> float:
-        return _norm_at(self.r, self.s)
+        return self.r.norm_at(self.s)
 
     @property
     def tau_norm(self) -> float:
-        return _norm_at(self.tau, self.s)
+        return self.tau.norm_at(self.s)
 
     @property
     def delta_norm(self) -> float:
-        return 0.0 if self.delta is None else _norm_at(self.delta, self.s)
+        return 0.0 if self.delta is None else self.delta.norm_at(self.s)
 
     @property
     def u_norm(self) -> float:
@@ -422,7 +403,7 @@ def rho_schedule(problem: ActionProblem, b: PositiveSequence, t: float, *,
     exps = problem.exponents
     k, l = exps.k, exps.l
     count = window + 2
-    tau0 = _norm_at(problem.f.restrict(t), t)
+    tau0 = problem.f.restrict(t).norm_at(t)
     logs = _derived_logs(problem, tau0, count)
     # lemma_rho needs closed-form inputs for its tail certificates, so
     # dominate 2 (a'' + a''') by a scaled power of |j|: the pair check
@@ -452,9 +433,7 @@ def rho_schedule(problem: ActionProblem, b: PositiveSequence, t: float, *,
             continue
         lr = np.array([rho.log(n) for n in range(window + 1)])
         x = lr / np.power(2.0, np.arange(window + 1))
-        ls = np.where(x < -_LOG2,
-                      np.log1p(-np.exp(x)),
-                      np.log(np.maximum(-np.expm1(x), 1e-300)))
+        ls = log_one_minus_exp(x)
         la4, lap, lj = logs["a4"], logs["ap"], logs["j"]
         c2, c3, c4, c5 = [], [], [], []
         for n in range(window):
@@ -551,8 +530,8 @@ def run_lie(problem: ActionProblem, schedule: LieSchedule | RadiusSchedule,
         "exponents": problem.exponents.to_json_dict(),
         "schedule": radii.to_json_dict(),
         "steps": steps,
-        "tau0_norm": _norm_at(tau, t),
-        "r0_norm": _norm_at(r, t) + slack0,
+        "tau0_norm": tau.norm_at(t),
+        "r0_norm": r.norm_at(t) + slack0,
     })
     state = LieState(0, t, tau, r, slack=slack0)
     trace.add(StepRecord(0, radius=t, value_norm=state.r_norm,
@@ -579,7 +558,7 @@ def run_lie(problem: ActionProblem, schedule: LieSchedule | RadiusSchedule,
         raise LieError(f"conjugacy assembly: {exc}") from None
     versality = _max_coeff_diff(gx, _add(state.tau, state.r))
 
-    x0_norm = _norm_at(_add(tau, r), t)
+    x0_norm = _add(tau, r).norm_at(t)
     trace.metadata.update({
         "versality_defect": state.r_norm + state.slack,
         "conjugacy_coeff_defect": versality,
@@ -632,7 +611,7 @@ def certify(trace: IterationTrace, problem: ActionProblem,
             break
     grace = 1.0 + 1e-9
     k, l = problem.exponents.k, problem.exponents.l
-    tau0 = _norm_at(problem.f, rows[0].radius)
+    tau0 = problem.f.norm_at(rows[0].radius)
     logs = _derived_logs(problem, tau0, count + 1)
     quad = np.exp(logs["app"]) + np.exp(logs["appp"])
     a4 = np.exp(logs["a4"])
@@ -738,7 +717,7 @@ def involutive_quasi_inverse(L: Callable[[TruncatedSeries], LocalOperator],
         r = _random_poly(rng, x, max_degree)
         delta = apply_pi(_random_poly(rng, x, max_degree))
         tangent = L(_random_poly(rng, x, max_degree))(delta, t, t)
-        scale = 1.0 + _norm_at(tangent, t)
+        scale = 1.0 + tangent.norm_at(t)
         if _max_coeff_diff(apply_pi(tangent), tangent) > tol * scale:
             raise LieError(
                 f"fields do not preserve the transversal (sample {i})")
@@ -747,7 +726,7 @@ def involutive_quasi_inverse(L: Callable[[TruncatedSeries], LocalOperator],
         rhs = _sub(_sub(r, kappa0(_sub(r, m2))), L(m2)(delta, t, t))
         diff = _sub(lhs, rhs)
         moded = _sub(diff, apply_pi(diff))
-        scale = 1.0 + _norm_at(r, t) + _norm_at(lhs, t)
+        scale = 1.0 + r.norm_at(t) + lhs.norm_at(t)
         defect = _max_coeff_diff(moded,
                                  TruncatedSeries(moded.dim, moded.cap,
                                                  moded.ref_radius,

@@ -39,7 +39,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .series import SeriesError, TruncatedSeries
+from .series import SeriesError, TruncatedSeries, align
 
 __all__ = ["WeightFunction", "CutoffWeight", "LocalOperator",
            "OperatorError", "certify_vector_field", "multiplication_operator",
@@ -170,25 +170,9 @@ class LocalOperator:
                 f"bound={self.norm_bound:g})")
 
 
-def _match_caps(f: TruncatedSeries, g: TruncatedSeries):
-    """Common cap: widen the tail-free side, else fold the wider one."""
-    if f.cap == g.cap:
-        return f, g
-    if f.cap < g.cap:
-        if f.tail == 0.0:
-            return f.with_cap(g.cap), g
-        return f, g.with_cap(f.cap)
-    if g.tail == 0.0:
-        return f, g.with_cap(f.cap)
-    return f.with_cap(g.cap), g
-
-
-def _align(f: TruncatedSeries, g: TruncatedSeries):
-    """Common reference radius (the smaller) and common cap."""
-    r = min(f.ref_radius, g.ref_radius)
-    f = f if f.ref_radius == r else f.restrict(r)
-    g = g if g.ref_radius == r else g.restrict(r)
-    return _match_caps(f, g)
+def _clamp(f: TruncatedSeries, t: float) -> TruncatedSeries:
+    """f itself when certified at most up to t, else f restricted to t."""
+    return f if f.ref_radius <= t else f.restrict(t)
 
 
 def _check_window(t: float, s: float, caps: Sequence[float]) -> None:
@@ -216,7 +200,7 @@ def certify_vector_field(a: TruncatedSeries, name: str = "vector_field"
 
     def action(f: TruncatedSeries, t: float, s: float) -> TruncatedSeries:
         _check_window(t, s, (f.ref_radius, a.ref_radius))
-        ft = f if f.ref_radius <= t else f.restrict(t)
+        ft = _clamp(f, t)
         if ft.tail == 0.0:
             fp = ft.derivative()
         elif s < t:
@@ -226,9 +210,9 @@ def certify_vector_field(a: TruncatedSeries, name: str = "vector_field"
             fp = ft.derivative(at=at)
         else:
             raise OperatorError("a tailed argument needs s < t")
-        am, fp = _align(a, fp)
+        am, fp = align(a, fp)
         prod = am.multiply(fp)
-        return prod if prod.ref_radius <= s else prod.restrict(s)
+        return _clamp(prod, s)
 
     return LocalOperator(action, WeightFunction(k=1), 1, bound,
                          kind="derivation", name=name, order_raise=raise_by,
@@ -243,10 +227,10 @@ def multiplication_operator(h: TruncatedSeries, name: str = "multiplication"
 
     def action(f: TruncatedSeries, t: float, s: float) -> TruncatedSeries:
         _check_window(t, s, (f.ref_radius, h.ref_radius))
-        ft = f if f.ref_radius <= t else f.restrict(t)
-        hm, ft = _align(h, ft)
+        ft = _clamp(f, t)
+        hm, ft = align(h, ft)
         prod = hm.multiply(ft)
-        return prod if prod.ref_radius <= s else prod.restrict(s)
+        return _clamp(prod, s)
 
     return LocalOperator(action, WeightFunction(k=0), 0, bound,
                          kind="multiplication", name=name,
@@ -401,7 +385,7 @@ def borel_apply(symbol: BorelSymbol, u: LocalOperator, t: float, s: float,
     if not (x < symbol.radius):
         raise OperatorError(
             f"outside the Borel disc: |u|/lambda = {x:g} >= {symbol.radius:g}")
-    gt = g if g.ref_radius <= t else g.restrict(t)
+    gt = _clamp(g, t)
     input_norm = gt.majorant_norm(gt.ref_radius).value
     bound = symbol.majorant(x) * input_norm
 
@@ -434,17 +418,13 @@ def borel_apply(symbol: BorelSymbol, u: LocalOperator, t: float, s: float,
             break
         ck = symbol.coeff(k)
         share = abs(ck) * x ** k * input_norm
-        contrib = abs(ck) / kfact * w.majorant_norm(min(s, w.ref_radius)).value
+        contrib = abs(ck) / kfact * w.norm_at(s)
         if contrib > share * (1.0 + 1e-9) + 1e-300:
             break           # tail bookkeeping left the theoretical budget
         if ck != 0.0:
             # caps can zigzag: tailed derivatives lower them, tail-free
             # iterates jump back; fold whichever side cannot widen
-            acc2, wk = _match_caps(acc, w)
-            if acc2.ref_radius > wk.ref_radius:
-                acc2 = acc2.restrict(wk.ref_radius)
-            elif wk.ref_radius > acc2.ref_radius:
-                wk = wk.restrict(acc2.ref_radius)
+            acc2, wk = align(acc, w)
             acc = acc2 + wk.scale(ck / kfact)
         partial += abs(ck) * x ** k
         terms = k
@@ -456,7 +436,7 @@ def borel_apply(symbol: BorelSymbol, u: LocalOperator, t: float, s: float,
     else:
         remainder = max(0.0, symbol.majorant(x) * (1.0 + 4.0 * _EPS)
                         - partial * (1.0 - 4.0 * _EPS)) * input_norm
-    result = acc if acc.ref_radius <= s else acc.restrict(s)
+    result = _clamp(acc, s)
     folded = False
     if remainder > 0.0 and result.basis == "taylor" and u.order_raise >= 1 \
             and g_order + (terms + 1) * u.order_raise > result.cap:
@@ -498,8 +478,8 @@ def exp_pair_check(u: LocalOperator, t: float, s: float, g: TruncatedSeries
     m = 0.5 * (s + t)
     fwd = exp(u, t, m, g)
     back = exp_neg(u, m, s, fwd.series)
-    base = g if g.ref_radius <= s else g.restrict(s)
-    lhs, rhs = _align(back.series, base)
+    base = _clamp(g, s)
+    lhs, rhs = align(back.series, base)
     delta = lhs - rhs
     r = delta.ref_radius
     measured = delta._poly_majorant(r)

@@ -642,11 +642,14 @@ def _rho_sigma_logs(b: PositiveSequence, c: PositiveSequence, K: float,
     x = log_rho / np.power(2.0, np.arange(window + 2))
     if np.any(x >= 0.0):
         return None
-    sigma = -np.expm1(x)
-    log_sigma = np.where(x < -math.log(2.0),
-                         np.log1p(-np.exp(x)),
-                         np.log(np.maximum(-np.expm1(x), 1e-300)))
-    return log_rho, sigma, log_sigma
+    return log_rho, -np.expm1(x), log_one_minus_exp(x)
+
+
+def log_one_minus_exp(x: np.ndarray) -> np.ndarray:
+    """log(1 - e^x) for x < 0: log1p below -log 2, log(-expm1) above."""
+    return np.where(x < -math.log(2.0),
+                    np.log1p(-np.exp(x)),
+                    np.log(np.maximum(-np.expm1(x), 1e-300)))
 
 
 def lemma_rho(a: PositiveSequence, aprime: PositiveSequence,

@@ -31,20 +31,26 @@ Tail bookkeeping rules worth knowing (each documented at the operation):
   T' = T / (r - s), and the cap drops by one because the new top
   coefficient depends on an unknown coefficient of f;
 * divide_by_coordinate adds (sub-tolerance residue)/ref_radius to the
-  tail and likewise drops the cap by one when a tail is present.
+  tail and likewise drops the cap by one when a tail is present;
+* align(f, g) brings two series to common ground before mixed
+  arithmetic: both move to the smaller reference radius (tails rescale
+  by their decay factor), then to a common cap.  The tail-free side is
+  widened when it has the smaller cap; otherwise the wider side is
+  narrowed, folding its dropped coefficients into its tail.
 """
 
 from __future__ import annotations
 
 import json
 import math
+import operator
 from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
 from scipy.signal import convolve as _convolve
 
-__all__ = ["TruncatedSeries", "NormValue", "SeriesError",
+__all__ = ["TruncatedSeries", "NormValue", "SeriesError", "align",
             "DEFAULT_CAP_1D", "DEFAULT_CAP_ND", "DEFAULT_ORDER_TOL"]
 
 DEFAULT_CAP_1D = 64
@@ -60,7 +66,7 @@ class SeriesError(ValueError):
 class NormValue:
     """A certified norm evaluation: which norm, at which radius."""
 
-    kind: str       # 'majorant' | 'hilbert'
+    kind: str       # 'majorant_sup' | 'hilbert'
     radius: float
     value: float
 
@@ -68,10 +74,66 @@ class NormValue:
         return self.value
 
 
-@lru_cache(maxsize=64)
-def _degree_grid(dim: int, side: int) -> np.ndarray:
-    """Total degree of every entry of a dim-dimensional (side,)*dim array."""
-    return np.indices((side,) * dim).sum(axis=0)
+# ---- the basis block: every Taylor/Fourier difference lives here ----
+# Taylor: a_I sits at position I of a (cap+1,)*dim cube, with degree |I|
+# and weight t^|I|; entries of degree > cap (the cube's corner) stay 0.
+# Fourier: mode k sits at position k + cap of a (2 cap + 1,) vector, with
+# degree |k| and weight e^(|k| t).
+
+def _shape(basis: str, dim: int, cap: int) -> tuple:
+    return (2 * cap + 1,) if basis == "fourier" else (cap + 1,) * dim
+
+
+@lru_cache(maxsize=128)
+def _degrees(basis: str, dim: int, cap: int) -> np.ndarray:
+    """Degree of every entry of a cap-`cap` array (shared, read-only)."""
+    if basis == "fourier":
+        deg = np.abs(np.arange(-cap, cap + 1))
+    else:
+        deg = np.asarray(np.indices((cap + 1,) * dim).sum(axis=0))
+    deg.flags.writeable = False
+    return deg
+
+
+def _weighted_sum(basis: str, coeffs: np.ndarray, deg: np.ndarray,
+                  t: float) -> float:
+    """sum |c| w(deg, t), w = t^deg (Taylor) or e^(deg t) (Fourier)."""
+    if basis == "fourier":
+        return float(np.sum(np.abs(coeffs) * np.exp(deg * t)))
+    return float(np.sum(np.abs(coeffs) * np.power(t, deg, dtype=float)))
+
+
+def _decay(basis: str, cap: int, r: float, t: float) -> float:
+    """Factor by which a cap-`cap` tail certified at r shrinks at t <= r."""
+    if basis == "fourier":
+        return math.exp((cap + 1) * (t - r))
+    return (t / r) ** (cap + 1)
+
+
+def _window(basis: str, dim: int, cap: int, outer: int) -> tuple:
+    """Slices of a cap-`outer` array that hold a cap-`cap` array."""
+    if basis == "fourier":
+        return (slice(outer - cap, outer + cap + 1),)
+    return (slice(0, cap + 1),) * dim
+
+
+def _position(basis: str, dim: int, cap: int, index) -> tuple:
+    """Array position of a coefficient index (Taylor multi-index or
+    Fourier mode); SeriesError when the index has the wrong number of
+    axes or lies outside the stored array."""
+    if isinstance(index, (int, np.integer)):
+        index = (int(index),)
+    else:
+        index = tuple(operator.index(i) for i in index)
+    if len(index) != dim:
+        raise SeriesError(f"index {index} needs {dim} entries")
+    if basis == "fourier":
+        if abs(index[0]) > cap:
+            raise SeriesError(f"mode {index[0]} beyond cap {cap}")
+        return (index[0] + cap,)
+    if min(index) < 0 or max(index) > cap:
+        raise SeriesError(f"index {index} outside 0..{cap} per axis")
+    return index
 
 
 @lru_cache(maxsize=64)
@@ -104,7 +166,7 @@ class TruncatedSeries:
         self.cap = cap
         self.ref_radius = float(ref_radius)
         self.basis = basis
-        shape = (2 * cap + 1,) if basis == "fourier" else (cap + 1,) * dim
+        shape = _shape(basis, dim, cap)
         if coeffs is None:
             coeffs = np.zeros(shape, dtype=complex)
         else:
@@ -112,8 +174,8 @@ class TruncatedSeries:
             if coeffs.shape != shape:
                 raise SeriesError(f"coefficient shape {coeffs.shape} != {shape}")
             coeffs = coeffs.copy()
-        if basis == "taylor" and dim > 1:
-            coeffs[_degree_grid(dim, cap + 1) > cap] = 0.0
+            if dim > 1:         # only a cube has entries of degree > cap
+                coeffs[_degrees(basis, dim, cap) > cap] = 0.0
         self.coeffs = coeffs
         self.tail = float(tail)
 
@@ -129,20 +191,15 @@ class TruncatedSeries:
                  ref_radius: float = 1.0) -> "TruncatedSeries":
         if isinstance(exponents, int):
             exponents = (exponents,)
-        dim = len(exponents)
-        s = TruncatedSeries(dim, cap, ref_radius)
-        if sum(exponents) > cap:
-            raise SeriesError("monomial degree exceeds cap")
-        s.coeffs[tuple(exponents)] = coeff
+        s = TruncatedSeries(len(exponents), cap, ref_radius)
+        s.set_coefficient(exponents, coeff)
         return s
 
     @staticmethod
     def fourier_mode(k: int, coeff: complex = 1.0, *, cap: int = DEFAULT_CAP_1D,
                      strip: float = 1.0) -> "TruncatedSeries":
         s = TruncatedSeries(1, cap, strip, basis="fourier")
-        if abs(k) > cap:
-            raise SeriesError("mode exceeds cap")
-        s.coeffs[k + cap] = coeff
+        s.set_coefficient(k, coeff)
         return s
 
     def copy(self) -> "TruncatedSeries":
@@ -151,27 +208,17 @@ class TruncatedSeries:
 
     # -- indexing helpers --
 
-    def _degrees(self) -> np.ndarray:
-        if self.basis == "fourier":
-            return np.abs(np.arange(-self.cap, self.cap + 1))
-        return _degree_grid(self.dim, self.cap + 1)
-
     def coefficient(self, index) -> complex:
-        if self.basis == "fourier":
-            return complex(self.coeffs[int(index) + self.cap])
-        if isinstance(index, int):
-            index = (index,)
-        return complex(self.coeffs[tuple(index)])
+        """a_I (Taylor multi-index or int) or c_k (Fourier mode); 0 for a
+        Taylor index of total degree > cap inside the stored cube."""
+        return complex(self.coeffs[_position(self.basis, self.dim, self.cap,
+                                             index)])
 
     def set_coefficient(self, index, value: complex) -> None:
-        if self.basis == "fourier":
-            self.coeffs[int(index) + self.cap] = value
-            return
-        if isinstance(index, int):
-            index = (index,)
-        if sum(index) > self.cap:
+        pos = _position(self.basis, self.dim, self.cap, index)
+        if _degrees(self.basis, self.dim, self.cap)[pos] > self.cap:
             raise SeriesError("index beyond cap")
-        self.coeffs[tuple(index)] = value
+        self.coeffs[pos] = value
 
     @property
     def is_zero(self) -> bool:
@@ -210,10 +257,8 @@ class TruncatedSeries:
 
     def _poly_majorant(self, t: float) -> float:
         """Majorant of the stored coefficients alone, tail excluded."""
-        deg = self._degrees()
-        if self.basis == "fourier":
-            return float(np.sum(np.abs(self.coeffs) * np.exp(deg * t)))
-        return float(np.sum(np.abs(self.coeffs) * np.power(t, deg, dtype=float)))
+        return _weighted_sum(self.basis, self.coeffs,
+                             _degrees(self.basis, self.dim, self.cap), t)
 
     def multiply(self, other: "TruncatedSeries") -> "TruncatedSeries":
         """Exact truncated product; convolution overflow past the cap is
@@ -226,28 +271,17 @@ class TruncatedSeries:
         tail x tail starts at degree 2 cap + 2.
         """
         self._check_compatible(other)
-        r = self.ref_radius
+        r, cap, basis = self.ref_radius, self.cap, self.basis
+        # the full product is a cap-2cap array
         full = _convolve(self.coeffs, other.coeffs, mode="full", method="direct")
-        if self.basis == "fourier":
-            # full index runs over k in [-2cap, 2cap]
-            k = np.arange(-2 * self.cap, 2 * self.cap + 1)
-            keep = np.abs(k) <= self.cap
-            kept = full[keep]
-            overflow = float(np.sum(np.abs(full[~keep])
-                                    * np.exp(np.abs(k[~keep]) * r)))
-        else:
-            deg = _degree_grid(self.dim, 2 * self.cap + 1)
-            keep_mask = deg <= self.cap
-            overflow = float(np.sum(np.abs(full[~keep_mask])
-                                    * np.power(r, deg[~keep_mask],
-                                               dtype=float)))
-            corner = tuple(slice(0, self.cap + 1) for _ in range(self.dim))
-            kept = np.where(keep_mask, full, 0.0)[corner]
+        deg = _degrees(basis, self.dim, 2 * cap)
+        drop = deg > cap
+        overflow = _weighted_sum(basis, full[drop], deg[drop], r)
+        kept = np.where(drop, 0.0, full)[_window(basis, self.dim, cap, 2 * cap)]
         cross = (self._poly_majorant(r) * other.tail
                  + other._poly_majorant(r) * self.tail
                  + self.tail * other.tail)
-        return TruncatedSeries(self.dim, self.cap, r, self.basis, kept,
-                               cross + overflow)
+        return TruncatedSeries(self.dim, cap, r, basis, kept, cross + overflow)
 
     def reciprocal(self) -> "TruncatedSeries":
         """1/f via the Neumann sum (1/c) sum_k (1 - f/c)^k, c = f(0).
@@ -289,15 +323,14 @@ class TruncatedSeries:
     def majorant_norm(self, t: float) -> NormValue:
         if not (0.0 < t <= self.ref_radius):
             raise SeriesError(f"radius {t} outside (0, {self.ref_radius}]")
-        deg = self._degrees()
-        if self.basis == "fourier":
-            value = float(np.sum(np.abs(self.coeffs) * np.exp(deg * t)))
-            value += self.tail * math.exp((self.cap + 1) * (t - self.ref_radius))
-        else:
-            value = float(np.sum(np.abs(self.coeffs)
-                                 * np.power(t, deg, dtype=float)))
-            value += self.tail * (t / self.ref_radius) ** (self.cap + 1)
+        value = self._poly_majorant(t) + self.tail * _decay(
+            self.basis, self.cap, self.ref_radius, t)
         return NormValue("majorant_sup", t, value)
+
+    def norm_at(self, t: float) -> float:
+        """Majorant norm at min(t, ref_radius): a series certified only
+        up to a smaller radius is measured at its own radius."""
+        return self.majorant_norm(min(t, self.ref_radius)).value
 
     def hilbert_norm(self, t: float) -> NormValue:
         if self.basis != "taylor":
@@ -306,7 +339,7 @@ class TruncatedSeries:
             raise SeriesError("hilbert norm needs an exact polynomial (tail 0)")
         if not (0.0 < t <= self.ref_radius):
             raise SeriesError(f"radius {t} outside (0, {self.ref_radius}]")
-        deg = self._degrees()
+        deg = _degrees(self.basis, self.dim, self.cap)
         c = _hilbert_c(self.dim, self.cap + 1)
         sq = np.sum(np.abs(self.coeffs) ** 2 * c
                     * np.power(t, 2 * self.dim + 2 * deg, dtype=float))
@@ -341,15 +374,10 @@ class TruncatedSeries:
                                    self.tail * sup)
         if not (0 <= axis < self.dim):
             raise SeriesError("axis out of range")
-        shape = self.coeffs.shape
-        idx = np.arange(1, shape[axis])
-        shifted = np.take(self.coeffs, idx, axis=axis)
         mult_shape = [1] * self.dim
-        mult_shape[axis] = len(idx)
-        shifted = shifted * idx.reshape(mult_shape)
-        pad = [(0, 0)] * self.dim
-        pad[axis] = (0, 1)
-        coeffs = np.pad(shifted, pad)
+        mult_shape[axis] = self.cap + 1
+        coeffs = self._shifted_down(axis) * np.arange(
+            1, self.cap + 2).reshape(mult_shape)
         if self.tail == 0.0:
             return TruncatedSeries(self.dim, self.cap, self.ref_radius,
                                    "taylor", coeffs, 0.0)
@@ -358,10 +386,9 @@ class TruncatedSeries:
         if self.cap == 0:
             raise SeriesError("cap too small to differentiate a tailed series")
         new_cap = self.cap - 1
-        corner = tuple(slice(0, new_cap + 1) for _ in range(self.dim))
-        out = TruncatedSeries(self.dim, new_cap, at, "taylor", coeffs[corner],
-                              self.tail / (self.ref_radius - at))
-        return out
+        corner = _window(self.basis, self.dim, new_cap, self.cap)
+        return TruncatedSeries(self.dim, new_cap, at, "taylor", coeffs[corner],
+                               self.tail / (self.ref_radius - at))
 
     def divide_by_coordinate(self, axis: int = 0,
                              tol: float = DEFAULT_ORDER_TOL
@@ -381,27 +408,29 @@ class TruncatedSeries:
         if np.any(face_abs > tol):
             raise SeriesError(
                 f"not divisible: face coefficient {face_abs.max():g} > tol {tol:g}")
-        if self.dim == 1:
-            residue = float(face_abs[()] if face_abs.ndim == 0 else face_abs[0])
-        else:
-            fdeg = _degree_grid(self.dim - 1, self.cap + 1) if self.dim > 1 else 0
-            residue = float(np.sum(face_abs * np.power(self.ref_radius, fdeg,
-                                                       dtype=float)))
-        idx = np.arange(1, self.coeffs.shape[axis])
-        shifted = np.take(self.coeffs, idx, axis=axis)
-        pad = [(0, 0)] * self.dim
-        pad[axis] = (0, 1)
-        coeffs = np.pad(shifted, pad)
+        # the face is a cap-`cap` array in the remaining dim - 1 variables
+        residue = _weighted_sum(self.basis, face,
+                                _degrees(self.basis, self.dim - 1, self.cap),
+                                self.ref_radius)
+        coeffs = self._shifted_down(axis)
         new_tail = (self.tail + residue) / self.ref_radius
         if self.tail > 0.0:
             if self.cap == 0:
                 raise SeriesError("cap too small to divide a tailed series")
             new_cap = self.cap - 1
-            corner = tuple(slice(0, new_cap + 1) for _ in range(self.dim))
+            corner = _window(self.basis, self.dim, new_cap, self.cap)
             return TruncatedSeries(self.dim, new_cap, self.ref_radius, "taylor",
                                    coeffs[corner], new_tail)
         return TruncatedSeries(self.dim, self.cap, self.ref_radius, "taylor",
                                coeffs, new_tail)
+
+    def _shifted_down(self, axis: int) -> np.ndarray:
+        """Taylor coefficients of (f - f|_{z_axis = 0}) / z_axis: every
+        index lowered by one along axis, zeros on the top face."""
+        pad = [(0, 0)] * self.dim
+        pad[axis] = (0, 1)
+        return np.pad(np.take(self.coeffs, np.arange(1, self.cap + 1),
+                              axis=axis), pad)
 
     def cutoff(self, lo: int, hi: int | None = None) -> "TruncatedSeries":
         """Keep degrees (Taylor: total degree, Fourier: |k|) in [lo, hi).
@@ -410,7 +439,7 @@ class TruncatedSeries:
         finite hi yields an exact polynomial window (tail dropped with the
         discarded high part).
         """
-        deg = self._degrees()
+        deg = _degrees(self.basis, self.dim, self.cap)
         mask = deg >= lo if hi is None else (deg >= lo) & (deg < hi)
         coeffs = np.where(mask, self.coeffs, 0.0)
         tail = self.tail if hi is None else 0.0
@@ -420,7 +449,7 @@ class TruncatedSeries:
     def order(self, tol: float = DEFAULT_ORDER_TOL) -> int:
         """Smallest degree carrying a coefficient above tol; cap+1 when
         none is detectable at this cap."""
-        deg = self._degrees()
+        deg = _degrees(self.basis, self.dim, self.cap)
         big = np.abs(self.coeffs) > tol
         if not np.any(big):
             return self.cap + 1
@@ -469,26 +498,15 @@ class TruncatedSeries:
                 raise SeriesError("cannot widen the cap of a tailed series")
             out = TruncatedSeries(self.dim, new_cap, self.ref_radius,
                                   self.basis)
-            if self.basis == "fourier":
-                out.coeffs[new_cap - self.cap:new_cap + self.cap + 1] = \
-                    self.coeffs
-            else:
-                corner = tuple(slice(0, self.cap + 1)
-                               for _ in range(self.dim))
-                out.coeffs[corner] = self.coeffs
+            out.coeffs[_window(self.basis, self.dim, self.cap, new_cap)] = \
+                self.coeffs
             return out
-        deg = self._degrees()
+        deg = _degrees(self.basis, self.dim, self.cap)
         drop = deg > new_cap
         r = self.ref_radius
-        if self.basis == "fourier":
-            extra = float(np.sum(np.abs(self.coeffs[drop])
-                                 * np.exp(deg[drop] * r)))
-            kept = self.coeffs[self.cap - new_cap:self.cap + new_cap + 1]
-        else:
-            extra = float(np.sum(np.abs(self.coeffs[drop])
-                                 * np.power(r, deg[drop], dtype=float)))
-            corner = tuple(slice(0, new_cap + 1) for _ in range(self.dim))
-            kept = np.where(drop, 0.0, self.coeffs)[corner]
+        extra = _weighted_sum(self.basis, self.coeffs[drop], deg[drop], r)
+        kept = np.where(drop, 0.0, self.coeffs)[
+            _window(self.basis, self.dim, new_cap, self.cap)]
         return TruncatedSeries(self.dim, new_cap, r, self.basis, kept,
                                self.tail + extra)
 
@@ -499,10 +517,7 @@ class TruncatedSeries:
             raise SeriesError(f"cannot restrict {self.ref_radius} -> {s}")
         if s == self.ref_radius:
             return self.copy()
-        if self.basis == "fourier":
-            factor = math.exp((self.cap + 1) * (s - self.ref_radius))
-        else:
-            factor = (s / self.ref_radius) ** (self.cap + 1)
+        factor = _decay(self.basis, self.cap, self.ref_radius, s)
         return TruncatedSeries(self.dim, self.cap, s, self.basis, self.coeffs,
                                self.tail * factor)
 
@@ -527,15 +542,14 @@ class TruncatedSeries:
     # -- serialization --
 
     def to_json_dict(self) -> dict:
+        # index = array position minus the position of the zero index
+        origin = _position(self.basis, self.dim, self.cap, (0,) * self.dim)
         entries = []
         it = np.nditer(self.coeffs, flags=["multi_index"])
         for v in it:
             c = complex(v)
             if c != 0:
-                if self.basis == "fourier":
-                    idx = [it.multi_index[0] - self.cap]
-                else:
-                    idx = list(it.multi_index)
+                idx = [p - o for p, o in zip(it.multi_index, origin)]
                 entries.append(idx + [c.real, c.imag])
         return {
             "dim": self.dim,
@@ -555,11 +569,7 @@ class TruncatedSeries:
                             tail=d["tail"])
         for entry in d["coeffs"]:
             idx, re, im = entry[:-2], entry[-2], entry[-1]
-            value = complex(re, im)
-            if s.basis == "fourier":
-                s.coeffs[idx[0] + s.cap] = value
-            else:
-                s.coeffs[tuple(idx)] = value
+            s.set_coefficient(idx, complex(re, im))
         return s
 
     @staticmethod
@@ -571,3 +581,23 @@ class TruncatedSeries:
         return (f"TruncatedSeries(dim={self.dim}, cap={self.cap}, "
                 f"ref={self.ref_radius:g}, basis={self.basis}, "
                 f"nonzero={nz}, tail={self.tail:g})")
+
+
+def align(f: TruncatedSeries, g: TruncatedSeries
+          ) -> tuple[TruncatedSeries, TruncatedSeries]:
+    """Bring f and g to a common reference radius and cap (see the module
+    docstring): the smaller radius first, then the tail-free side widens
+    to the other cap, or else the wider side folds down into its tail.
+    A side that already fits is returned as is."""
+    r = min(f.ref_radius, g.ref_radius)
+    f = f if f.ref_radius == r else f.restrict(r)
+    g = g if g.ref_radius == r else g.restrict(r)
+    if f.cap < g.cap:
+        if f.tail == 0.0:
+            return f.with_cap(g.cap), g
+        return f, g.with_cap(f.cap)
+    if g.cap < f.cap:
+        if g.tail == 0.0:
+            return f, g.with_cap(f.cap)
+        return f.with_cap(g.cap), g
+    return f, g

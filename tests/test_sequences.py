@@ -16,6 +16,7 @@ from banachscale.sequences import (
     bruno_check,
     bruno_transform,
     lemma_rho,
+    log_one_minus_exp,
     model_iteration,
     strictness_check,
     tame_check,
@@ -322,3 +323,11 @@ def test_sequence_json_round_trip():
     t = PS.tabulated([0.5, 0.25, 0.125])
     back = PS.from_json(t.to_json())
     assert back.log(2) == t.log(2)
+
+
+def test_log_one_minus_exp_matches_high_precision():
+    mpmath = pytest.importorskip("mpmath")
+    x = -np.logspace(-12, 2, 57)
+    with mpmath.workdps(50):
+        want = [float(mpmath.log1p(-mpmath.exp(mpmath.mpf(v)))) for v in x]
+    assert np.allclose(log_one_minus_exp(x), want, rtol=1e-13, atol=0.0)

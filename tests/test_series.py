@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from banachscale.series import (DEFAULT_ORDER_TOL, NormValue, SeriesError,
-                                TruncatedSeries)
+                                TruncatedSeries, align)
 
 TS = TruncatedSeries
 
@@ -526,3 +526,105 @@ def test_json_round_trip():
 def test_norm_value_is_floatable():
     v = NormValue("majorant_sup", 1.0, 2.5)
     assert float(v) == 2.5
+
+
+def test_coefficient_index_out_of_range_raises():
+    f = TS.fourier_mode(4, 7.0, cap=4)
+    for bad in (-5, 5, (1, 0)):
+        with pytest.raises(SeriesError):
+            f.coefficient(bad)
+    g = TS.monomial(3, 2.0, cap=3)
+    for bad in (-1, 4, 5, (1, 0)):
+        with pytest.raises(SeriesError):
+            g.coefficient(bad)
+    h = TS.zero(1, 4, basis="fourier")
+    with pytest.raises(SeriesError):
+        h.set_coefficient(-6, 1.0)
+    assert not np.any(h.coeffs)
+    b = TS.zero(2, 4)
+    assert b.coefficient((4, 4)) == 0.0      # inside the cube, degree > cap
+    with pytest.raises(SeriesError):
+        b.set_coefficient((3, 2), 1.0)
+    with pytest.raises(SeriesError):
+        b.coefficient((5, 0))
+    with pytest.raises(SeriesError):
+        TS.monomial((-1, 2), cap=4)
+
+
+# ---- re-truncation and alignment ----
+
+_BASES = [("taylor", 1), ("taylor", 2), ("taylor", 3), ("fourier", 1)]
+
+
+def _series(rng, basis, dim, cap, tail=0.0, ref=0.8):
+    shape = (2 * cap + 1,) if basis == "fourier" else (cap + 1,) * dim
+    c = rng.normal(size=shape) + 1j * rng.normal(size=shape)
+    return TS(dim, cap, ref, basis, c, tail)
+
+
+def _stored(f):
+    """(index, degree) of every coefficient slot of f."""
+    if f.basis == "fourier":
+        return [(k, abs(k)) for k in range(-f.cap, f.cap + 1)]
+    return [(i, sum(i)) for i in np.ndindex(*f.coeffs.shape)
+            if sum(i) <= f.cap]
+
+
+@pytest.mark.parametrize("basis,dim", _BASES)
+def test_with_cap_widening_keeps_every_index(basis, dim):
+    f = _series(np.random.default_rng(61 + dim), basis, dim, 3)
+    g = f.with_cap(5)
+    assert (g.cap, g.tail, g.ref_radius) == (5, 0.0, f.ref_radius)
+    for index, deg in _stored(g):
+        want = f.coefficient(index) if deg <= 3 else 0.0
+        assert g.coefficient(index) == want
+
+
+@pytest.mark.parametrize("basis,dim", _BASES)
+def test_with_cap_widening_a_tailed_series_raises(basis, dim):
+    f = _series(np.random.default_rng(67), basis, dim, 3, tail=1e-3)
+    with pytest.raises(SeriesError):
+        f.with_cap(4)
+
+
+@pytest.mark.parametrize("basis,dim", _BASES)
+@pytest.mark.parametrize("tail", [0.0, 0.05])
+def test_with_cap_narrowing_folds_into_the_tail(basis, dim, tail):
+    f = _series(np.random.default_rng(71 + dim), basis, dim, 5, tail=tail)
+    r = f.ref_radius
+    for new_cap in range(5):
+        g = f.with_cap(new_cap)
+        assert g.cap == new_cap and g.ref_radius == r
+        for index, deg in _stored(g):
+            assert g.coefficient(index) == f.coefficient(index)
+        assert g.majorant_norm(r).value == pytest.approx(
+            f.majorant_norm(r).value, rel=1e-13)
+        # the folded mass decays at least as fast as the dropped terms
+        for t in np.linspace(0.05, r, 9):
+            assert g.majorant_norm(t).value \
+                >= f.majorant_norm(t).value * (1.0 - 1e-13)
+        back = TS.from_json(g.to_json())
+        assert (back.cap, back.tail, back.basis) == (g.cap, g.tail, g.basis)
+        assert np.array_equal(back.coeffs, g.coeffs)
+
+
+def test_align_takes_the_smaller_radius_then_a_common_cap():
+    f = TS.monomial(5, 1.0, cap=6, ref_radius=1.0)
+    g = TS(1, 4, 0.5, tail=0.1)
+    a, b = align(f, g)
+    assert (a.ref_radius, b.ref_radius, a.cap, b.cap) == (0.5, 0.5, 4, 4)
+    assert a.tail == pytest.approx(0.5 ** 5)     # z^5 folded at radius 0.5
+    assert b.tail == g.tail
+    h = TS.monomial(1, 1.0, cap=2)               # tail-free: widened
+    a, b = align(h, f)
+    assert (a.cap, a.tail, a.coefficient(1)) == (6, 0.0, 1.0)
+    assert b is f
+    a, b = align(f, f)
+    assert a is f and b is f
+
+
+def test_norm_at_clamps_to_ref_radius():
+    f = TS.monomial(1, 2.0, cap=3, ref_radius=0.5)
+    f.tail = 0.1
+    assert f.norm_at(0.9) == f.majorant_norm(0.5).value
+    assert f.norm_at(0.25) == f.majorant_norm(0.25).value
