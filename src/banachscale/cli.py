@@ -79,6 +79,20 @@ def _family_from_flags(args) -> PositiveSequence:
     return parse_sequence(f"{args.family}:{arg}")
 
 
+_SPAN = 60      # default --depth of `bruno` and --window of `tame`
+
+
+def _span(flag: int | None, *seqs: PositiveSequence, start: int = 0) -> int:
+    """An explicit --depth/--window as given; by default _SPAN, shortened
+    so that indices start..start+span stay inside every tabulated
+    sequence's own table (an explicit flag past a table still fails)."""
+    if flag is not None:
+        return flag
+    ends = [len(s.params["values"]) - 1 - start for s in seqs
+            if s.family == "tabulated"]
+    return max(0, min([_SPAN, *ends]))
+
+
 def _scaled(seq: PositiveSequence, factor: float | None) -> PositiveSequence:
     return seq if factor is None else seq.scaled(factor)
 
@@ -95,14 +109,15 @@ def _emit_trace(trace, args) -> None:
 def _cmd_bruno(args) -> int:
     seq = _family_from_flags(args)
     if args.action == "check":
-        cert = bruno_check(seq, depth=args.depth)
+        cert = bruno_check(seq, depth=_span(args.depth, seq))
         print(f"partial sum {fmt17(cert.partial_sum)}")
         if cert.tail_bound is not None:
             print(f"tail bound {fmt17(cert.tail_bound)} "
                   f"(total {fmt17(cert.total_bound)})")
         print(f"verdict {cert.verdict}")
         return OK if cert.verdict == "bruno" else UNCERTIFIED
-    result = bruno_transform(seq, n=args.n, depth=args.depth)
+    result = bruno_transform(seq, n=args.n,
+                             depth=_span(args.depth, seq, start=args.n))
     lo, hi = result.enclosure
     print(f"transform a^pi_{args.n} = {fmt17(result.value)}")
     print(f"enclosure [{fmt17(lo)}, {fmt17(hi)}]")
@@ -111,9 +126,10 @@ def _cmd_bruno(args) -> int:
 
 
 def _cmd_tame(args) -> int:
-    a = _scaled(parse_sequence(args.a), args.scale_a)
-    b = _scaled(parse_sequence(args.b), args.scale_b)
-    report = tame_check(a, b, window=args.window)
+    a, b = parse_sequence(args.a), parse_sequence(args.b)
+    window = _span(args.window, a, b)
+    report = tame_check(_scaled(a, args.scale_a), _scaled(b, args.scale_b),
+                        window=window)
     star = all(report.star_holds)
     print(f"a >= 1: {report.a_ge_one}")
     print(f"b <= 1: {report.b_le_one}")
@@ -263,7 +279,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--q", type=float, help="geometric ratio")
     p.add_argument("--alpha", type=float, help="signed exp_power exponent")
     p.add_argument("--values", help="comma-separated tabulated values")
-    p.add_argument("--depth", type=int, default=60)
+    p.add_argument("--depth", type=int,
+                   help="last term index (default 60, or a table's end)")
     p.add_argument("--n", type=int, default=0, help="transform start index")
     p.set_defaults(fn=_cmd_bruno)
 
@@ -272,7 +289,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--b", required=True, help="family:arg sequence spec")
     p.add_argument("--scale-a", type=float, dest="scale_a")
     p.add_argument("--scale-b", type=float, dest="scale_b")
-    p.add_argument("--window", type=int, default=60)
+    p.add_argument("--window", type=int,
+                   help="pairs checked (default 60, or a table's end)")
     p.set_defaults(fn=_cmd_tame)
 
     p = sub.add_parser("model", help="run x_{n+1} = (a x^2 + b x)/2")

@@ -24,8 +24,13 @@ is exact and is the norm in which the degree-cutoff estimate
 Tail bookkeeping rules worth knowing (each documented at the operation):
 
 * multiply: T_fg = |f|_ref T_g + |g|_ref T_f + overflow of the exact
-  convolution beyond the cap, majorized at ref_radius (the |f|_ref T_g
-  cross terms double-count T_f T_g, which keeps the bound safe);
+  product beyond the cap, majorized at ref_radius (the |f|_ref T_g
+  cross terms double-count T_f T_g, which keeps the bound safe).  The
+  exact product is a 1-D convolution in one variable; in more variables
+  it sums a_I b_J over the index pairs with |I|, |J| <= cap only, so the
+  cost follows the live entries rather than the (cap+1)^dim cube, and
+  the overflow is summed from the whole product, not from a graded
+  bound;
 * derivative with tail > 0 must shrink to an explicit smaller radius s:
   the monomialwise Cauchy bound n s^(n-1) (r - s) <= r^n gives
   T' = T / (r - s), and the cap drops by one because the new top
@@ -48,7 +53,6 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-from scipy.signal import convolve as _convolve
 
 __all__ = ["TruncatedSeries", "NormValue", "SeriesError", "align",
             "DEFAULT_CAP_1D", "DEFAULT_CAP_ND", "DEFAULT_ORDER_TOL"]
@@ -134,6 +138,42 @@ def _position(basis: str, dim: int, cap: int, index) -> tuple:
     if min(index) < 0 or max(index) > cap:
         raise SeriesError(f"index {index} outside 0..{cap} per axis")
     return index
+
+
+@lru_cache(maxsize=16)
+def _pair_table(dim: int, cap: int) -> tuple[np.ndarray, np.ndarray]:
+    """Index pairs of a cap-`cap` Taylor product in `dim` > 1 variables.
+
+    Returns the flat positions of the live entries (|I| <= cap) in the
+    (cap+1)^dim cube and, as int32 for every pair (I, J) of them in
+    row-major order, the flat position of I + J in the (2 cap + 1)^dim
+    cube.  Both arrays are shared and read-only.
+    """
+    live = np.indices((cap + 1,) * dim).reshape(dim, -1)
+    live = live[:, live.sum(axis=0) <= cap]
+    src = np.ravel_multi_index(tuple(live), (cap + 1,) * dim)
+    dst = np.ravel_multi_index(tuple(live), (2 * cap + 1,) * dim)
+    dst = dst.astype(np.int32)
+    pair = (dst[:, None] + dst[None, :]).ravel()
+    src.flags.writeable = False
+    pair.flags.writeable = False
+    return src, pair
+
+
+def _full_product(dim: int, cap: int, a: np.ndarray,
+                  b: np.ndarray) -> np.ndarray:
+    """The untruncated product of two cap-`cap` coefficient arrays, as a
+    cap-2cap array.  One variable (Taylor or Fourier) is a plain 1-D
+    convolution; in more variables every live pair a_I b_J is summed
+    into I + J, so the dense cube's dead corner costs nothing."""
+    if dim == 1:
+        return np.convolve(a, b)
+    src, pair = _pair_table(dim, cap)
+    terms = np.multiply.outer(a.ravel()[src], b.ravel()[src]).ravel()
+    cells = (2 * cap + 1) ** dim
+    full = (np.bincount(pair, terms.real, cells)
+            + 1j * np.bincount(pair, terms.imag, cells))
+    return full.reshape((2 * cap + 1,) * dim)
 
 
 @lru_cache(maxsize=64)
@@ -261,9 +301,15 @@ class TruncatedSeries:
                              _degrees(self.basis, self.dim, self.cap), t)
 
     def multiply(self, other: "TruncatedSeries") -> "TruncatedSeries":
-        """Exact truncated product; convolution overflow past the cap is
-        majorized at ref_radius and folded into the tail together with the
-        |f_poly| T_g + |g_poly| T_f + T_f T_g cross terms.
+        """Exact truncated product.
+
+        The full product of the stored coefficients comes from
+        `_full_product`: np.convolve in one variable, otherwise a sum of
+        a_I b_J over the live index pairs (|I|, |J| <= cap) into I + J.
+        Its overflow, sum_{|K| > cap} |c_K| w_K at ref_radius (w = r^|K|,
+        or e^(|k| r) on a strip), is folded into the tail exactly,
+        together with the |f_poly| T_g + |g_poly| T_f + T_f T_g cross
+        terms.
 
         The certified norm is submultiplicative at ref_radius.  Below
         ref_radius it stays sound but can exceed |f|_t |g|_t when both
@@ -272,8 +318,7 @@ class TruncatedSeries:
         """
         self._check_compatible(other)
         r, cap, basis = self.ref_radius, self.cap, self.basis
-        # the full product is a cap-2cap array
-        full = _convolve(self.coeffs, other.coeffs, mode="full", method="direct")
+        full = _full_product(self.dim, cap, self.coeffs, other.coeffs)
         deg = _degrees(basis, self.dim, 2 * cap)
         drop = deg > cap
         overflow = _weighted_sum(basis, full[drop], deg[drop], r)

@@ -51,6 +51,32 @@ def test_tame_exit_codes(capsys):
     assert "first violation at n = 0" in out
 
 
+def test_tabulated_sequences_default_to_their_own_table(capsys):
+    code, out, _ = run(capsys, "bruno", "check", "--family", "tabulated",
+                       "--values", "1,2,4")
+    assert code == 2
+    assert "verdict inconclusive" in out
+    partial = float(out.split()[2])
+    # log 2 / 4 + log 4 / 8 over indices 0..2
+    assert partial == pytest.approx(math.log(2.0) / 2.0, rel=1e-15)
+    code, out, _ = run(capsys, "tame", "--a", "tabulated:1,2",
+                       "--b", "geometric:0.5")
+    assert code == 2
+    assert "on window 1: False" in out
+    code, out, _ = run(capsys, "bruno", "transform", "--family",
+                       "tabulated", "--values", "1,2,4", "--n", "1")
+    assert code == 2
+    # explicit spans past the table are still input errors
+    code, _, err = run(capsys, "bruno", "check", "--family", "tabulated",
+                       "--values", "1,2,4", "--depth", "60")
+    assert code == 1
+    assert "tabulated sequence has 3 entries, index 3" in err
+    code, _, err = run(capsys, "tame", "--a", "tabulated:1,2",
+                       "--b", "geometric:0.5", "--window", "60")
+    assert code == 1
+    assert "tabulated sequence has 2 entries, index 2" in err
+
+
 def test_model_bounded_run(capsys, tmp_path):
     csv_path = tmp_path / "model.csv"
     code, out, _ = run(capsys, "model", "--a", "exp_power:1.2",

@@ -1,10 +1,15 @@
 """Truncated-series arithmetic: norms, calculus, tail soundness."""
 
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import banachscale
 from banachscale.series import (DEFAULT_ORDER_TOL, NormValue, SeriesError,
                                 TruncatedSeries, align)
 
@@ -628,3 +633,88 @@ def test_norm_at_clamps_to_ref_radius():
     f.tail = 0.1
     assert f.norm_at(0.9) == f.majorant_norm(0.5).value
     assert f.norm_at(0.25) == f.majorant_norm(0.25).value
+
+
+# ---- product kernel ----
+
+_U = 2.0 ** -53
+
+
+def _gamma(n):
+    return n * _U / (1.0 - n * _U)
+
+
+def _pair_loop(f, g):
+    """Reference product by an explicit loop over the live I, each adding
+    a_I b_J into I + J for every J at once: the full cap-2cap product and,
+    per entry, sum |a_I| |b_J| over its pairs."""
+    dim, cap = f.dim, f.cap
+    full = np.zeros((2 * cap + 1,) * dim, dtype=complex)
+    mag = np.zeros(full.shape)
+    for index in np.ndindex(*f.coeffs.shape):
+        if sum(index) > cap:
+            continue
+        block = tuple(slice(i, i + cap + 1) for i in index)
+        full[block] += f.coeffs[index] * g.coeffs
+        mag[block] += abs(f.coeffs[index]) * np.abs(g.coeffs)
+    return full, mag
+
+
+@pytest.mark.parametrize("dim,cap", [(2, 0), (2, 1), (2, 5), (2, 16),
+                                     (3, 0), (3, 1), (3, 4), (3, 8),
+                                     (3, 16)])
+@pytest.mark.parametrize("tail", [0.0, 0.02])
+def test_multiply_matches_pair_loop(dim, cap, tail):
+    rng = np.random.default_rng(1000 * dim + cap)
+    f = _series(rng, "taylor", dim, cap, tail)
+    g = _series(rng, "taylor", dim, cap, tail / 2)
+    prod = f.multiply(g)
+    full, mag = _pair_loop(f, g)
+    deg = np.indices(full.shape).sum(axis=0)
+    keep = deg <= cap
+    corner = (slice(0, cap + 1),) * dim
+    n = (cap + 1) ** dim + 2
+    err = np.abs(prod.coeffs - np.where(keep, full, 0.0)[corner])
+    assert np.all(err <= 2.0 * _gamma(n) * mag[corner])
+    r = f.ref_radius
+    weights = np.power(r, deg[~keep], dtype=float)
+    overflow = float(np.sum(np.abs(full[~keep]) * weights))
+    cross = (f._poly_majorant(r) * g.tail + g._poly_majorant(r) * f.tail
+             + f.tail * g.tail)
+    tol = (2.0 * _gamma(n) * float(np.sum(mag[~keep] * weights))
+           + 2.0 * _gamma(full.size) * (overflow + cross))
+    assert prod.tail == pytest.approx(cross + overflow, rel=0, abs=tol)
+    if cap > 0:
+        assert overflow > 0.0
+
+
+@pytest.mark.parametrize("basis", ["taylor", "fourier"])
+@pytest.mark.parametrize("cap", [0, 3, 64])
+def test_univariate_multiply_is_np_convolve(basis, cap):
+    rng = np.random.default_rng(7 + cap)
+    dim = 1 if basis == "taylor" else 0
+    f = _rand_poly(rng, dim=dim, cap=cap, ref=0.7)
+    g = _rand_poly(rng, dim=dim, cap=cap, ref=0.7)
+    prod = f.multiply(g)
+    full = np.convolve(f.coeffs, g.coeffs)
+    position = np.arange(full.size)
+    if basis == "taylor":
+        deg = position
+        weights = np.power(0.7, deg, dtype=float)
+    else:
+        deg = np.abs(position - 2 * cap)    # mode k sits at k + 2 cap
+        weights = np.exp(deg * 0.7)
+    over = deg > cap
+    assert np.array_equal(prod.coeffs, full[~over])
+    assert prod.tail == float(np.sum(np.abs(full[over]) * weights[over]))
+
+
+def test_package_import_leaves_scipy_unloaded():
+    src = str(Path(banachscale.__file__).resolve().parents[1])
+    code = ("import sys, banachscale, banachscale.cli; "
+            "print(sorted(m for m in sys.modules "
+            "if m == 'scipy' or m.startswith('scipy.')))")
+    out = subprocess.run([sys.executable, "-c", code], check=True,
+                         capture_output=True, text=True,
+                         env={**os.environ, "PYTHONPATH": src})
+    assert out.stdout.strip() == "[]"
