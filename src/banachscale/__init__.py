@@ -1,40 +1,27 @@
 """Certified norm estimates and quadratic-convergence iteration on scales
 of Banach spaces: summable-sequence calculus, truncated power series with
-tail bounds, ordered families of normed fibers, weighted local operators
-with a Borel functional calculus, and Newton / scale / Lie iteration
-engines with per-step certificates."""
+tail bounds, weighted local operators with a Borel functional calculus,
+and Newton / scale / Lie iteration engines with per-step certificates."""
 
 from .sequences import (
     PositiveSequence,
     bruno_check,
     bruno_transform,
     tame_check,
-    tame_implies_bruno,
-    taming_epsilon,
     model_iteration,
     lemma_rho,
 )
 from .series import TruncatedSeries, NormValue
-from .kolmogorov import (
-    FiniteBase,
-    Section,
-    kolmogorify,
-    kolmogorov_property,
-    rescale,
-)
 from .local_ops import (
     LocalOperator,
     WeightFunction,
     certify_vector_field,
     multiplication_operator,
-    compose,
     borel_apply,
     product_of_exponentials,
 )
 from .iterate import (
     RadiusSchedule,
-    relative_contraction,
-    majorized_iteration,
     newton,
     nash_moser,
 )

@@ -80,17 +80,20 @@ def _family_from_flags(args) -> PositiveSequence:
 
 
 _SPAN = 60      # default --depth of `bruno` and --window of `tame`
+_STEPS = 100    # default --steps of `model`
 
 
-def _span(flag: int | None, *seqs: PositiveSequence, start: int = 0) -> int:
-    """An explicit --depth/--window as given; by default _SPAN, shortened
-    so that indices start..start+span stay inside every tabulated
-    sequence's own table (an explicit flag past a table still fails)."""
+def _span(flag: int | None, *seqs: PositiveSequence, start: int = 0,
+          default: int = _SPAN) -> int:
+    """An explicit --depth/--window/--steps as given; by default `default`,
+    shortened so that indices start..start+span stay inside every
+    tabulated sequence's own table (an explicit flag past a table still
+    fails)."""
     if flag is not None:
         return flag
     ends = [len(s.params["values"]) - 1 - start for s in seqs
             if s.family == "tabulated"]
-    return max(0, min([_SPAN, *ends]))
+    return max(0, min([default, *ends]))
 
 
 def _scaled(seq: PositiveSequence, factor: float | None) -> PositiveSequence:
@@ -142,10 +145,16 @@ def _cmd_tame(args) -> int:
 
 
 def _cmd_model(args) -> int:
-    a = _scaled(parse_sequence(args.a), args.scale_a)
-    b = None if args.b is None else _scaled(parse_sequence(args.b),
-                                            args.scale_b)
-    trace = model_iteration(a, b, args.x0, steps=args.steps)
+    a = parse_sequence(args.a)
+    b = None if args.b is None else parse_sequence(args.b)
+    # x_0..x_steps read a_0..a_{steps-1} and b_0..b_steps
+    steps = min(_span(args.steps, a, start=-1, default=_STEPS),
+                _span(args.steps, *([] if b is None else [b]),
+                      default=_STEPS))
+    if b is not None:
+        b = _scaled(b, args.scale_b)
+    trace = model_iteration(_scaled(a, args.scale_a), b, args.x0,
+                            steps=steps)
     _emit_trace(trace, args)
     last = trace.steps[-1]
     print(f"steps {len(trace.steps) - 1} final x {fmt17(last.value_norm)}")
@@ -299,7 +308,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--scale-a", type=float, dest="scale_a")
     p.add_argument("--scale-b", type=float, dest="scale_b")
     p.add_argument("--x0", type=float, required=True)
-    p.add_argument("--steps", type=int, default=100)
+    p.add_argument("--steps", type=int,
+                   help="iterations (default 100, or a table's end)")
     add_trace_outputs(p)
     p.set_defaults(fn=_cmd_model)
 

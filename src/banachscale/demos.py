@@ -82,8 +82,7 @@ def _observed_orders(r0: TruncatedSeries, trace: IterationTrace) -> list[int]:
 
 # ---- quadratic base point ----
 
-def morse_problem(cap: int = 64, j_const: float = 10.0,
-                  with_sampler: bool = False) -> ActionProblem:
+def morse_problem(cap: int = 64, j_const: float = 10.0) -> ActionProblem:
     """Quadratic base point z^2 with step field (r / 2z) d/dz.
 
     Division by the derivative is exact on order >= 3, so the cutoff
@@ -101,16 +100,10 @@ def morse_problem(cap: int = 64, j_const: float = 10.0,
     def t_member(n, g):
         return g.is_zero
 
-    def sampler(rng, n):
-        c = np.zeros(cap + 1, dtype=complex)
-        c[3:7] = rng.uniform(-1.0, 1.0, 4) * 1e-3
-        return TruncatedSeries(1, cap, 1.0, "taylor", c)
-
     return ActionProblem(
         f, qi, m_member, t_member,
         j_norms=PositiveSequence.constant(j_const),
         exponents=LocalityExponents(alpha=0, beta=0, gamma=1, nu=0, xi=0),
-        sampler=sampler if with_sampler else None,
         name="morse")
 
 

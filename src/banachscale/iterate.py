@@ -1,11 +1,7 @@
 """Certified iteration engines on truncated series.
 
-Four engines share the trace plumbing:
+Two engines share the trace plumbing:
 
-* `relative_contraction` runs x_{n+1} = T(x_n) and checks the measured
-  increments against the product bound lam_n...lam_1 * d(x_1, x_0).
-* `majorized_iteration` runs a series iteration in lockstep with a scalar
-  majorant and asserts |x_n| <= y_n at every step.
 * `newton` is the classical quadratically convergent loop with declared
   bounds m >= |j| and M >= |D^2 f|, certifying the ratio
   |x_{n+1} - x_n| / |x_n - x_{n-1}|^2 <= C = m M / 2.
@@ -23,15 +19,13 @@ reserved for malformed inputs and for steps that cannot be executed at
 all (singular derivative inverse, locality violation).
 
 In the trace columns, b_n holds the certified envelope for the increment
-and sigma_n holds the per-step contraction factor or quadratic constant.
+and sigma_n the quadratic constant: C for `newton`, a_n for `nash_moser`.
 """
 
 from __future__ import annotations
 
 import math
 from typing import Callable
-
-import numpy as np
 
 from .local_ops import LocalOperator, OperatorError
 from .sequences import (PositiveSequence, SequenceDomainError, bruno_check,
@@ -43,8 +37,6 @@ __all__ = [
     "IterationError",
     "RadiusSchedule",
     "quadratic_model",
-    "relative_contraction",
-    "majorized_iteration",
     "newton",
     "nash_moser",
 ]
@@ -56,7 +48,7 @@ class IterationError(ValueError):
 
 def _norm(x) -> float:
     if isinstance(x, TruncatedSeries):
-        return x.majorant_norm(x.ref_radius).value
+        return x.norm_at(x.ref_radius)
     return abs(x)
 
 
@@ -67,9 +59,9 @@ class RadiusSchedule:
 
     geometric(q, s0, s_inf): s_n = s_inf + (s0 - s_inf) q^n.  Anchoring
     the limit keeps it positive by construction; the decrements are then
-    s_n - s_{n+1} = (s0 - s_inf)(1 - q) q^n, and under the normalization
-    s0 - s_inf = q/(1-q) (see `proof_normalized`) they equal q^(n+1),
-    the form the quadratic estimates are usually stated in.
+    s_n - s_{n+1} = (s0 - s_inf)(1 - q) q^n, and when s0 - s_inf = q/(1-q)
+    they equal q^(n+1), the form the quadratic estimates are usually
+    stated in.
 
     rho_driven(rho, s0): s_{n+1} = rho_n^(1/2^n) s_n with rho_n in (0,1).
     log s_inf = log s0 + sum_n log rho_n / 2^n, so the limit is positive
@@ -113,17 +105,6 @@ class RadiusSchedule:
     def geometric(q: float, s0: float, s_inf: float) -> "RadiusSchedule":
         return RadiusSchedule("geometric", q=float(q), s0=float(s0),
                               s_inf=float(s_inf))
-
-    @staticmethod
-    def proof_normalized(q: float, s0: float) -> "RadiusSchedule":
-        """Geometric schedule with s0 - s_inf = q/(1-q), so that
-        s_n - s_{n+1} = q^(n+1) exactly."""
-        s_inf = s0 - q / (1.0 - q)
-        if s_inf <= 0:
-            raise IterationError(
-                f"s0 = {s0} leaves no positive limit for q = {q}; "
-                f"need s0 > q/(1-q) = {q / (1.0 - q)}")
-        return RadiusSchedule.geometric(q, s0, s_inf)
 
     @staticmethod
     def rho_driven(rho: PositiveSequence, s0: float) -> "RadiusSchedule":
@@ -177,133 +158,6 @@ class RadiusSchedule:
 
     def __repr__(self) -> str:
         return f"RadiusSchedule({self.to_json_dict()})"
-
-
-# ---- relative contraction ----
-
-def relative_contraction(T: Callable[[int, TruncatedSeries], TruncatedSeries],
-                         lam: PositiveSequence, x0: TruncatedSeries,
-                         steps: int = 40) -> IterationTrace:
-    """Run x_{n+1} = T(n, x_n) and certify the relative contraction bound.
-
-    lam is indexed so that lam.value(n) is the contraction factor of the
-    step producing x_{n+1} from x_n for n >= 1 (index 0 is unused).  The
-    certificate checks the measured increment d(x_{n+1}, x_n) against the
-    product bound lam_n...lam_1 * d(x_1, x_0); it is refused outright
-    when some lam_n exceeds 1 (the product bound would not decrease) and
-    the Cauchy conclusion additionally needs the product to vanish,
-    judged on the run window by the product falling below 1/2.
-
-    T must commute with restriction; this is spot-checked on x0 and a
-    failure refuses certification without stopping the run.
-    """
-    if steps < 1:
-        raise IterationError("need at least one step")
-    trace = IterationTrace(engine="contraction")
-    trace.metadata = {"lambda": lam.to_json_dict(), "steps": steps,
-                      "ref_radius": x0.ref_radius}
-
-    s_probe = 0.75 * x0.ref_radius
-    probe_scale = 1.0 + _norm(x0)
-    try:
-        via_restrict = T(0, x0.restrict(s_probe))
-        restricted = T(0, x0).restrict(s_probe)
-        commutes = bool(np.max(np.abs(via_restrict.coeffs
-                                      - restricted.coeffs))
-                        <= 1e-12 * probe_scale)
-    except (SeriesError, OperatorError) as exc:
-        commutes = False
-        trace.fail(f"restriction compatibility probe failed: {exc}")
-    if not commutes:
-        trace.fail("T does not commute with restriction; "
-                   "certification refused")
-
-    lam_ok = True
-    for n in range(1, steps):
-        if lam.log(n) > 1e-12:
-            trace.fail(f"lambda_{n} exceeds 1; certification refused")
-            lam_ok = False
-            break
-
-    x = x0.copy()
-    x_next = T(0, x)
-    d1 = _norm(x_next - x)
-    trace.add(StepRecord(n=0, radius=x0.ref_radius, value_norm=_norm(x_next),
-                         increment_norm=d1, bound=d1))
-    x = x_next
-    log_prod = 0.0
-    for n in range(1, steps):
-        x_next = T(n, x)
-        d = _norm(x_next - x)
-        log_prod += lam.log(n)
-        bound = math.exp(log_prod) * d1
-        ok = d <= bound * (1.0 + 1e-9) + 1e-300
-        trace.add(StepRecord(n=n, radius=x0.ref_radius,
-                             value_norm=_norm(x_next), increment_norm=d,
-                             bound=bound, sigma=lam.value(n),
-                             checks_passed=ok))
-        if not ok:
-            trace.fail(f"increment exceeds product bound at n={n}")
-        x = x_next
-
-    product_final = math.exp(log_prod)
-    vanishes = lam_ok and product_final <= 0.5
-    trace.metadata["product_final"] = product_final
-    trace.metadata["product_vanishes"] = vanishes
-    stepwise = trace.all_checks_passed and commutes and lam_ok
-    trace.certified = stepwise and vanishes
-    if trace.certified:
-        trace.status = "converged"
-    elif stepwise:
-        trace.status = "bounded"
-    return trace
-
-
-# ---- majorized iteration ----
-
-def majorized_iteration(F: Callable[[TruncatedSeries], TruncatedSeries],
-                        f: Callable[[float], float], x0: TruncatedSeries,
-                        y0: float, steps: int = 40) -> IterationTrace:
-    """Run x_{n+1} = F(x_n) and y_{n+1} = f(y_n) in lockstep.
-
-    Certifies |x_n| <= y_n at every step together with the diagram
-    inequality |F(x_n)| <= f(|x_n|) measured on the orbit.  Convergence
-    of x to 0 is declared only when the y-iterates are nonincreasing and
-    reach 0 within tolerance; a stalled positive majorant downgrades the
-    claim to status "bounded-only".  A majorization violation withdraws
-    the certificate at its index but the run continues.
-    """
-    if y0 < 0:
-        raise IterationError("y0 must be nonnegative")
-    trace = IterationTrace(engine="majorized")
-    trace.metadata = {"y0": y0, "steps": steps, "ref_radius": x0.ref_radius}
-    x, y = x0.copy(), float(y0)
-    xn = _norm(x)
-    y_monotone = True
-    for n in range(steps + 1):
-        ok = xn <= y * (1.0 + 1e-12) + 1e-300
-        trace.add(StepRecord(n=n, radius=x.ref_radius, value_norm=xn,
-                             bound=y, checks_passed=ok))
-        if not ok:
-            trace.fail(f"majorization violated at n={n}")
-        if n == steps:
-            break
-        x = F(x)
-        x_next_norm = _norm(x)
-        y_next = f(y)
-        if x_next_norm > f(xn) * (1.0 + 1e-12) + 1e-300:
-            trace.fail(f"diagram inequality |F(x)| <= f(|x|) fails at n={n}")
-            trace.steps[-1].checks_passed = False
-        if y_next > y * (1.0 + 1e-12):
-            y_monotone = False
-        xn, y = x_next_norm, y_next
-    trace.certified = trace.all_checks_passed
-    if trace.steps[-1].bound <= 1e-15 * max(1.0, y0) and y_monotone:
-        trace.status = "converged"
-    elif y_monotone:
-        trace.status = "bounded-only"
-    trace.metadata["y_monotone"] = y_monotone
-    return trace
 
 
 # ---- classical Newton ----

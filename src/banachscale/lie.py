@@ -61,8 +61,7 @@ def _negated(u: LocalOperator) -> LocalOperator:
         return u.action(g, t, s).scale(-1.0)
 
     return LocalOperator(action, u.weight, u.grade, u.norm_bound, u.kind,
-                         f"-{u.name}", u.order_raise, u.cert_radius,
-                         dict(u.params))
+                         f"-{u.name}", u.order_raise, u.cert_radius)
 
 
 # ---- problem description ----
@@ -497,19 +496,12 @@ def run_lie(problem: ActionProblem, schedule: LieSchedule | RadiusSchedule,
     else:
         radii, b, sigma = schedule, None, None
 
-    def b_at(n):
-        if b is None:
+    def value_at(seq, n):
+        """seq_n, or None without a schedule or past the end of a table."""
+        if seq is None:
             return None
         try:
-            return b.value(n)
-        except SequenceDomainError:
-            return None
-
-    def sigma_at(n):
-        if sigma is None:
-            return None
-        try:
-            return sigma.value(n)
+            return seq.value(n)
         except SequenceDomainError:
             return None
 
@@ -535,8 +527,9 @@ def run_lie(problem: ActionProblem, schedule: LieSchedule | RadiusSchedule,
     })
     state = LieState(0, t, tau, r, slack=slack0)
     trace.add(StepRecord(0, radius=t, value_norm=state.r_norm,
-                         increment_norm=0.0, aux_norm=0.0, bound=b_at(0),
-                         sigma=sigma_at(0), checks_passed=True))
+                         increment_norm=0.0, aux_norm=0.0,
+                         bound=value_at(b, 0), sigma=value_at(sigma, 0),
+                         checks_passed=True))
     fields = []
     worst_defect = 0.0
     for i in range(steps):
@@ -546,8 +539,10 @@ def run_lie(problem: ActionProblem, schedule: LieSchedule | RadiusSchedule,
         trace.add(StepRecord(state.n, radius=state.s,
                              value_norm=state.r_norm,
                              increment_norm=state.delta_norm,
-                             aux_norm=state.u_norm, bound=b_at(state.n),
-                             sigma=sigma_at(state.n), checks_passed=True,
+                             aux_norm=state.u_norm,
+                             bound=value_at(b, state.n),
+                             sigma=value_at(sigma, state.n),
+                             checks_passed=True,
                              extra=diag))
 
     rs = [radii.radius(i) for i in range(steps + 1)]

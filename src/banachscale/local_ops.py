@@ -1,11 +1,9 @@
-"""Weight functions, graded local operators, and the Borel calculus.
+"""Weight functions, local operators, and the Borel calculus.
 
 A weight lambda(t, s) = C s^p t^(-q) (t-s)^k measures how much an
-operator costs as it maps from radius t down to radius s; its grades
-lambda_n = e^n lambda^n / n^n make the family submultiplicative through
-the interior point m = (p s + q t)/(p + q).  A `LocalOperator` bundles an
-action on truncated series with a certified bound: for all 0 < s < t up
-to cert_radius,
+operator costs as it maps from radius t down to radius s.  A
+`LocalOperator` bundles an action on truncated series with a certified
+bound: for all 0 < s < t up to cert_radius,
 
     |u(f)|_s  <=  norm_bound * |f|_t / lambda(t, s).
 
@@ -16,18 +14,19 @@ factorial iterate estimate
 
     |u^n(f)|_s  <=  n! (norm_bound / (t-s))^n |f|_t,
 
-inherited from the flow/Cauchy-integral argument; equal-radius chaining
-alone only gives n^n = e^n-ish n!, which is where the baked-in factor e
-of the grades comes from.  The Borel map B f(u) = sum a_n u^n / n!
-therefore converges for |u| < R (t-s) with |B f(u) g|_s <= |f|(x) |g|_t
-at x = |u|/(t-s); generic (non-derivation) operators pay the chain
-factor and use x = e |u|/lambda.  borel_apply computes the series term
-by term, accepting a term only while its measured contribution stays
-inside its theoretical share |a_k| x^k |g|_t (so the result's
-certificate never exceeds the theorem bound), and covers everything
-uncomputed by the majorant remainder (|f|(x) - computed partial) |g|_t,
-folded into the result's tail exactly when the skipped terms are
-certifiably high-degree and reported separately otherwise.
+inherited from the flow/Cauchy-integral argument; chaining n applications
+through equal sub-steps alone only gives n^n, about e^n n!, which is
+where the factor e paid by generic operators comes from.  The Borel map
+B f(u) = sum a_n u^n / n! therefore converges for |u| < R (t-s) with
+|B f(u) g|_s <= |f|(x) |g|_t at x = |u|/(t-s); generic (non-derivation)
+operators pay the chain factor and use x = e |u|/lambda.  borel_apply
+computes the series term by term, accepting a term only while its
+measured contribution stays inside its theoretical share
+|a_k| x^k |g|_t (so the result's certificate never exceeds the theorem
+bound), and covers everything uncomputed by the majorant remainder
+(|f|(x) - computed partial) |g|_t, folded into the result's tail exactly
+when the skipped terms are certifiably high-degree and reported
+separately otherwise.
 """
 
 from __future__ import annotations
@@ -37,17 +36,13 @@ import sys
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
-import numpy as np
-
 from .series import SeriesError, TruncatedSeries, align
 
-__all__ = ["WeightFunction", "CutoffWeight", "LocalOperator",
-           "OperatorError", "certify_vector_field", "multiplication_operator",
-           "restriction_operator", "zero_operator", "compose",
-           "submult_check", "SubmultReport", "BorelSymbol", "EXP", "EXP_NEG",
-           "PHI", "PSI", "BorelApplication", "borel_apply", "exp", "exp_neg",
-           "exp_pair_check", "ExpPairReport", "product_of_exponentials",
-           "ExponentialProduct"]
+__all__ = ["WeightFunction", "LocalOperator", "OperatorError",
+           "certify_vector_field", "multiplication_operator",
+           "restriction_operator", "BorelSymbol", "EXP", "EXP_NEG", "PHI",
+           "PSI", "BorelApplication", "borel_apply", "exp",
+           "product_of_exponentials", "ExponentialProduct"]
 
 _EPS = sys.float_info.epsilon
 
@@ -58,14 +53,12 @@ class OperatorError(ValueError):
 
 @dataclass(frozen=True)
 class WeightFunction:
-    """lambda(t, s) = C s^p t^(-q) (t-s)^k with graded variants."""
+    """lambda(t, s) = C s^p t^(-q) (t-s)^k."""
 
     C: float = 1.0
     p: float = 0.0
     q: float = 0.0
     k: int = 1
-
-    submultiplicative = True
 
     def __post_init__(self):
         if self.C <= 0 or self.p < 0 or self.q < 0 or self.k < 0:
@@ -76,62 +69,21 @@ class WeightFunction:
             raise OperatorError(f"weight needs 0 < s <= t, got ({t}, {s})")
         return self.C * s ** self.p * t ** (-self.q) * (t - s) ** self.k
 
-    def grade(self, n: int, t: float, s: float) -> float:
-        """lambda_n(t, s) = e^n lambda^n / n^n; grade 0 is 1."""
-        if n == 0:
-            return 1.0
-        lam = self.value(t, s)
-        return math.exp(n) * lam ** n / float(n) ** n
-
-    def split_point(self, p: int, q: int, t: float, s: float) -> float:
-        """Interior radius through which a grade-(p+q) composite chains."""
-        return (p * s + q * t) / (p + q)
-
-    def to_json_dict(self) -> dict:
-        return {"C": self.C, "p": self.p, "q": self.q, "k": self.k}
-
-
-@dataclass(frozen=True)
-class CutoffWeight:
-    """lambda(n, s, t) = (t/s)^(2^n) s^a (t-s)^b.
-
-    Grows along the grade index instead of shrinking: explicitly not
-    submultiplicative, so cutoff operators never enter grade composition.
-    """
-
-    a: float = 0.0
-    b: float = 0.0
-
-    submultiplicative = False
-
-    def __post_init__(self):
-        if self.a < 0 or self.b < 0:
-            raise OperatorError("cutoff weight needs a, b >= 0")
-
-    def value(self, n: int, s: float, t: float) -> float:
-        if not (0.0 < s < t):
-            raise OperatorError("cutoff weight needs 0 < s < t")
-        return (t / s) ** (2 ** n) * s ** self.a * (t - s) ** self.b
-
-    def to_json_dict(self) -> dict:
-        return {"cutoff": True, "a": self.a, "b": self.b}
-
 
 class LocalOperator:
     """Action on truncated series plus a certified weighted norm bound.
 
     kind is one of 'derivation', 'multiplication', 'restriction',
-    'composite', 'generic'; only derivations get the factorial Borel
-    route.  order_raise is a certified lower bound on how much one
-    application raises the vanishing order of its argument (counted on
-    exactly zero coefficients, no tolerance).  cert_radius caps the
-    radii t at which the norm_bound certificate applies.
+    'generic'; only derivations get the factorial Borel route.
+    order_raise is a certified lower bound on how much one application
+    raises the vanishing order of its argument (counted on exactly zero
+    coefficients, no tolerance).  cert_radius caps the radii t at which
+    the norm_bound certificate applies.
     """
 
     def __init__(self, action: Callable, weight, grade: int,
                  norm_bound: float, kind: str = "generic", name: str = "",
-                 order_raise: int = 0, cert_radius: float = math.inf,
-                 params: dict | None = None):
+                 order_raise: int = 0, cert_radius: float = math.inf):
         if norm_bound < 0:
             raise OperatorError("norm_bound must be nonnegative")
         self.action = action
@@ -142,7 +94,6 @@ class LocalOperator:
         self.name = name or kind
         self.order_raise = int(order_raise)
         self.cert_radius = float(cert_radius)
-        self.params = dict(params or {})
 
     def __call__(self, f: TruncatedSeries, t: float, s: float
                  ) -> TruncatedSeries:
@@ -151,19 +102,6 @@ class LocalOperator:
     @property
     def is_zero(self) -> bool:
         return self.norm_bound == 0.0
-
-    def descriptor(self) -> dict:
-        return {
-            "kind": self.kind,
-            "name": self.name,
-            "grade": self.grade,
-            "norm_bound": self.norm_bound,
-            "order_raise": self.order_raise,
-            "cert_radius": (None if math.isinf(self.cert_radius)
-                            else self.cert_radius),
-            "weight": self.weight.to_json_dict(),
-            "params": self.params,
-        }
 
     def __repr__(self) -> str:
         return (f"LocalOperator({self.name}, grade={self.grade}, "
@@ -216,8 +154,7 @@ def certify_vector_field(a: TruncatedSeries, name: str = "vector_field"
 
     return LocalOperator(action, WeightFunction(k=1), 1, bound,
                          kind="derivation", name=name, order_raise=raise_by,
-                         cert_radius=a.ref_radius,
-                         params={"coefficient_norm": bound})
+                         cert_radius=a.ref_radius)
 
 
 def multiplication_operator(h: TruncatedSeries, name: str = "multiplication"
@@ -245,71 +182,6 @@ def restriction_operator() -> LocalOperator:
         return f.restrict(min(s, f.ref_radius))
     return LocalOperator(action, WeightFunction(k=0), 0, 1.0,
                          kind="restriction", name="iota")
-
-
-def zero_operator(weight: WeightFunction | None = None) -> LocalOperator:
-    def action(f: TruncatedSeries, t: float, s: float) -> TruncatedSeries:
-        return TruncatedSeries(f.dim, f.cap, min(s, f.ref_radius), f.basis)
-    return LocalOperator(action, weight or WeightFunction(k=1), 1, 0.0,
-                         kind="derivation", name="zero")
-
-
-def compose(u: LocalOperator, v: LocalOperator) -> LocalOperator:
-    """v after u, chained through the closed-form interior radius.
-
-    u (grade p) maps t -> m and v (grade q) maps m -> s with
-    m = (p s + q t)/(p + q); the certified bound multiplies.
-    """
-    for op in (u, v):
-        if not getattr(op.weight, "submultiplicative", False):
-            raise OperatorError("cutoff weights do not compose in grades")
-    if u.weight != v.weight:
-        raise OperatorError("composition needs one common base weight")
-    p, q = u.grade, v.grade
-    if p < 1 or q < 1:
-        raise OperatorError("grade composition needs grades >= 1")
-
-    def action(f: TruncatedSeries, t: float, s: float) -> TruncatedSeries:
-        m = u.weight.split_point(p, q, t, s)
-        return v.action(u.action(f, t, m), m, s)
-
-    return LocalOperator(action, u.weight, p + q,
-                         u.norm_bound * v.norm_bound, kind="composite",
-                         name=f"{v.name}*{u.name}",
-                         order_raise=u.order_raise + v.order_raise,
-                         cert_radius=min(u.cert_radius, v.cert_radius))
-
-
-@dataclass(frozen=True)
-class SubmultReport:
-    p: int
-    q: int
-    samples: int
-    worst_margin: float     # min over the grid of (rhs - lhs)/scale
-    passed: bool
-
-
-def submult_check(weight: WeightFunction, p: int, q: int,
-                  grid: Sequence[tuple[float, float]] | None = None
-                  ) -> SubmultReport:
-    """Verify lambda_{p+q}(t, s) <= lambda_p(t, m) lambda_q(m, s) at the
-    interior point m = (p s + q t)/(p + q) over a sampled (s, t) grid."""
-    if not getattr(weight, "submultiplicative", False):
-        raise OperatorError("weight is flagged non-submultiplicative")
-    if p < 1 or q < 1:
-        raise OperatorError("grades must be >= 1")
-    if grid is None:
-        ts = np.linspace(0.1, 2.0, 16)
-        fracs = np.linspace(0.05, 0.95, 13)
-        grid = [(float(f * t), float(t)) for t in ts for f in fracs]
-    worst = math.inf
-    for s, t in grid:
-        m = weight.split_point(p, q, t, s)
-        lhs = weight.grade(p + q, t, s)
-        rhs = weight.grade(p, t, m) * weight.grade(q, m, s)
-        scale = max(abs(lhs), abs(rhs), 1e-300)
-        worst = min(worst, (rhs - lhs) / scale)
-    return SubmultReport(p, q, len(grid), worst, worst >= -1e-12)
 
 
 # ---- Borel calculus ----
@@ -451,42 +323,6 @@ def exp(u: LocalOperator, t: float, s: float, g: TruncatedSeries
         ) -> BorelApplication:
     """e^u g via the Borel map; pre: norm_bound(u) < lambda(t, s)."""
     return borel_apply(EXP, u, t, s, g)
-
-
-def exp_neg(u: LocalOperator, t: float, s: float, g: TruncatedSeries
-            ) -> BorelApplication:
-    """e^(-u) g via the Borel map."""
-    return borel_apply(EXP_NEG, u, t, s, g)
-
-
-@dataclass(frozen=True)
-class ExpPairReport:
-    measured: float     # coefficient-level |e^(-u) e^u g - iota g|_s
-    bound: float        # remainders + tail claims + roundoff allowance
-    passed: bool
-
-
-def exp_pair_check(u: LocalOperator, t: float, s: float, g: TruncatedSeries
-                   ) -> ExpPairReport:
-    """Apply e^u then e^(-u) across two legs and compare against iota g.
-
-    The formal series cancel exactly; what survives is the two Borel
-    remainders (the forward one transported by |e^(-u)| <= 1/(1-x)), the
-    tail claims, and float roundoff.  The report bound collects exactly
-    those.
-    """
-    m = 0.5 * (s + t)
-    fwd = exp(u, t, m, g)
-    back = exp_neg(u, m, s, fwd.series)
-    base = _clamp(g, s)
-    lhs, rhs = align(back.series, base)
-    delta = lhs - rhs
-    r = delta.ref_radius
-    measured = delta._poly_majorant(r)
-    tails = delta.majorant_norm(r).value - measured
-    bound = (fwd.remainder / (1.0 - back.x) + back.remainder + tails
-             + 1e-10 * (fwd.input_norm + 1.0))
-    return ExpPairReport(measured, bound, measured <= bound)
 
 
 @dataclass

@@ -24,9 +24,10 @@ A pair (a, b) with a >= 1, b <= 1, b -> 0 is *tame* when
     (*)    a_n b_n^2 <= b_{n+1}   for all n,
 
 which makes b_n an invariant envelope for the mixed model iteration
-x' = (a_n x^2 + b_n x) / 2.  `taming_epsilon` scales an envelope so that
-(*) holds against a given admissible a on a window; `lemma_rho` builds
-the doubly-exponentially-decaying schedule rho_n = K b_n c_n e^(-alpha^n)
+x' = (a_n x^2 + b_n x) / 2.  `taming_epsilon_log` is the log of the
+factor that scales an envelope so that (*) holds against a given
+admissible a on a window; `lemma_rho` builds the
+doubly-exponentially-decaying schedule rho_n = K b_n c_n e^(-alpha^n)
 together with sigma_n = 1 - rho_n^(1/2^n) used by the Lie scheduler.
 """
 
@@ -35,7 +36,7 @@ from __future__ import annotations
 import json
 import math
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -46,13 +47,10 @@ __all__ = [
     "BrunoCertificate",
     "BrunoTransformResult",
     "TamePairReport",
-    "TameBrunoResult",
     "LemmaRhoReport",
     "bruno_check",
     "bruno_transform",
     "tame_check",
-    "tame_implies_bruno",
-    "taming_epsilon",
     "taming_epsilon_log",
     "model_iteration",
     "lemma_rho",
@@ -465,50 +463,6 @@ def strictness_check(b: PositiveSequence, window: int = 60) -> bool:
     return all(2.0 * log_b[n] <= log_b[n + 1] for n in range(window))
 
 
-@dataclass(frozen=True)
-class TameBrunoResult:
-    """Per-index certificate that tameness forces summability.
-
-    certificate[M-1] checks the telescoped inequality
-
-        sum_{k<M} log a_k / 2^(k+1)  <=  log b_M / 2^M - log b_0.
-
-    The limit hypothesis log b_M / 2^M -> 0 is judged numerically; when
-    it fails the verdict is 'inconclusive' (the b-envelope sits at the
-    doubly-exponential boundary and certifies nothing in the limit).
-    """
-
-    verdict: str                       # 'bruno_consistent' | 'inconclusive'
-    certificate: tuple[bool, ...]
-    hypothesis_tame: bool
-    hypothesis_limit: bool
-    lhs: tuple[float, ...]
-    rhs: tuple[float, ...]
-
-
-def tame_implies_bruno(a: PositiveSequence, b: PositiveSequence,
-                       window: int = 60) -> TameBrunoResult:
-    report = tame_check(a, b, window)
-    log_a = a.log_values(window)
-    log_b = b.log_values(window)
-    lhs, rhs, cert = [], [], []
-    acc = 0.0
-    for M in range(1, window + 1):
-        acc += log_a[M - 1] * math.pow(2.0, -M)   # log a_{M-1} / 2^M
-        L = acc
-        R = log_b[M] * math.pow(2.0, -M) - log_b[0]
-        lhs.append(L)
-        rhs.append(R)
-        cert.append(bool(L <= R + 1e-12 * max(1.0, abs(R))))
-    phi_end = abs(log_b[window]) * math.pow(2.0, -window)
-    phi_half = abs(log_b[window // 2]) * math.pow(2.0, -(window // 2))
-    limit_ok = phi_end <= max(1e-6, 0.3 * phi_half)
-    verdict = ("bruno_consistent"
-               if report.tame and limit_ok and all(cert) else "inconclusive")
-    return TameBrunoResult(verdict, tuple(cert), report.tame, limit_ok,
-                           tuple(lhs), tuple(rhs))
-
-
 # ---- taming ----
 
 def taming_epsilon_log(a: PositiveSequence, depth: int = 60) -> float:
@@ -530,15 +484,6 @@ def taming_epsilon_log(a: PositiveSequence, depth: int = 60) -> float:
         res = bruno_transform(a, n, depth)
         best = min(best, 2.0 * res.log_lower)
     return best
-
-
-def taming_epsilon(a: PositiveSequence, depth: int = 60) -> float:
-    """Window taming constant eps = inf_{n<=depth} (a^pi_n)^2 (lower bounds).
-
-    May underflow to 0.0 for fast-growing a; use `taming_epsilon_log`
-    when the constant is consumed in log space.
-    """
-    return math.exp(taming_epsilon_log(a, depth))
 
 
 # ---- model iteration ----

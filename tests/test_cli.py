@@ -98,6 +98,29 @@ def test_model_seed_above_envelope_is_uncertified(capsys):
     assert "bounded by b: False" in out
 
 
+def test_model_tabulated_defaults_to_its_own_table(capsys):
+    # x_0..x_steps read a_0..a_{steps-1} and b_0..b_steps, so three
+    # values of a allow 3 steps and three values of b allow 2
+    code, out, _ = run(capsys, "model", "--a", "tabulated:1,2,3",
+                       "--b", "geometric:0.5", "--x0", "0.01")
+    assert code == 0
+    x = 0.01
+    for n in range(3):
+        x = ((n + 1.0) * x * x + 0.5 ** n * x) / 2.0
+    assert out.startswith("steps 3 final x ")
+    assert float(out.split()[4]) == pytest.approx(x, rel=1e-12)
+    code, out, _ = run(capsys, "model", "--a", "geometric:2",
+                       "--b", "tabulated:0.5,0.1,0.01", "--x0", "0.01")
+    assert code == 0
+    assert out.startswith("steps 2 ")
+    # an explicit --steps past the table is still an input error
+    code, _, err = run(capsys, "model", "--a", "tabulated:1,2,3",
+                       "--b", "geometric:0.5", "--x0", "0.01",
+                       "--steps", "4")
+    assert code == 1
+    assert "tabulated sequence has 3 entries, index 3" in err
+
+
 def test_rho_tuner(capsys):
     code, out, _ = run(capsys, "rho", "--a", "constant:1",
                        "--aprime", "constant:1", "--b", "exp_power:-1.5",

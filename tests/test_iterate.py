@@ -8,11 +8,9 @@ import pytest
 from banachscale.iterate import (
     IterationError,
     RadiusSchedule,
-    majorized_iteration,
     nash_moser,
     newton,
     quadratic_model,
-    relative_contraction,
 )
 from banachscale.local_ops import multiplication_operator
 from banachscale.sequences import PositiveSequence
@@ -24,10 +22,6 @@ def poly(coeffs, *, cap=32, ref=1.0, tail=0.0):
     for i, c in enumerate(coeffs):
         s.coeffs[i] = c
     return s
-
-
-def norm_at_own_ref(f):
-    return f.majorant_norm(f.ref_radius).value
 
 
 # ---- radius schedules ----
@@ -44,16 +38,11 @@ def test_geometric_schedule_basics():
 def test_geometric_decrement_is_exact_power():
     # with s0 - s_inf = q/(1-q) the decrements are exactly q^(n+1) and
     # the midpoint sits q^(n+1)/2 below s_n, both exact in binary floats
-    sched = RadiusSchedule.proof_normalized(0.5, 1.5)
-    assert sched.params["s_inf"] == 0.5
+    sched = RadiusSchedule.geometric(0.5, 1.5, 0.5)
+    assert sched.radius(0) - sched.limit == 0.5 / (1.0 - 0.5)
     for n in range(30):
         assert sched.decrement(n) == 0.5 ** (n + 1)
         assert sched.radius(n) - sched.midpoint(n) == 0.5 ** (n + 2)
-
-
-def test_proof_normalization_requires_room():
-    with pytest.raises(IterationError, match="positive limit"):
-        RadiusSchedule.proof_normalized(0.5, 1.0)
 
 
 def test_geometric_schedule_rejects_bad_params():
@@ -93,112 +82,6 @@ def test_schedule_json_round_trip_fields():
     rd = RadiusSchedule.rho_driven(PositiveSequence.constant(0.3), 2.0)
     d2 = rd.to_json_dict()
     assert d2["kind"] == "rho_driven" and d2["s0"] == 2.0
-
-
-# ---- relative contraction ----
-
-def test_contraction_halving():
-    x0 = poly([0.0, 1.0, 0.5], cap=16)
-    trace = relative_contraction(lambda n, x: x.scale(0.5),
-                                 PositiveSequence.constant(0.5), x0, steps=20)
-    assert trace.certified
-    assert trace.status == "converged"
-    d1 = trace.steps[0].increment_norm
-    assert d1 == pytest.approx(0.75, rel=1e-15)     # |x0|/2 = 1.5/2
-    for rec in trace.steps[1:]:
-        assert rec.increment_norm == pytest.approx(d1 * 0.5 ** rec.n,
-                                                   rel=1e-12)
-        assert rec.checks_passed
-
-
-def test_contraction_unit_lambda_gives_no_cauchy_certificate():
-    x0 = poly([0.5, 0.25], cap=8)
-    trace = relative_contraction(lambda n, x: x.scale(1j),
-                                 PositiveSequence.constant(1.0), x0, steps=12)
-    # increments all equal d1, so every stepwise check passes with lam = 1,
-    # but the product never vanishes: no Cauchy conclusion
-    assert trace.all_checks_passed
-    assert not trace.certified
-    assert trace.status == "bounded"
-    assert trace.metadata["product_vanishes"] is False
-
-
-def test_contraction_ratio_family_certifies_despite_lambda_to_one():
-    steps = 40
-    lam = PositiveSequence.tabulated(
-        [1.0] + [k / (k + 1.0) for k in range(1, steps)])
-    x0 = poly([1.0], cap=4)
-    trace = relative_contraction(lambda n, x: x.scale((n + 1.0) / (n + 2.0)),
-                                 lam, x0, steps=steps)
-    assert trace.certified
-    assert trace.status == "converged"
-    # product bound at row n is d1 / (n+1); measured d is |x0|/((n+1)(n+2))
-    d1 = trace.steps[0].increment_norm
-    rec = trace.steps[5]
-    assert rec.bound == pytest.approx(d1 / 6.0, rel=1e-12)
-    assert rec.increment_norm == pytest.approx(1.0 / 42.0, rel=1e-12)
-    assert trace.metadata["product_final"] == pytest.approx(1.0 / steps,
-                                                            rel=1e-12)
-
-
-def test_contraction_refuses_lambda_above_one():
-    lam = PositiveSequence.tabulated([1.0, 0.9, 1.2, 0.9, 0.9])
-    x0 = poly([1.0], cap=4)
-    trace = relative_contraction(lambda n, x: x.scale(0.5), lam, x0, steps=5)
-    assert not trace.certified
-    assert any("exceeds 1" in msg for msg in trace.failures)
-    assert len(trace.steps) == 5          # the run itself still happens
-
-
-def test_contraction_refuses_non_restriction_equivariant_map():
-    def T(n, x):
-        bump = TruncatedSeries.monomial(0, x.ref_radius, cap=x.cap,
-                                        ref_radius=x.ref_radius)
-        return x.scale(0.5) + bump
-
-    x0 = poly([0.0, 1.0], cap=8)
-    trace = relative_contraction(T, PositiveSequence.constant(0.5), x0,
-                                 steps=5)
-    assert not trace.certified
-    assert any("commute" in msg for msg in trace.failures)
-
-
-# ---- majorized iteration ----
-
-def test_majorized_square_iteration_converges():
-    x0 = poly([0.0, 0.5, 0.4], cap=16)
-    trace = majorized_iteration(lambda x: x.multiply(x).scale(0.5),
-                                lambda y: 0.5 * y * y, x0, 0.95, steps=12)
-    assert trace.certified
-    assert trace.status == "converged"
-    for rec in trace.steps:
-        assert rec.value_norm <= rec.bound * (1 + 1e-12)
-
-
-def test_majorized_zero_start_stays_zero():
-    x0 = TruncatedSeries.zero(1, 8, 1.0)
-    trace = majorized_iteration(lambda x: x.multiply(x).scale(0.5),
-                                lambda y: 0.5 * y * y, x0, 0.0, steps=6)
-    assert trace.certified
-    assert all(rec.value_norm == 0.0 for rec in trace.steps)
-
-
-def test_majorized_fixed_point_gives_bounded_only():
-    x0 = poly([0.0, 1.0], cap=16)
-    trace = majorized_iteration(
-        lambda x: (x.multiply(x) + x).scale(0.5),
-        lambda y: 0.5 * (y * y + y), x0, 1.0, steps=10)
-    assert trace.status == "bounded-only"
-    assert trace.certified            # majorization held; only the limit claim is withheld
-    assert trace.steps[-1].bound == pytest.approx(1.0)
-
-
-def test_majorized_violation_reports_index():
-    x0 = poly([0.9], cap=4)
-    trace = majorized_iteration(lambda x: x.scale(1.2),
-                                lambda y: 0.5 * y, x0, 1.0, steps=6)
-    assert not trace.certified
-    assert any("violated at n=" in msg for msg in trace.failures)
 
 
 # ---- classical Newton ----
@@ -297,7 +180,7 @@ def nm_oracle(y, iters=100):
 
 
 def test_quadratic_model_constants():
-    sched = RadiusSchedule.proof_normalized(0.5, 1.5)
+    sched = RadiusSchedule.geometric(0.5, 1.5, 0.5)
     M, alpha, model = quadratic_model((1, 0, 1, 0), sched, 1.0, 1.0)
     assert alpha == 2
     # D = 1/2, so (2/D)^2 = 16 and the s_inf prefactor is 1/0.5

@@ -1,5 +1,6 @@
 """Tests for the conjugation engine: steps, schedule, certificates."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -71,7 +72,13 @@ def test_exponents_k_and_l():
 
 
 def test_problem_validation_passes_for_morse():
-    problem = morse_problem(with_sampler=True)
+    def sampler(rng, n):
+        c = np.zeros(65, dtype=complex)
+        c[3:7] = rng.uniform(-1.0, 1.0, 4) * 1e-3
+        return TruncatedSeries(1, 64, 1.0, "taylor", c)
+
+    # replace() runs __post_init__, which validates against the sampler
+    problem = dataclasses.replace(morse_problem(), sampler=sampler)
     assert problem.name == "morse"
 
 

@@ -1,6 +1,5 @@
 """Tests for weighted local operators and the Borel calculus."""
 
-import json
 import math
 
 import numpy as np
@@ -8,25 +7,18 @@ import pytest
 from scipy.integrate import solve_ivp
 
 from banachscale.local_ops import (
-    CutoffWeight,
     EXP,
     EXP_NEG,
     PHI,
     PSI,
-    LocalOperator,
     OperatorError,
     WeightFunction,
     borel_apply,
     certify_vector_field,
-    compose,
     exp,
-    exp_neg,
-    exp_pair_check,
     multiplication_operator,
     product_of_exponentials,
     restriction_operator,
-    submult_check,
-    zero_operator,
 )
 from banachscale.series import TruncatedSeries
 
@@ -50,16 +42,17 @@ def norm_at_own_ref(f):
     return f.majorant_norm(f.ref_radius).value
 
 
+def zero_field():
+    return certify_vector_field(poly([0.0], cap=8))
+
+
 # ---- weight functions ----
 
-def test_weight_value_and_grade_formulas():
+def test_weight_value_formula():
     w = WeightFunction(C=2.0, p=1.0, q=0.5, k=2)
     t, s = 1.5, 0.6
     expected = 2.0 * 0.6 * 1.5 ** -0.5 * 0.9 ** 2
     assert w.value(t, s) == pytest.approx(expected, rel=1e-15)
-    assert w.grade(0, t, s) == 1.0
-    assert w.grade(3, t, s) == pytest.approx(
-        math.e ** 3 * expected ** 3 / 27.0, rel=1e-14)
 
 
 def test_weight_rejects_bad_parameters():
@@ -69,61 +62,6 @@ def test_weight_rejects_bad_parameters():
         WeightFunction(p=-1.0)
     with pytest.raises(OperatorError):
         WeightFunction().value(0.5, 0.7)
-    with pytest.raises(OperatorError):
-        CutoffWeight(a=-1.0)
-
-
-def test_cutoff_weight_value():
-    w = CutoffWeight(a=1.0, b=2.0)
-    # (t/s)^(2^n) s^a (t-s)^b at n=2, s=0.5, t=1
-    assert w.value(2, 0.5, 1.0) == pytest.approx(16.0 * 0.5 * 0.25, rel=1e-15)
-    assert not w.submultiplicative
-
-
-def test_midpoint_split_equality_for_linear_weight():
-    # lambda = (t-s), p = q = 1 at (s,t) = (0.2, 1): both sides e^2 * 0.16
-    w = WeightFunction(k=1)
-    m = w.split_point(1, 1, 1.0, 0.2)
-    assert m == pytest.approx(0.6)
-    lhs = w.grade(2, 1.0, 0.2)
-    rhs = w.grade(1, 1.0, m) * w.grade(1, m, 0.2)
-    assert lhs == pytest.approx(math.e ** 2 * 0.16, rel=1e-14)
-    assert rhs == pytest.approx(lhs, rel=1e-14)
-    rep = submult_check(w, 1, 1, grid=[(0.2, 1.0)])
-    assert rep.passed and abs(rep.worst_margin) < 1e-12
-
-
-def test_submult_check_constant_weight_grid():
-    w = WeightFunction(C=1.7, k=0)
-    for p, q in [(1, 1), (1, 2), (3, 2)]:
-        rep = submult_check(w, p, q)
-        assert rep.passed, (p, q, rep.worst_margin)
-
-
-def test_submult_check_linear_weight_with_prefactors():
-    rep = submult_check(WeightFunction(C=0.8, p=1.0, q=0.5, k=1), 2, 3)
-    assert rep.passed
-
-
-def test_submult_check_degenerate_interval_is_vacuous():
-    # s = t: every grade is 0 on both sides
-    rep = submult_check(WeightFunction(k=1), 2, 2, grid=[(1.0, 1.0)])
-    assert rep.passed and rep.worst_margin == 0.0
-
-
-def test_submult_check_detects_square_weight_failure():
-    # (t-s)^2 grades are not submultiplicative at the interior point:
-    # the margin is negative by the factor (p^p q^q/(p+q)^(p+q))^(k-1).
-    rep = submult_check(WeightFunction(k=2), 1, 1)
-    assert not rep.passed
-    assert rep.worst_margin < -0.1
-
-
-def test_submult_check_refuses_cutoff_and_bad_grades():
-    with pytest.raises(OperatorError):
-        submult_check(CutoffWeight(), 1, 1)       # type: ignore[arg-type]
-    with pytest.raises(OperatorError):
-        submult_check(WeightFunction(), 0, 1)
 
 
 # ---- certified vector fields ----
@@ -238,103 +176,48 @@ def test_operator_horizontality_on_three_point_chain():
             assert np.array_equal(hi.restrict(0.4).coeffs, lo.coeffs)
 
 
-def test_operator_descriptor_serializes():
-    u = certify_vector_field(poly([0.0, 1.0], cap=8, ref=0.9))
-    d = json.loads(json.dumps(u.descriptor()))
-    assert d["kind"] == "derivation"
-    assert d["norm_bound"] == pytest.approx(0.9)
-    assert d["weight"] == {"C": 1.0, "p": 0.0, "q": 0.0, "k": 1}
-    assert d["cert_radius"] == pytest.approx(0.9)
-    assert json.loads(json.dumps(restriction_operator().descriptor()))[
-        "cert_radius"] is None
-
-
-# ---- composition ----
-
-def test_double_derivative_composes_to_grade_two():
-    u = certify_vector_field(poly([1.0], cap=16))
-    uu = compose(u, u)
-    assert uu.grade == 2
-    assert uu.norm_bound == 1.0
-    out = uu(TruncatedSeries.monomial(3, 1.0, cap=16), 1.0, 0.25)
-    assert out.coefficient(1) == pytest.approx(6.0)
-
-
-def test_compose_with_zero_operator_is_zero():
-    u = certify_vector_field(poly([0.5, 0.5], cap=8))
-    z = compose(u, zero_operator())
-    assert z.is_zero
-    out = z(poly([1.0, 1.0], cap=8), 1.0, 0.5)
-    assert norm_at_own_ref(out) == 0.0
-
-
-def test_compose_rejects_mixed_weights_and_low_grades():
-    u = certify_vector_field(poly([1.0], cap=8))
-    mult = multiplication_operator(poly([1.0], cap=8))
-    with pytest.raises(OperatorError):
-        compose(u, mult)        # weight k=1 vs k=0
-    with pytest.raises(OperatorError):
-        compose(mult, mult)     # grade 0
-    cut = LocalOperator(lambda f, t, s: f, CutoffWeight(), 1, 1.0)
-    with pytest.raises(OperatorError):
-        compose(u, cut)
-
+# ---- chained applications ----
 
 def test_grade_two_norm_of_composed_fields_random():
-    # sampled grade-2 weighted norm never exceeds N(a) N(b)
+    # v(u f) chained through the midpoint m = (s + t)/2 obeys
+    # |v(u f)|_s ((t-s)/2)^2 <= N(a) N(b) |f|_t on random draws
     rng = np.random.default_rng(19)
-    w = WeightFunction(k=1)
     for _ in range(200):
         a = rand_poly(rng, cap=12, deg=3, scale=rng.uniform(0.2, 1.5))
         b = rand_poly(rng, cap=12, deg=4, scale=rng.uniform(0.2, 1.5))
         f = rand_poly(rng, cap=12, deg=8,
                       tail=float(rng.uniform(0, 0.5) * (rng.random() < 0.4)))
-        op = compose(certify_vector_field(a), certify_vector_field(b))
+        u, v = certify_vector_field(a), certify_vector_field(b)
         t = rng.uniform(0.3, 1.0)
         s = rng.uniform(0.1, 0.95) * t
-        out = op(f, t, s)
-        lhs = (w.value(t, s) ** 2 / 4.0) * norm_at_own_ref(out)
-        rhs = op.norm_bound * f.majorant_norm(t).value
+        m = 0.5 * (s + t)
+        out = v(u(f, t, m), m, s)
+        lhs = ((t - s) ** 2 / 4.0) * norm_at_own_ref(out)
+        rhs = u.norm_bound * v.norm_bound * f.majorant_norm(t).value
         assert lhs <= rhs * (1 + 1e-9)
 
 
 def test_power_inequality_up_to_grade_five():
-    # |u^n f|_s * (lambda^n / n^n) <= norm_bound^n |f|_t; with the grade
-    # factor e^n included the certified payoff weakens to (e norm_bound)^n.
+    # u^n applied across n equal sub-steps of (t, s) obeys
+    # |u^n f|_s (t-s)^n / n^n <= norm_bound^n |f|_t, the iterate bound
+    # behind the Borel remainder of borel_apply.
     rng = np.random.default_rng(23)
     a = poly([0.3, 0.2, 0.1], cap=24)
     u = certify_vector_field(a)
-    w = u.weight
-    un = u
     for n in range(2, 6):
-        un = compose(un, u)
-        assert un.grade == n
         for _ in range(40):
             f = rand_poly(rng, cap=24, deg=int(rng.integers(2, 20)),
                           tail=float(rng.uniform(0, 0.5)
                                      * (rng.random() < 0.3)))
             t = rng.uniform(0.4, 1.0)
             s = rng.uniform(0.15, 0.9) * t
-            out = un(f, t, s)
-            bare = (w.value(t, s) ** n / float(n) ** n) * norm_at_own_ref(out)
+            radii = [t - i * (t - s) / n for i in range(n)] + [s]
+            out = f
+            for hi, lo in zip(radii, radii[1:]):
+                out = u(out, hi, lo)
+            bare = ((t - s) ** n / float(n) ** n) * norm_at_own_ref(out)
             rhs = u.norm_bound ** n * f.majorant_norm(t).value
             assert bare <= rhs * (1 + 1e-9)
-            graded = w.grade(n, t, s) * norm_at_own_ref(out)
-            assert graded <= (math.e * u.norm_bound) ** n \
-                * f.majorant_norm(t).value * (1 + 1e-9)
-
-
-def test_sharp_monomial_grade_norm_exceeds_bare_bound_with_e_factor():
-    # d^2/dz^2 on z^2 at small s: the e^n-graded measurement reaches
-    # e^2 n!/n^n > 1, which is why the bare-grade form is the certified one.
-    u = certify_vector_field(poly([1.0], cap=8))
-    uu = compose(u, u)
-    f = TruncatedSeries.monomial(2, 1.0, cap=8)
-    out = uu(f, 1.0, 0.01)
-    graded = uu.weight.grade(2, 1.0, 0.01) * norm_at_own_ref(out)
-    assert graded > 1.5     # e^2 * 2/4 * (0.99)^2 ~ 3.6
-    bare = (uu.weight.value(1.0, 0.01) ** 2 / 4.0) * norm_at_own_ref(out)
-    assert bare <= 1.0 + 1e-12
 
 
 # ---- Borel calculus ----
@@ -370,7 +253,7 @@ def test_borel_sums_match_exponential_closed_forms():
 
 def test_exp_of_zero_operator_is_restriction():
     g = poly([0.5, 1.0, -2.0], cap=16, tail=0.125)
-    app = exp(zero_operator(), 1.0, 0.5, g)
+    app = exp(zero_field(), 1.0, 0.5, g)
     assert np.array_equal(app.series.coeffs, g.coeffs)
     assert app.series.ref_radius == 0.5
     assert app.remainder == 0.0 and app.terms >= 1
@@ -507,7 +390,7 @@ def test_psi_application_equals_exp_neg_minus_identity():
     u = certify_vector_field(a)
     g = poly([0.0, 1.0, 0.5], cap=32, ref=t)
     psi_app = borel_apply(PSI, u, t, s, g)
-    en_app = exp_neg(u, t, s, g)
+    en_app = borel_apply(EXP_NEG, u, t, s, g)
     expected = en_app.series - g.restrict(s)
     np.testing.assert_allclose(psi_app.series.coeffs, expected.coeffs,
                                rtol=0, atol=1e-12)
@@ -531,19 +414,8 @@ def test_phi_application_matches_flow_closed_form():
             expected, rel=1e-10), j
 
 
-def test_exp_pair_cancels_within_reported_bound():
-    rng = np.random.default_rng(31)
-    t, s = 0.5, 0.25
-    a = TruncatedSeries.monomial(2, 0.3, cap=48, ref_radius=t)
-    u = certify_vector_field(a)
-    g = rand_poly(rng, cap=48, deg=6, ref=t, scale=0.5)
-    rep = exp_pair_check(u, t, s, g)
-    assert rep.passed
-    assert rep.measured < 1e-6
-
-
 def test_product_of_exponentials_all_zero():
-    prod = product_of_exponentials([zero_operator(), zero_operator()],
+    prod = product_of_exponentials([zero_field(), zero_field()],
                                    [1.0, 0.7, 0.4])
     assert prod.sigma == 0.0 and prod.bound == 0.0
     g = poly([1.0, 2.0], cap=8)

@@ -20,8 +20,6 @@ from banachscale.sequences import (
     model_iteration,
     strictness_check,
     tame_check,
-    tame_implies_bruno,
-    taming_epsilon,
     taming_epsilon_log,
 )
 
@@ -161,26 +159,6 @@ def test_tame_violation_everywhere():
     assert not any(rep.star_holds)
 
 
-def test_tame_implies_bruno_certificate():
-    a = PS.exp_power(1, 1.2)
-    b = PS.exp_power(-1, 1.5).scaled(0.1)
-    res = tame_implies_bruno(a, b, window=60)
-    assert res.verdict == "bruno_consistent"
-    assert all(res.certificate)
-    assert all(l <= r + 1e-9 for l, r in zip(res.lhs, res.rhs))
-
-
-def test_tame_implies_bruno_boundary_is_inconclusive():
-    # with b at the doubly-exponential boundary the chained certificate
-    # holds trivially but the limit hypothesis log b_M / 2^M -> 0 fails
-    a = PS.constant(1.0)
-    b = PS.exp_power(-1, 2.0) ** (-math.log(0.3))
-    res = tame_implies_bruno(a, b, window=50)
-    assert all(res.certificate)
-    assert not res.hypothesis_limit
-    assert res.verdict == "inconclusive"
-
-
 # ---- taming ----
 
 def test_taming_epsilon_geometric_closed_form():
@@ -189,12 +167,12 @@ def test_taming_epsilon_geometric_closed_form():
     a = PS.geometric(2.0)
     log_eps = taming_epsilon_log(a, depth=60)
     assert abs(log_eps - (-122.0 * math.log(2.0))) < 1e-6
-    eps = taming_epsilon(a, depth=60)
-    assert eps == pytest.approx(2.0 ** -122, rel=1e-9)
+    assert math.exp(log_eps) == pytest.approx(2.0 ** -122, rel=1e-9)
 
 
 def test_taming_epsilon_trivial_sequence():
-    assert taming_epsilon(PS.constant(1.0), depth=40) == pytest.approx(1.0)
+    log_eps = taming_epsilon_log(PS.constant(1.0), depth=40)
+    assert math.exp(log_eps) == pytest.approx(1.0)
 
 
 def test_taming_epsilon_guarantee_randomized():
@@ -212,7 +190,7 @@ def test_taming_epsilon_guarantee_randomized():
 
 def test_taming_epsilon_rejects_non_summable():
     with pytest.raises(SequenceDomainError):
-        taming_epsilon(PS.exp_power(1, 2.0))
+        taming_epsilon_log(PS.exp_power(1, 2.0))
 
 
 # ---- model iteration ----
