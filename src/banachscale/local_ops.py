@@ -1,8 +1,10 @@
-"""Weight functions, local operators, and the Borel calculus.
+"""Weight functions, graded local operators, and the Borel calculus.
 
 A weight lambda(t, s) = C s^p t^(-q) (t-s)^k measures how much an
-operator costs as it maps from radius t down to radius s.  A
-`LocalOperator` bundles an action on truncated series with a certified
+operator costs as it maps from radius t down to radius s; its grades
+lambda_n = e^n lambda^n / n^n make the family submultiplicative through
+the interior point m = (p s + q t)/(p + q), which `compose` chains
+through and `submult_check` verifies on a grid.  A `LocalOperator` bundles an action on truncated series with a certified
 bound: for all 0 < s < t up to cert_radius,
 
     |u(f)|_s  <=  norm_bound * |f|_t / lambda(t, s).
@@ -36,11 +38,14 @@ import sys
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
+import numpy as np
+
 from .series import SeriesError, TruncatedSeries, align
 
-__all__ = ["WeightFunction", "LocalOperator", "OperatorError",
-           "certify_vector_field", "multiplication_operator",
-           "restriction_operator", "BorelSymbol", "EXP", "EXP_NEG", "PHI",
+__all__ = ["WeightFunction", "CutoffWeight", "LocalOperator",
+           "OperatorError", "certify_vector_field", "multiplication_operator",
+           "restriction_operator", "compose",
+           "submult_check", "SubmultReport", "BorelSymbol", "EXP", "EXP_NEG", "PHI",
            "PSI", "BorelApplication", "borel_apply", "exp",
            "product_of_exponentials", "ExponentialProduct"]
 
@@ -53,12 +58,14 @@ class OperatorError(ValueError):
 
 @dataclass(frozen=True)
 class WeightFunction:
-    """lambda(t, s) = C s^p t^(-q) (t-s)^k."""
+    """lambda(t, s) = C s^p t^(-q) (t-s)^k with graded variants."""
 
     C: float = 1.0
     p: float = 0.0
     q: float = 0.0
     k: int = 1
+
+    submultiplicative = True
 
     def __post_init__(self):
         if self.C <= 0 or self.p < 0 or self.q < 0 or self.k < 0:
@@ -69,16 +76,50 @@ class WeightFunction:
             raise OperatorError(f"weight needs 0 < s <= t, got ({t}, {s})")
         return self.C * s ** self.p * t ** (-self.q) * (t - s) ** self.k
 
+    def grade(self, n: int, t: float, s: float) -> float:
+        """lambda_n(t, s) = e^n lambda^n / n^n; grade 0 is 1."""
+        if n == 0:
+            return 1.0
+        lam = self.value(t, s)
+        return math.exp(n) * lam ** n / float(n) ** n
+
+    def split_point(self, p: int, q: int, t: float, s: float) -> float:
+        """Interior radius through which a grade-(p+q) composite chains."""
+        return (p * s + q * t) / (p + q)
+
+
+@dataclass(frozen=True)
+class CutoffWeight:
+    """lambda(n, s, t) = (t/s)^(2^n) s^a (t-s)^b.
+
+    Grows along the grade index instead of shrinking: explicitly not
+    submultiplicative, so cutoff operators never enter grade composition.
+    """
+
+    a: float = 0.0
+    b: float = 0.0
+
+    submultiplicative = False
+
+    def __post_init__(self):
+        if self.a < 0 or self.b < 0:
+            raise OperatorError("cutoff weight needs a, b >= 0")
+
+    def value(self, n: int, s: float, t: float) -> float:
+        if not (0.0 < s < t):
+            raise OperatorError("cutoff weight needs 0 < s < t")
+        return (t / s) ** (2 ** n) * s ** self.a * (t - s) ** self.b
+
 
 class LocalOperator:
     """Action on truncated series plus a certified weighted norm bound.
 
     kind is one of 'derivation', 'multiplication', 'restriction',
-    'generic'; only derivations get the factorial Borel route.
-    order_raise is a certified lower bound on how much one application
-    raises the vanishing order of its argument (counted on exactly zero
-    coefficients, no tolerance).  cert_radius caps the radii t at which
-    the norm_bound certificate applies.
+    'composite', 'generic'; only derivations get the factorial Borel
+    route.  order_raise is a certified lower bound on how much one
+    application raises the vanishing order of its argument (counted on
+    exactly zero coefficients, no tolerance).  cert_radius caps the radii
+    t at which the norm_bound certificate applies.
     """
 
     def __init__(self, action: Callable, weight, grade: int,
@@ -182,6 +223,64 @@ def restriction_operator() -> LocalOperator:
         return f.restrict(min(s, f.ref_radius))
     return LocalOperator(action, WeightFunction(k=0), 0, 1.0,
                          kind="restriction", name="iota")
+
+
+def compose(u: LocalOperator, v: LocalOperator) -> LocalOperator:
+    """v after u, chained through the closed-form interior radius.
+
+    u (grade p) maps t -> m and v (grade q) maps m -> s with
+    m = (p s + q t)/(p + q); the certified bound multiplies.
+    """
+    for op in (u, v):
+        if not getattr(op.weight, "submultiplicative", False):
+            raise OperatorError("cutoff weights do not compose in grades")
+    if u.weight != v.weight:
+        raise OperatorError("composition needs one common base weight")
+    p, q = u.grade, v.grade
+    if p < 1 or q < 1:
+        raise OperatorError("grade composition needs grades >= 1")
+
+    def action(f: TruncatedSeries, t: float, s: float) -> TruncatedSeries:
+        m = u.weight.split_point(p, q, t, s)
+        return v.action(u.action(f, t, m), m, s)
+
+    return LocalOperator(action, u.weight, p + q,
+                         u.norm_bound * v.norm_bound, kind="composite",
+                         name=f"{v.name}*{u.name}",
+                         order_raise=u.order_raise + v.order_raise,
+                         cert_radius=min(u.cert_radius, v.cert_radius))
+
+
+@dataclass(frozen=True)
+class SubmultReport:
+    p: int
+    q: int
+    samples: int
+    worst_margin: float     # min over the grid of (rhs - lhs)/scale
+    passed: bool
+
+
+def submult_check(weight: WeightFunction, p: int, q: int,
+                  grid: Sequence[tuple[float, float]] | None = None
+                  ) -> SubmultReport:
+    """Verify lambda_{p+q}(t, s) <= lambda_p(t, m) lambda_q(m, s) at the
+    interior point m = (p s + q t)/(p + q) over a sampled (s, t) grid."""
+    if not getattr(weight, "submultiplicative", False):
+        raise OperatorError("weight is flagged non-submultiplicative")
+    if p < 1 or q < 1:
+        raise OperatorError("grades must be >= 1")
+    if grid is None:
+        ts = np.linspace(0.1, 2.0, 16)
+        fracs = np.linspace(0.05, 0.95, 13)
+        grid = [(float(f * t), float(t)) for t in ts for f in fracs]
+    worst = math.inf
+    for s, t in grid:
+        m = weight.split_point(p, q, t, s)
+        lhs = weight.grade(p + q, t, s)
+        rhs = weight.grade(p, t, m) * weight.grade(q, m, s)
+        scale = max(abs(lhs), abs(rhs), 1e-300)
+        worst = min(worst, (rhs - lhs) / scale)
+    return SubmultReport(p, q, len(grid), worst, worst >= -1e-12)
 
 
 # ---- Borel calculus ----

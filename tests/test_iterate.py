@@ -45,6 +45,13 @@ def test_geometric_decrement_is_exact_power():
         assert sched.radius(n) - sched.midpoint(n) == 0.5 ** (n + 2)
 
 
+def test_proof_normalization_requires_room():
+    # s0 - s_inf = q/(1-q) leaves s_inf = 0 at s0 = 1, q = 1/2
+    q, s0 = 0.5, 1.0
+    with pytest.raises(IterationError, match="0 < s_inf"):
+        RadiusSchedule.geometric(q, s0, s0 - q / (1.0 - q))
+
+
 def test_geometric_schedule_rejects_bad_params():
     with pytest.raises(IterationError):
         RadiusSchedule.geometric(1.0, 1.0, 0.5)

@@ -7,20 +7,24 @@ import pytest
 from scipy.integrate import solve_ivp
 
 from banachscale.local_ops import (
+    CutoffWeight,
     EXP,
     EXP_NEG,
     PHI,
     PSI,
+    LocalOperator,
     OperatorError,
     WeightFunction,
     borel_apply,
     certify_vector_field,
+    compose,
     exp,
     multiplication_operator,
     product_of_exponentials,
     restriction_operator,
+    submult_check,
 )
-from banachscale.series import TruncatedSeries
+from banachscale.series import TruncatedSeries, align
 
 
 def poly(coeffs, *, cap=32, ref=1.0, tail=0.0):
@@ -48,11 +52,14 @@ def zero_field():
 
 # ---- weight functions ----
 
-def test_weight_value_formula():
+def test_weight_value_and_grade_formulas():
     w = WeightFunction(C=2.0, p=1.0, q=0.5, k=2)
     t, s = 1.5, 0.6
     expected = 2.0 * 0.6 * 1.5 ** -0.5 * 0.9 ** 2
     assert w.value(t, s) == pytest.approx(expected, rel=1e-15)
+    assert w.grade(0, t, s) == 1.0
+    assert w.grade(3, t, s) == pytest.approx(
+        math.e ** 3 * expected ** 3 / 27.0, rel=1e-14)
 
 
 def test_weight_rejects_bad_parameters():
@@ -62,6 +69,61 @@ def test_weight_rejects_bad_parameters():
         WeightFunction(p=-1.0)
     with pytest.raises(OperatorError):
         WeightFunction().value(0.5, 0.7)
+    with pytest.raises(OperatorError):
+        CutoffWeight(a=-1.0)
+
+
+def test_cutoff_weight_value():
+    w = CutoffWeight(a=1.0, b=2.0)
+    # (t/s)^(2^n) s^a (t-s)^b at n=2, s=0.5, t=1
+    assert w.value(2, 0.5, 1.0) == pytest.approx(16.0 * 0.5 * 0.25, rel=1e-15)
+    assert not w.submultiplicative
+
+
+def test_midpoint_split_equality_for_linear_weight():
+    # lambda = (t-s), p = q = 1 at (s,t) = (0.2, 1): both sides e^2 * 0.16
+    w = WeightFunction(k=1)
+    m = w.split_point(1, 1, 1.0, 0.2)
+    assert m == pytest.approx(0.6)
+    lhs = w.grade(2, 1.0, 0.2)
+    rhs = w.grade(1, 1.0, m) * w.grade(1, m, 0.2)
+    assert lhs == pytest.approx(math.e ** 2 * 0.16, rel=1e-14)
+    assert rhs == pytest.approx(lhs, rel=1e-14)
+    rep = submult_check(w, 1, 1, grid=[(0.2, 1.0)])
+    assert rep.passed and abs(rep.worst_margin) < 1e-12
+
+
+def test_submult_check_constant_weight_grid():
+    w = WeightFunction(C=1.7, k=0)
+    for p, q in [(1, 1), (1, 2), (3, 2)]:
+        rep = submult_check(w, p, q)
+        assert rep.passed, (p, q, rep.worst_margin)
+
+
+def test_submult_check_linear_weight_with_prefactors():
+    rep = submult_check(WeightFunction(C=0.8, p=1.0, q=0.5, k=1), 2, 3)
+    assert rep.passed
+
+
+def test_submult_check_degenerate_interval_is_vacuous():
+    # s = t: every grade is 0 on both sides
+    rep = submult_check(WeightFunction(k=1), 2, 2, grid=[(1.0, 1.0)])
+    assert rep.passed and rep.worst_margin == 0.0
+
+
+def test_submult_check_detects_square_weight_failure():
+    # (t-s)^2 grades are not submultiplicative at the interior point:
+    # the margin is negative by the factor (p^p q^q/(p+q)^(p+q))^(k-1).
+    rep = submult_check(WeightFunction(k=2), 1, 1)
+    assert not rep.passed
+    assert rep.worst_margin < -0.1
+
+
+def test_submult_check_refuses_cutoff_and_bad_grades():
+    with pytest.raises(OperatorError):
+        submult_check(CutoffWeight(), 1, 1)       # type: ignore[arg-type]
+    with pytest.raises(OperatorError):
+        submult_check(WeightFunction(), 0, 1)
 
 
 # ---- certified vector fields ----
@@ -176,7 +238,36 @@ def test_operator_horizontality_on_three_point_chain():
             assert np.array_equal(hi.restrict(0.4).coeffs, lo.coeffs)
 
 
-# ---- chained applications ----
+# ---- composition and chained applications ----
+
+def test_double_derivative_composes_to_grade_two():
+    u = certify_vector_field(poly([1.0], cap=16))
+    uu = compose(u, u)
+    assert uu.grade == 2
+    assert uu.norm_bound == 1.0
+    out = uu(TruncatedSeries.monomial(3, 1.0, cap=16), 1.0, 0.25)
+    assert out.coefficient(1) == pytest.approx(6.0)
+
+
+def test_compose_with_zero_operator_is_zero():
+    u = certify_vector_field(poly([0.5, 0.5], cap=8))
+    z = compose(u, zero_field())
+    assert z.is_zero
+    out = z(poly([1.0, 1.0], cap=8), 1.0, 0.5)
+    assert norm_at_own_ref(out) == 0.0
+
+
+def test_compose_rejects_mixed_weights_and_low_grades():
+    u = certify_vector_field(poly([1.0], cap=8))
+    mult = multiplication_operator(poly([1.0], cap=8))
+    with pytest.raises(OperatorError):
+        compose(u, mult)        # weight k=1 vs k=0
+    with pytest.raises(OperatorError):
+        compose(mult, mult)     # grade 0
+    cut = LocalOperator(lambda f, t, s: f, CutoffWeight(), 1, 1.0)
+    with pytest.raises(OperatorError):
+        compose(u, cut)
+
 
 def test_grade_two_norm_of_composed_fields_random():
     # v(u f) chained through the midpoint m = (s + t)/2 obeys
@@ -200,10 +291,12 @@ def test_grade_two_norm_of_composed_fields_random():
 def test_power_inequality_up_to_grade_five():
     # u^n applied across n equal sub-steps of (t, s) obeys
     # |u^n f|_s (t-s)^n / n^n <= norm_bound^n |f|_t, the iterate bound
-    # behind the Borel remainder of borel_apply.
+    # behind the Borel remainder of borel_apply; with the grade factor
+    # e^n included the certified payoff weakens to (e norm_bound)^n.
     rng = np.random.default_rng(23)
     a = poly([0.3, 0.2, 0.1], cap=24)
     u = certify_vector_field(a)
+    w = u.weight
     for n in range(2, 6):
         for _ in range(40):
             f = rand_poly(rng, cap=24, deg=int(rng.integers(2, 20)),
@@ -218,6 +311,22 @@ def test_power_inequality_up_to_grade_five():
             bare = ((t - s) ** n / float(n) ** n) * norm_at_own_ref(out)
             rhs = u.norm_bound ** n * f.majorant_norm(t).value
             assert bare <= rhs * (1 + 1e-9)
+            graded = w.grade(n, t, s) * norm_at_own_ref(out)
+            assert graded <= (math.e * u.norm_bound) ** n \
+                * f.majorant_norm(t).value * (1 + 1e-9)
+
+
+def test_sharp_monomial_grade_norm_exceeds_bare_bound_with_e_factor():
+    # d^2/dz^2 on z^2 at small s: the e^n-graded measurement reaches
+    # e^2 n!/n^n > 1, which is why the bare-grade form is the certified one.
+    u = certify_vector_field(poly([1.0], cap=8))
+    uu = compose(u, u)
+    f = TruncatedSeries.monomial(2, 1.0, cap=8)
+    out = uu(f, 1.0, 0.01)
+    graded = uu.weight.grade(2, 1.0, 0.01) * norm_at_own_ref(out)
+    assert graded > 1.5     # e^2 * 2/4 * (0.99)^2 ~ 3.6
+    bare = (uu.weight.value(1.0, 0.01) ** 2 / 4.0) * norm_at_own_ref(out)
+    assert bare <= 1.0 + 1e-12
 
 
 # ---- Borel calculus ----
@@ -412,6 +521,29 @@ def test_phi_application_matches_flow_closed_form():
         expected = (-1.0) ** j * (j - 2) * c ** (j - 1)
         assert phi_app.series.coefficient(j) == pytest.approx(
             expected, rel=1e-10), j
+
+
+def test_exp_pair_cancels_within_reported_bound():
+    # e^u across (t, m) and then e^(-u) across (m, s) cancel formally;
+    # what survives is bounded by the two Borel remainders (the forward
+    # one carried by |e^(-u)| <= 1/(1-x)), the tail claims and roundoff
+    rng = np.random.default_rng(31)
+    t, s = 0.5, 0.25
+    a = TruncatedSeries.monomial(2, 0.3, cap=48, ref_radius=t)
+    u = certify_vector_field(a)
+    g = rand_poly(rng, cap=48, deg=6, ref=t, scale=0.5)
+    m = 0.5 * (s + t)
+    fwd = exp(u, t, m, g)
+    back = borel_apply(EXP_NEG, u, m, s, fwd.series)
+    lhs, rhs = align(back.series, g.restrict(s))
+    delta = lhs - rhs
+    r = delta.ref_radius
+    measured = delta._poly_majorant(r)
+    tails = delta.majorant_norm(r).value - measured
+    bound = (fwd.remainder / (1.0 - back.x) + back.remainder + tails
+             + 1e-10 * (fwd.input_norm + 1.0))
+    assert measured <= bound
+    assert measured < 1e-6
 
 
 def test_product_of_exponentials_all_zero():
