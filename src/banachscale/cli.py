@@ -148,10 +148,9 @@ def _cmd_model(args) -> int:
     a = parse_sequence(args.a)
     b = None if args.b is None else parse_sequence(args.b)
     # x_0..x_steps read a_0..a_{steps-1} and b_0..b_steps
-    steps = min(_span(args.steps, a, start=-1, default=_STEPS),
-                _span(args.steps, *([] if b is None else [b]),
-                      default=_STEPS))
+    steps = _span(args.steps, a, start=-1, default=_STEPS)
     if b is not None:
+        steps = min(steps, _span(args.steps, b, default=_STEPS))
         b = _scaled(b, args.scale_b)
     trace = model_iteration(_scaled(a, args.scale_a), b, args.x0,
                             steps=steps)

@@ -3,9 +3,9 @@
 A weight lambda(t, s) = C s^p t^(-q) (t-s)^k measures how much an
 operator costs as it maps from radius t down to radius s; its grades
 lambda_n = e^n lambda^n / n^n make the family submultiplicative through
-the interior point m = (p s + q t)/(p + q), which `compose` chains
-through and `submult_check` verifies on a grid.  A `LocalOperator` bundles an action on truncated series with a certified
-bound: for all 0 < s < t up to cert_radius,
+the interior point m = (p s + q t)/(p + q).  A `LocalOperator` bundles an
+action on truncated series with a certified bound: for all 0 < s < t up
+to cert_radius,
 
     |u(f)|_s  <=  norm_bound * |f|_t / lambda(t, s).
 
@@ -16,19 +16,18 @@ factorial iterate estimate
 
     |u^n(f)|_s  <=  n! (norm_bound / (t-s))^n |f|_t,
 
-inherited from the flow/Cauchy-integral argument; chaining n applications
-through equal sub-steps alone only gives n^n, about e^n n!, which is
-where the factor e paid by generic operators comes from.  The Borel map
-B f(u) = sum a_n u^n / n! therefore converges for |u| < R (t-s) with
-|B f(u) g|_s <= |f|(x) |g|_t at x = |u|/(t-s); generic (non-derivation)
-operators pay the chain factor and use x = e |u|/lambda.  borel_apply
-computes the series term by term, accepting a term only while its
-measured contribution stays inside its theoretical share
-|a_k| x^k |g|_t (so the result's certificate never exceeds the theorem
-bound), and covers everything uncomputed by the majorant remainder
-(|f|(x) - computed partial) |g|_t, folded into the result's tail exactly
-when the skipped terms are certifiably high-degree and reported
-separately otherwise.
+inherited from the flow/Cauchy-integral argument; equal-radius chaining
+alone only gives n^n = e^n-ish n!, which is where the baked-in factor e
+of the grades comes from.  The Borel map B f(u) = sum a_n u^n / n!
+therefore converges for |u| < R (t-s) with |B f(u) g|_s <= |f|(x) |g|_t
+at x = |u|/(t-s); generic (non-derivation) operators pay the chain
+factor and use x = e |u|/lambda.  borel_apply computes the series term
+by term, accepting a term only while its measured contribution stays
+inside its theoretical share |a_k| x^k |g|_t (so the result's
+certificate never exceeds the theorem bound), and covers everything
+uncomputed by the majorant remainder (|f|(x) - computed partial) |g|_t,
+folded into the result's tail exactly when the skipped terms are
+certifiably high-degree and reported separately otherwise.
 """
 
 from __future__ import annotations
@@ -44,9 +43,9 @@ from .series import SeriesError, TruncatedSeries, align
 
 __all__ = ["WeightFunction", "CutoffWeight", "LocalOperator",
            "OperatorError", "certify_vector_field", "multiplication_operator",
-           "restriction_operator", "compose",
-           "submult_check", "SubmultReport", "BorelSymbol", "EXP", "EXP_NEG", "PHI",
-           "PSI", "BorelApplication", "borel_apply", "exp",
+           "restriction_operator", "compose", "submult_check",
+           "SubmultReport", "BorelSymbol", "EXP", "EXP_NEG", "PHI", "PSI",
+           "BorelApplication", "borel_apply", "exp",
            "product_of_exponentials", "ExponentialProduct"]
 
 _EPS = sys.float_info.epsilon
@@ -118,8 +117,8 @@ class LocalOperator:
     'composite', 'generic'; only derivations get the factorial Borel
     route.  order_raise is a certified lower bound on how much one
     application raises the vanishing order of its argument (counted on
-    exactly zero coefficients, no tolerance).  cert_radius caps the radii
-    t at which the norm_bound certificate applies.
+    exactly zero coefficients, no tolerance).  cert_radius caps the
+    radii t at which the norm_bound certificate applies.
     """
 
     def __init__(self, action: Callable, weight, grade: int,

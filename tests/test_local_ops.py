@@ -238,7 +238,7 @@ def test_operator_horizontality_on_three_point_chain():
             assert np.array_equal(hi.restrict(0.4).coeffs, lo.coeffs)
 
 
-# ---- composition and chained applications ----
+# ---- composition ----
 
 def test_double_derivative_composes_to_grade_two():
     u = certify_vector_field(poly([1.0], cap=16))
@@ -270,45 +270,49 @@ def test_compose_rejects_mixed_weights_and_low_grades():
 
 
 def test_grade_two_norm_of_composed_fields_random():
-    # v(u f) chained through the midpoint m = (s + t)/2 obeys
-    # |v(u f)|_s ((t-s)/2)^2 <= N(a) N(b) |f|_t on random draws
+    # sampled grade-2 weighted norm never exceeds N(a) N(b)
     rng = np.random.default_rng(19)
+    w = WeightFunction(k=1)
     for _ in range(200):
         a = rand_poly(rng, cap=12, deg=3, scale=rng.uniform(0.2, 1.5))
         b = rand_poly(rng, cap=12, deg=4, scale=rng.uniform(0.2, 1.5))
         f = rand_poly(rng, cap=12, deg=8,
                       tail=float(rng.uniform(0, 0.5) * (rng.random() < 0.4)))
-        u, v = certify_vector_field(a), certify_vector_field(b)
+        op = compose(certify_vector_field(a), certify_vector_field(b))
         t = rng.uniform(0.3, 1.0)
         s = rng.uniform(0.1, 0.95) * t
-        m = 0.5 * (s + t)
-        out = v(u(f, t, m), m, s)
-        lhs = ((t - s) ** 2 / 4.0) * norm_at_own_ref(out)
-        rhs = u.norm_bound * v.norm_bound * f.majorant_norm(t).value
+        out = op(f, t, s)
+        lhs = (w.value(t, s) ** 2 / 4.0) * norm_at_own_ref(out)
+        rhs = op.norm_bound * f.majorant_norm(t).value
         assert lhs <= rhs * (1 + 1e-9)
 
 
 def test_power_inequality_up_to_grade_five():
-    # u^n applied across n equal sub-steps of (t, s) obeys
-    # |u^n f|_s (t-s)^n / n^n <= norm_bound^n |f|_t, the iterate bound
-    # behind the Borel remainder of borel_apply; with the grade factor
-    # e^n included the certified payoff weakens to (e norm_bound)^n.
+    # |u^n f|_s * (lambda^n / n^n) <= norm_bound^n |f|_t; with the grade
+    # factor e^n included the certified payoff weakens to (e norm_bound)^n.
     rng = np.random.default_rng(23)
     a = poly([0.3, 0.2, 0.1], cap=24)
     u = certify_vector_field(a)
     w = u.weight
+    un = u
     for n in range(2, 6):
+        un = compose(un, u)
+        assert un.grade == n
         for _ in range(40):
             f = rand_poly(rng, cap=24, deg=int(rng.integers(2, 20)),
                           tail=float(rng.uniform(0, 0.5)
                                      * (rng.random() < 0.3)))
             t = rng.uniform(0.4, 1.0)
             s = rng.uniform(0.15, 0.9) * t
+            out = un(f, t, s)
+            # compose's split points cut (t, s) into n equal sub-steps
             radii = [t - i * (t - s) / n for i in range(n)] + [s]
-            out = f
+            chain = f
             for hi, lo in zip(radii, radii[1:]):
-                out = u(out, hi, lo)
-            bare = ((t - s) ** n / float(n) ** n) * norm_at_own_ref(out)
+                chain = u(chain, hi, lo)
+            np.testing.assert_allclose(chain.coeffs, out.coeffs,
+                                       rtol=1e-12, atol=1e-300)
+            bare = (w.value(t, s) ** n / float(n) ** n) * norm_at_own_ref(out)
             rhs = u.norm_bound ** n * f.majorant_norm(t).value
             assert bare <= rhs * (1 + 1e-9)
             graded = w.grade(n, t, s) * norm_at_own_ref(out)
