@@ -165,6 +165,14 @@ def _cmd_rho(args) -> int:
     a = parse_sequence(args.a)
     aprime = parse_sequence(args.aprime)
     b = parse_sequence(args.b)
+    # lemma_rho tames a a'^2 through the tail bound of its transform, and
+    # a table has none whatever the span (a certified divergent input
+    # stays an input error, raised by lemma_rho)
+    if ((a * aprime ** 2.0).weighted_log_tail(0, args.depth) is None
+            and not (a.divergence_witness() or aprime.divergence_witness())):
+        print("a a'^2 has no closed-form tail bound (tabulated data), "
+              "so no taming constant is certified")
+        return UNCERTIFIED
     rho, sigma, report = lemma_rho(a, aprime, b, args.k, args.l, K=args.K,
                                    alpha=args.alpha, window=args.window,
                                    depth=args.depth)

@@ -430,7 +430,7 @@ def rho_schedule(problem: ActionProblem, b: PositiveSequence, t: float, *,
             binding = "rho outside (0, 1)"
             K_try *= 0.5
             continue
-        lr = np.array([rho.log(n) for n in range(window + 1)])
+        lr = rho.log_values(window)
         x = lr / np.power(2.0, np.arange(window + 1))
         ls = log_one_minus_exp(x)
         la4, lap, lj = logs["a4"], logs["ap"], logs["j"]

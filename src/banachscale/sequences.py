@@ -3,7 +3,8 @@
 A `PositiveSequence` is a symbolic family a_0, a_1, ... of positive reals
 evaluated in log space throughout: the quantities of interest routinely
 reach e^(+-alpha^n) at n ~ 60, far outside float range, while their
-logarithms stay tame.
+logarithms stay tame.  Window quantities take one `log_values` array per
+node of the family tree, so a depth-N taming costs O(N) evaluations.
 
 The central summability notion used everywhere downstream: a positive
 monotone sequence is *admissible* when
@@ -36,7 +37,7 @@ from __future__ import annotations
 import json
 import math
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -90,13 +91,7 @@ class PositiveSequence:
             if vals.size == 0 or not np.all(vals > 0):
                 raise SequenceDomainError("tabulated values must be positive")
             self.params = {"values": vals}
-        elif family == "product":
-            pass
-        elif family == "power":
-            pass
-        elif family == "scaled":
-            pass
-        else:
+        elif family not in ("product", "power", "scaled"):
             raise SequenceDomainError(f"unknown family {family!r}")
 
     # -- constructors --
@@ -122,9 +117,6 @@ class PositiveSequence:
 
     def __pow__(self, p: float) -> "PositiveSequence":
         return PositiveSequence("power", base=self, exponent=float(p))
-
-    def reciprocal(self) -> "PositiveSequence":
-        return self ** -1.0
 
     def scaled(self, factor: float | None = None, *,
                log_factor: float | None = None) -> "PositiveSequence":
@@ -174,17 +166,37 @@ class PositiveSequence:
         except OverflowError:
             return math.inf
 
-    def log_values(self, window: int) -> np.ndarray:
-        return np.array([self.log(n) for n in range(window + 1)])
+    def log_values(self, window: int, start: int = 0) -> np.ndarray:
+        """log a_n for n = start..window, bit for bit log(n), from one walk
+        of the family tree; past a table's end it raises what log() does."""
+        try:
+            out = self._logs(start, window + 1) if start >= 0 else np.empty(0)
+        except OverflowError:   # alpha^n overflowed: log() finds the index
+            out = np.empty(0)
+        for n in range(start + len(out), window + 1):
+            self.log(n)
+        return out
 
-    def monotonicity(self, window: int) -> str:
-        lv = self.log_values(window)
-        d = np.diff(lv)
-        if np.all(d >= 0):
-            return "increasing"
-        if np.all(d <= 0):
-            return "decreasing"
-        return "none"
+    def _logs(self, start: int, stop: int) -> np.ndarray:
+        """log a_start..log a_(stop-1), cut short where a table ends.  Leaves
+        keep log()'s libm calls (numpy's pow and log may differ by an ulp)."""
+        f, p = self.family, self.params
+        if f == "geometric":
+            return np.arange(start, stop) * math.log(p["q"])
+        if f == "exp_power":
+            return np.array([p["sign"] * p["alpha"] ** n
+                             for n in range(start, stop)])
+        if f == "tabulated":
+            return np.array([math.log(v) for v in p["values"][start:stop]])
+        if f == "product":
+            parts = [s._logs(start, stop) for s in p["factors"]]
+            size = min(map(len, parts))
+            return sum((part[:size] for part in parts), 0.0)
+        if f == "power":
+            return p["exponent"] * p["base"]._logs(start, stop)
+        if f == "scaled":
+            return p["log_factor"] + p["base"]._logs(start, stop)
+        raise AssertionError(f)
 
     # -- closed-form tail bounds --
 
@@ -251,24 +263,16 @@ class PositiveSequence:
     # -- serialization --
 
     def to_json_dict(self) -> dict:
-        f = self.family
-        if f == "geometric":
-            return {"family": f, "q": self.params["q"]}
-        if f == "exp_power":
-            return {"family": f, "sign": self.params["sign"],
-                    "alpha": self.params["alpha"]}
-        if f == "tabulated":
-            return {"family": f, "values": [float(v) for v in self.params["values"]]}
-        if f == "product":
-            return {"family": f,
-                    "factors": [s.to_json_dict() for s in self.params["factors"]]}
-        if f == "power":
-            return {"family": f, "base": self.params["base"].to_json_dict(),
-                    "exponent": self.params["exponent"]}
-        if f == "scaled":
-            return {"family": f, "base": self.params["base"].to_json_dict(),
-                    "log_factor": self.params["log_factor"]}
-        raise AssertionError(f)
+        d = {"family": self.family}
+        for key, v in self.params.items():
+            if key == "base":
+                v = v.to_json_dict()
+            elif key == "factors":
+                v = [s.to_json_dict() for s in v]
+            elif key == "values":
+                v = [float(x) for x in v]
+            d[key] = v
+        return d
 
     def to_json(self) -> str:
         return json.dumps(self.to_json_dict(), sort_keys=True)
@@ -318,7 +322,6 @@ class BrunoCertificate:
     partial_sum: float
     depth: int
     tail_bound: float | None
-    monotone: str
 
     @property
     def total_bound(self) -> float | None:
@@ -336,14 +339,13 @@ def bruno_check(a: PositiveSequence, depth: int = 60) -> BrunoCertificate:
     every k), 'inconclusive' otherwise (e.g. tabulated data).
     """
     partial = 0.0
-    for k in range(depth + 1):
-        partial += abs(a.log(k)) * math.pow(2.0, -(k + 1))
-    if a.divergence_witness():
-        return BrunoCertificate("not_bruno", partial, depth, None,
-                                a.monotonicity(depth))
+    for k, lv in enumerate(a.log_values(depth).tolist()):
+        partial += abs(lv) * math.pow(2.0, -(k + 1))
+    # a divergence witness has no closed-form tail either
     tail = a.weighted_log_tail(0, depth)
-    verdict = "bruno" if tail is not None else "inconclusive"
-    return BrunoCertificate(verdict, partial, depth, tail, a.monotonicity(depth))
+    verdict = ("not_bruno" if a.divergence_witness() else
+               "inconclusive" if tail is None else "bruno")
+    return BrunoCertificate(verdict, partial, depth, tail)
 
 
 # ---- transform ----
@@ -385,21 +387,40 @@ def bruno_transform(a: PositiveSequence, n: int = 0,
     Requires a >= 1 and nondecreasing on the evaluated window (otherwise
     the one-sided enclosure logic is wrong and we refuse).
     """
-    logs = [a.log(n + k) for k in range(depth + 1)]
-    if min(logs) < 0.0:
-        raise SequenceDomainError("transform needs a_k >= 1 on the window")
-    if any(logs[i + 1] < logs[i] for i in range(len(logs) - 1)):
-        raise SequenceDomainError("transform needs a nondecreasing on the window")
-    log_trunc = -sum(lv * math.pow(2.0, -(k + 1)) for k, lv in enumerate(logs))
+    value, lower = _transform_logs(a, a.log_values(n + depth, start=n), n,
+                                   depth)
+    if lower is None:
+        return BrunoTransformResult(n, depth, value.item(), -math.inf, False)
+    return BrunoTransformResult(n, depth, value.item(), lower.item(), True)
+
+
+def _transform_logs(a: PositiveSequence, logs: np.ndarray, start: int,
+                    depth: int):
+    """(log_value, log_lower) of a^pi_n for each n whose depth + 1 factors
+    logs holds, logs[0] being log a_start; log_lower is None without a
+    closed-form tail.  The first window with some a_k < 1 or a decrease
+    is refused, a_k < 1 first as in a per-window check."""
+    if depth < 0:
+        raise SequenceDomainError("depth must be nonnegative")
+    win = np.lib.stride_tricks.sliding_window_view(logs, depth + 1)
+    below_one = (win < 0.0).any(axis=1)
+    falls = (win[:, 1:] < win[:, :-1]).any(axis=1)
+    bad = np.flatnonzero(below_one | falls)
+    if bad.size:
+        raise SequenceDomainError(
+            "transform needs a_k >= 1 on the window" if below_one[bad[0]]
+            else "transform needs a nondecreasing on the window")
+    # one window's scalar sum, in k order, taken across all windows at once
+    log_trunc = -sum((win[:, k] * math.pow(2.0, -(k + 1))
+                      for k in range(depth + 1)), np.zeros(len(win)))
     # Pad both endpoints outward by a few ulps: the summation itself is
     # float arithmetic, so without padding "true value inside enclosure"
     # could fail by rounding alone.
-    pad = 8.0 * sys.float_info.epsilon * (abs(log_trunc) + 1.0)
-    tail = a.weighted_log_tail(n, depth)
-    if tail is None:
-        return BrunoTransformResult(n, depth, log_trunc + pad, -math.inf, False)
-    return BrunoTransformResult(n, depth, log_trunc + pad,
-                                log_trunc - tail - pad, True)
+    pad = 8.0 * sys.float_info.epsilon * (np.abs(log_trunc) + 1.0)
+    tails = [a.weighted_log_tail(start + i, depth) for i in range(len(win))]
+    if None in tails:
+        return log_trunc + pad, None
+    return log_trunc + pad, log_trunc - np.array(tails) - pad
 
 
 # ---- tame pairs ----
@@ -414,12 +435,9 @@ class TamePairReport:
     first_violation: int | None
 
     @property
-    def bounds_hold(self) -> bool:
-        return self.a_ge_one and self.b_le_one and self.b_vanishing
-
-    @property
     def tame(self) -> bool:
-        return all(self.star_holds) and self.bounds_hold
+        return (all(self.star_holds) and self.a_ge_one and self.b_le_one
+                and self.b_vanishing)
 
 
 def _b_vanishing(log_b: np.ndarray) -> bool:
@@ -438,29 +456,22 @@ def tame_check(a: PositiveSequence, b: PositiveSequence,
     (*) a_n b_n^2 <= b_{n+1} for n < window, all in log space."""
     log_a = a.log_values(window)
     log_b = b.log_values(window)
-    star = []
-    first = None
-    for n in range(window):
-        ok = log_a[n] + 2.0 * log_b[n] <= log_b[n + 1]
-        star.append(bool(ok))
-        if not ok and first is None:
-            first = n
+    star = (log_a[:-1] + 2.0 * log_b[:-1] <= log_b[1:]).tolist()
     return TamePairReport(
         window=window,
         star_holds=tuple(star),
         a_ge_one=bool(np.all(log_a >= 0.0)),
         b_le_one=bool(np.all(log_b <= 0.0)),
         b_vanishing=_b_vanishing(log_b),
-        first_violation=first,
+        first_violation=star.index(False) if False in star else None,
     )
 
 
 def strictness_check(b: PositiveSequence, window: int = 60) -> bool:
     """b is strict when b <= 1 and b_n^2 <= b_{n+1} on the window."""
     log_b = b.log_values(window)
-    if np.any(log_b > 0.0):
-        return False
-    return all(2.0 * log_b[n] <= log_b[n + 1] for n in range(window))
+    return bool(not np.any(log_b > 0.0)
+                and np.all(2.0 * log_b[:-1] <= log_b[1:]))
 
 
 # ---- taming ----
@@ -479,11 +490,8 @@ def taming_epsilon_log(a: PositiveSequence, depth: int = 60) -> float:
     if cert.verdict != "bruno":
         raise SequenceDomainError(
             f"taming needs a certified summable sequence, got {cert.verdict}")
-    best = math.inf
-    for n in range(depth + 1):
-        res = bruno_transform(a, n, depth)
-        best = min(best, 2.0 * res.log_lower)
-    return best
+    _, log_lower = _transform_logs(a, a.log_values(2 * depth), 0, depth)
+    return float(np.min(2.0 * log_lower))
 
 
 # ---- model iteration ----
@@ -570,21 +578,18 @@ class LemmaRhoReport:
         return None
 
 
-def _rho_sigma_logs(b: PositiveSequence, c: PositiveSequence, K: float,
-                    alpha: float, window: int):
-    """log rho_n = log K + log b_n + log c_n - alpha^n,
-    sigma_n = 1 - rho_n^(1/2^n) and its log, elementwise on the window.
+def _rho_sigma_logs(K: float, log_b: np.ndarray, log_c: np.ndarray,
+                    log_e: np.ndarray):
+    """log rho_n = log K + log b_n + log c_n - alpha^n (log_e holds
+    -alpha^n), sigma_n = 1 - rho_n^(1/2^n) and its log, elementwise.
 
     Returns (log_rho, sigma, log_sigma) or None when some rho_n >= 1.
     sigma itself can round to 1.0 when rho_n^(1/2^n) underflows; log_sigma
     uses the stable log(1 - e^x) split so the conclusion checks never see
     that saturation.
     """
-    log_rho = np.array([
-        math.log(K) + b.log(n) + c.log(n) - alpha ** n
-        for n in range(window + 2)
-    ])
-    x = log_rho / np.power(2.0, np.arange(window + 2))
+    log_rho = math.log(K) + log_b + log_c + log_e
+    x = log_rho / np.power(2.0, np.arange(len(log_rho)))
     if np.any(x >= 0.0):
         return None
     return log_rho, -np.expm1(x), log_one_minus_exp(x)
@@ -621,29 +626,26 @@ def lemma_rho(a: PositiveSequence, aprime: PositiveSequence,
     if not strictness_check(b, window + 2):
         raise SequenceDomainError("b must be strict (b <= 1, b_n^2 <= b_{n+1})")
 
-    combined = a * (aprime ** 2.0)
-    log_eps = taming_epsilon_log(combined, depth)
+    log_eps = taming_epsilon_log(a * (aprime ** 2.0), depth)
     c = b.scaled(log_factor=log_eps)
 
     log_a = a.log_values(window + 2)
     log_ap = aprime.log_values(window + 2)
     log_b = b.log_values(window + 2)
+    rho_logs = (log_b[:-1], c.log_values(window + 1),
+                PositiveSequence.exp_power(-1, alpha).log_values(window + 1))
 
     def attempt(K_try: float) -> LemmaRhoReport | None:
-        logs = _rho_sigma_logs(b, c, K_try, alpha, window)
+        logs = _rho_sigma_logs(K_try, *rho_logs)
         if logs is None:
             return None
         log_rho, _, log_sigma = logs
-        star, below = [], []
-        for n in range(window):
-            lhs = (log_a[n] - k * log_sigma[n]
-                   + 2.0 * (log_rho[n] + log_ap[n] - l * log_sigma[n]))
-            rhs = log_rho[n + 1] + log_ap[n + 1] - l * log_sigma[n + 1]
-            star.append(bool(lhs <= rhs))
-            below.append(bool(log_rho[n] + log_ap[n] - l * log_sigma[n]
-                              < log_b[n]))
+        log_y = log_rho + log_ap[:-1] - l * log_sigma   # rho a' sigma^-l
+        star = (log_a[:window] - k * log_sigma[:window]
+                + 2.0 * log_y[:window] <= log_y[1:window + 1])
+        below = log_y[:window] < log_b[:window]
         return LemmaRhoReport(window, K_try, alpha, log_eps,
-                              tuple(star), tuple(below), 0)
+                              tuple(star.tolist()), tuple(below.tolist()), 0)
 
     if K is not None:
         report = attempt(K)
@@ -654,9 +656,7 @@ def lemma_rho(a: PositiveSequence, aprime: PositiveSequence,
         for halving in range(64):
             cand = attempt(K_try)
             if cand is not None and cand.passed:
-                report = LemmaRhoReport(cand.window, cand.K, cand.alpha,
-                                        cand.log_eps, cand.pair_star,
-                                        cand.below_b, halving)
+                report = replace(cand, halvings=halving)
                 break
             K_try *= 0.5
         if report is None:
@@ -668,6 +668,6 @@ def lemma_rho(a: PositiveSequence, aprime: PositiveSequence,
 
     rho = (b * c * PositiveSequence.exp_power(-1, alpha)).scaled(
         log_factor=math.log(report.K))
-    _, sigma_vals, _ = _rho_sigma_logs(b, c, report.K, alpha, window)
+    _, sigma_vals, _ = _rho_sigma_logs(report.K, *rho_logs)
     sigma = PositiveSequence.tabulated(sigma_vals[:window + 1])
     return rho, sigma, report

@@ -121,6 +121,24 @@ def test_model_tabulated_defaults_to_its_own_table(capsys):
     assert "tabulated sequence has 3 entries, index 3" in err
 
 
+def test_rho_refuses_tabulated_taming_input(capsys):
+    # taming a a'^2 needs a closed-form tail bound and a table has none,
+    # so any span is a refusal (exit 2), raised before any table index
+    base = ["--b", "exp_power:-1.5", "--k", "4", "--l", "1"]
+    for seqs in (["--a", "tabulated:2,4,8", "--aprime", "constant:1"],
+                 ["--a", "geometric:2", "--aprime", "tabulated:1,2"]):
+        for span in ([], ["--window", "1", "--depth", "2"]):
+            code, out, err = run(capsys, "rho", *seqs, *base, *span)
+            assert code == 2
+            assert "no closed-form tail bound" in out
+            assert err == ""
+    # a certified divergent a stays an input error
+    code, _, err = run(capsys, "rho", "--a", "exp_power:2.5",
+                       "--aprime", "constant:1", *base)
+    assert code == 1
+    assert "a is certified non-summable" in err
+
+
 def test_rho_tuner(capsys):
     code, out, _ = run(capsys, "rho", "--a", "constant:1",
                        "--aprime", "constant:1", "--b", "exp_power:-1.5",

@@ -6,9 +6,11 @@ sums) or direct high-precision summations frozen here.
 """
 
 import math
+import sys
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from banachscale.sequences import (
     PositiveSequence,
@@ -39,6 +41,63 @@ def _random_summable_increasing(rng):
     base = PS.exp_power(1, float(rng.uniform(1.05, 1.8)))
     return (base ** float(rng.uniform(0.5, 2.0))).scaled(
         float(rng.uniform(1.0, 3.0)))
+
+
+# ---- log_values ----
+
+_LEAVES = st.one_of(
+    st.floats(0.05, 20.0).map(PS.geometric),
+    st.tuples(st.sampled_from([-1, 1]), st.floats(0.3, 1.95)).map(
+        lambda t: PS.exp_power(*t)),
+    st.lists(st.floats(1e-3, 1e3), min_size=1, max_size=25).map(
+        PS.tabulated),
+)
+_TREES = st.recursive(_LEAVES, lambda kids: st.one_of(
+    st.tuples(kids, kids).map(lambda t: t[0] * t[1]),
+    st.tuples(kids, st.floats(-3.0, 3.0)).map(lambda t: t[0] ** t[1]),
+    st.tuples(kids, st.floats(-40.0, 40.0)).map(
+        lambda t: t[0].scaled(log_factor=t[1])),
+), max_leaves=6)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_TREES, st.integers(0, 30), st.integers(0, 40))
+def test_log_values_is_log_bit_for_bit(seq, start, window):
+    # one walk per node gives what log(n) gives index by index, down to
+    # the sign of zero; past a table's end, the same error as the first
+    # index log(n) cannot evaluate
+    try:
+        want = [seq.log(n).hex() for n in range(start, window + 1)]
+    except SequenceDomainError as exc:
+        with pytest.raises(SequenceDomainError) as caught:
+            seq.log_values(window, start=start)
+        assert str(caught.value) == str(exc)
+        return
+    got = seq.log_values(window, start=start)
+    assert got.dtype == np.float64
+    assert [float(v).hex() for v in got] == want
+
+
+def test_log_values_short_tables_report_the_first_missing_index():
+    short, long_ = PS.tabulated([2.0, 3.0]), PS.tabulated([2.0, 3.0, 5.0])
+    for seq, msg in ((long_ * short, "has 2 entries, index 2"),
+                     (short * long_, "has 2 entries, index 2"),
+                     ((long_ ** 2.0).scaled(3.0), "has 3 entries, index 3")):
+        with pytest.raises(SequenceDomainError, match=msg):
+            seq.log_values(10)
+    with pytest.raises(SequenceDomainError, match="has 3 entries, index 7"):
+        long_.log_values(9, start=7)
+    # e^(1.5^n) overflows past n = 1750; the table's end comes first
+    for seq in (PS.exp_power(1, 1.5) * short, short * PS.exp_power(1, 1.5)):
+        with pytest.raises(SequenceDomainError, match="has 2 entries, index 2"):
+            seq.log_values(2000)
+    with pytest.raises(OverflowError) as caught:
+        PS.exp_power(1, 1.5).log_values(2000)
+    with pytest.raises(OverflowError) as want:
+        PS.exp_power(1, 1.5).log(1751)
+    assert str(caught.value) == str(want.value)
+    with pytest.raises(SequenceDomainError, match="index must be nonnegative"):
+        PS.geometric(2.0).log_values(3, start=-1)
 
 
 # ---- bruno_check ----
@@ -74,7 +133,7 @@ def test_check_closure_product_power_inverse():
         b = _random_summable_increasing(rng)
         assert bruno_check(a * b, depth=50).verdict == "bruno"
         assert bruno_check(a ** float(rng.uniform(0.2, 3.0))).verdict == "bruno"
-        inv = bruno_check(a.reciprocal(), depth=50)
+        inv = bruno_check(a ** -1.0, depth=50)
         direct = bruno_check(a, depth=50)
         # |log| is symmetric under inversion
         assert inv.verdict == direct.verdict == "bruno"
@@ -129,6 +188,145 @@ def test_transform_preconditions():
     res = bruno_transform(PS.tabulated([1.0, 2.0, 4.0, 8.0]), n=0, depth=3)
     assert not res.rigorous
     assert res.enclosure[0] == 0.0
+
+
+def _reference_transform(a, n, depth):
+    """(log_value, log_lower) of bruno_transform as one scalar sum per
+    window: the O(depth) evaluations per n that the vectorized helper
+    replaced, kept as its oracle."""
+    logs = [a.log(n + k) for k in range(depth + 1)]
+    if min(logs) < 0.0:
+        raise SequenceDomainError("transform needs a_k >= 1 on the window")
+    if any(logs[i + 1] < logs[i] for i in range(len(logs) - 1)):
+        raise SequenceDomainError("transform needs a nondecreasing on the window")
+    log_trunc = -sum(lv * math.pow(2.0, -(k + 1)) for k, lv in enumerate(logs))
+    pad = 8.0 * sys.float_info.epsilon * (abs(log_trunc) + 1.0)
+    tail = a.weighted_log_tail(n, depth)
+    if tail is None:
+        return log_trunc + pad, -math.inf
+    return log_trunc + pad, log_trunc - tail - pad
+
+
+def _reference_partial(a, depth):
+    partial = 0.0
+    for k in range(depth + 1):
+        partial += abs(a.log(k)) * math.pow(2.0, -(k + 1))
+    return partial
+
+
+def _reference_taming(a, depth):
+    """taming_epsilon_log as bruno_check's scalar partial sum and verdict,
+    then one bruno_transform per n (O(depth^2) evaluations)."""
+    _reference_partial(a, depth)   # a table that ends by depth fails here
+    verdict = ("not_bruno" if a.divergence_witness() else
+               "inconclusive" if a.weighted_log_tail(0, depth) is None
+               else "bruno")
+    if verdict != "bruno":
+        raise SequenceDomainError(
+            f"taming needs a certified summable sequence, got {verdict}")
+    best = math.inf
+    for n in range(depth + 1):
+        best = min(best, 2.0 * _reference_transform(a, n, depth)[1])
+    return best
+
+
+def _outcome(call, *args):
+    try:
+        return call(*args)
+    except (SequenceDomainError, OverflowError) as exc:
+        return type(exc), str(exc)
+
+
+def _hexed(x):
+    return x.hex() if isinstance(x, float) else x
+
+
+def test_transform_and_taming_match_the_per_window_oracle():
+    rng = np.random.default_rng(20261018)
+    seqs = []
+    for _ in range(2):
+        g = PS.geometric(float(rng.uniform(1.5, 4.0)))
+        e = PS.exp_power(1, float(rng.uniform(1.1, 1.8)))
+        ap = PS.constant(float(rng.uniform(1.0, 4.0)))
+        seqs += [g, e, g * ap ** 2.0, e * PS.geometric(1.5) ** 2.0]
+    for depth in (40, 60, 240):
+        for a in seqs[:4] if depth == 240 else seqs:
+            want = _reference_taming(a, depth)
+            got = taming_epsilon_log(a, depth)
+            assert bruno_check(a, depth).partial_sum.hex() \
+                == _reference_partial(a, depth).hex()
+            assert type(got) is float
+            assert got.hex() == want.hex()
+    for a in seqs:
+        for n in range(6):
+            res = bruno_transform(a, n, 60)
+            want = _reference_transform(a, n, 60)
+            assert (res.log_value.hex(), res.log_lower.hex()) \
+                == tuple(v.hex() for v in want)
+
+
+def test_transform_and_taming_errors_match_the_per_window_oracle():
+    cases = [
+        PS.tabulated([2.0 ** k for k in range(30)]),   # inconclusive
+        PS.tabulated([1.0, 2.0, 4.0]),                 # past the table
+        PS.exp_power(1, 2.0),                          # not_bruno
+        # decreasing from n = 0, first a_k < 1 at k = 16 > depth: the
+        # nondecreasing message wins
+        PS.geometric(0.5).scaled(log_factor=15.5 * math.log(2.0)),
+        PS.geometric(0.5),                             # both at n = 0
+        PS.geometric(2.0).scaled(log_factor=-3.0),     # a_k < 1 first
+        PS.geometric(1.5) * PS.exp_power(-1, 1.2),     # a_k < 1 throughout
+        # log a = 0, 0.1, -0.61: at depth 1 window 0 passes and window 1
+        # holds both faults, so a_k < 1 wins the tie
+        PS.geometric(math.e).scaled(log_factor=1.0) * PS.exp_power(-1, 1.9),
+    ]
+    for a in cases:
+        for depth in (1, 10, 12):
+            want = _outcome(_reference_taming, a, depth)
+            assert isinstance(want, tuple)
+            assert _outcome(taming_epsilon_log, a, depth) == want
+        for n, depth in ((n, d) for n in range(6) for d in (1, 10)):
+            want = _outcome(_reference_transform, a, n, depth)
+            got = _outcome(bruno_transform, a, n, depth)
+            if isinstance(got, tuple):
+                assert got == want
+            else:
+                assert (_hexed(got.log_value), _hexed(got.log_lower)) \
+                    == tuple(map(_hexed, want))
+    with pytest.raises(SequenceDomainError, match="depth must be nonnegative"):
+        taming_epsilon_log(PS.geometric(2.0), -1)
+
+
+def _node_count(seq):
+    kids = list(seq.params.get("factors", ()))
+    if "base" in seq.params:
+        kids.append(seq.params["base"])
+    return 1 + sum(_node_count(s) for s in kids)
+
+
+def test_taming_evaluates_each_node_once_per_window(monkeypatch):
+    # bruno_check reads indices 0..depth and the transform 0..2 depth, one
+    # walk of the tree each: O(depth) evaluations, not O(depth^2)
+    depth = 240
+    a = (PS.geometric(2.0) * PS.exp_power(1, 1.3)) \
+        * PS.constant(3.0) ** 2.0
+    nodes = _node_count(a)
+    calls = {"log": 0, "entries": 0}
+    log, logs = PS.log, PS._logs
+
+    def counted_log(self, n):
+        calls["log"] += 1
+        return log(self, n)
+
+    def counted_logs(self, start, stop):
+        calls["entries"] += max(0, stop - start)
+        return logs(self, start, stop)
+
+    monkeypatch.setattr(PS, "log", counted_log)
+    monkeypatch.setattr(PS, "_logs", counted_logs)
+    taming_epsilon_log(a, depth)
+    assert calls["log"] <= nodes * (2 * depth + 1)
+    assert calls["entries"] <= nodes * ((depth + 1) + (2 * depth + 1))
 
 
 # ---- tame pairs ----
@@ -264,8 +462,9 @@ def test_lemma_rho_produces_decreasing_summable_rho():
     b = PS.exp_power(-1, 1.5)
     rho, _, rep = lemma_rho(a, ap, b, k=1, l=1, alpha=1.5, window=40)
     assert rep.passed
-    assert rho.monotonicity(40) == "decreasing"
-    assert bruno_check(rho.reciprocal(), depth=50).verdict == "bruno"
+    steps = np.diff(rho.log_values(40))
+    assert np.all(steps <= 0) and not np.all(steps >= 0)
+    assert bruno_check(rho ** -1.0, depth=50).verdict == "bruno"
 
 
 def test_lemma_rho_autotune_reports_K():
