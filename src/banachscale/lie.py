@@ -548,12 +548,13 @@ def run_lie(problem: ActionProblem, schedule: LieSchedule | RadiusSchedule,
     rs = [radii.radius(i) for i in range(steps + 1)]
     try:
         conjugacy = product_of_exponentials([_negated(u) for u in fields], rs)
-        gx, g_rem = conjugacy.apply(_add(tau, r))
+        x0 = _add(tau, r)
+        gx, g_rem = conjugacy.apply(x0)
     except (OperatorError, SeriesError) as exc:
         raise LieError(f"conjugacy assembly: {exc}") from None
     versality = _max_coeff_diff(gx, _add(state.tau, state.r))
 
-    x0_norm = _add(tau, r).norm_at(t)
+    x0_norm = x0.norm_at(t)
     trace.metadata.update({
         "versality_defect": state.r_norm + state.slack,
         "conjugacy_coeff_defect": versality,

@@ -34,7 +34,7 @@ from __future__ import annotations
 
 import math
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
 import numpy as np
@@ -432,9 +432,21 @@ class ExponentialProduct:
     sigma: float
     bound: float            # sigma / (1 - sigma) when sigma < 1 else inf
     xs: list
+    _memo: tuple | None = field(default=None, repr=False, compare=False)
 
     def apply(self, g: TruncatedSeries) -> tuple[TruncatedSeries, float]:
-        """Returns (result at the final radius, unfolded remainder bound)."""
+        """Returns (result at the final radius, unfolded remainder bound).
+
+        The last input and a private copy of its result are kept:
+        applying the chain again to a series with the same basis, dim,
+        cap, ref_radius, tail and coefficient bytes returns a fresh copy
+        of that result, not a second run of the Borel chain.  Any other
+        input is computed afresh and replaces the kept one.
+        """
+        key = (tuple(self.operators), tuple(self.radii), g.basis, g.dim,
+               g.cap, g.ref_radius, float(g.tail).hex(), g.coeffs.tobytes())
+        if self._memo is not None and self._memo[0] == key:
+            return self._memo[1].copy(), self._memo[2]
         w = g
         rem = 0.0
         for n, u in enumerate(self.operators):
@@ -442,6 +454,7 @@ class ExponentialProduct:
             app = exp(u, t, s, w)
             rem = rem / (1.0 - app.x) + (0.0 if app.folded else app.remainder)
             w = app.series
+        self._memo = (key, w.copy(), rem)
         return w, rem
 
 

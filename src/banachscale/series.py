@@ -30,7 +30,7 @@ Tail bookkeeping rules worth knowing (each documented at the operation):
   it sums a_I b_J over the index pairs with |I|, |J| <= cap only, so the
   cost follows the live entries rather than the (cap+1)^dim cube, and
   the overflow is summed from the whole product, not from a graded
-  bound;
+  bound.  The cross terms are formed only when a factor has a tail;
 * derivative with tail > 0 must shrink to an explicit smaller radius s:
   the monomialwise Cauchy bound n s^(n-1) (r - s) <= r^n gives
   T' = T / (r - s), and the cap drops by one because the new top
@@ -42,6 +42,11 @@ Tail bookkeeping rules worth knowing (each documented at the operation):
   by their decay factor), then to a common cap.  The tail-free side is
   widened when it has the smaller cap; otherwise the wider side is
   narrowed, folding its dropped coefficients into its tail.
+
+Majorants read their weights t^|I| (e^(|k| t) on a strip) from one
+bounded cache keyed by (basis, dim, cap, t), which also holds the
+overflow weights of the cap-2cap product grid, and reduce with
+np.add.reduce, the reduction np.sum performs: the cache changes no bit.
 """
 
 from __future__ import annotations
@@ -99,12 +104,24 @@ def _degrees(basis: str, dim: int, cap: int) -> np.ndarray:
     return deg
 
 
-def _weighted_sum(basis: str, coeffs: np.ndarray, deg: np.ndarray,
-                  t: float) -> float:
-    """sum |c| w(deg, t), w = t^deg (Taylor) or e^(deg t) (Fourier)."""
-    if basis == "fourier":
-        return float(np.sum(np.abs(coeffs) * np.exp(deg * t)))
-    return float(np.sum(np.abs(coeffs) * np.power(t, deg, dtype=float)))
+@lru_cache(maxsize=512)
+def _weights(basis: str, dim: int, cap: int, t: float,
+             above: int = -1) -> np.ndarray:
+    """w(deg, t) = t^deg (Taylor) or e^(deg t) (Fourier) on a cap-`cap`
+    array, or, for above >= 0, on its entries of degree > above as a
+    flat vector (shared, read-only)."""
+    deg = _degrees(basis, dim, cap)
+    if above >= 0:
+        deg = deg[deg > above]
+    w = np.asarray(np.exp(deg * t) if basis == "fourier"
+                   else np.power(t, deg, dtype=float))
+    w.flags.writeable = False
+    return w
+
+
+def _weighted_sum(coeffs: np.ndarray, w: np.ndarray) -> float:
+    """sum |c| w, reduced as np.sum reduces."""
+    return float(np.add.reduce(np.abs(coeffs) * w, axis=None))
 
 
 def _decay(basis: str, cap: int, r: float, t: float) -> float:
@@ -200,8 +217,8 @@ class TruncatedSeries:
             raise SeriesError("need dim >= 1 and cap >= 0")
         if not (ref_radius > 0):
             raise SeriesError("ref_radius must be positive")
-        if tail < 0:
-            raise SeriesError("tail must be nonnegative")
+        if not (tail >= 0):             # NaN fails this test too
+            raise SeriesError(f"tail must be nonnegative, got {tail}")
         self.dim = dim
         self.cap = cap
         self.ref_radius = float(ref_radius)
@@ -297,8 +314,8 @@ class TruncatedSeries:
 
     def _poly_majorant(self, t: float) -> float:
         """Majorant of the stored coefficients alone, tail excluded."""
-        return _weighted_sum(self.basis, self.coeffs,
-                             _degrees(self.basis, self.dim, self.cap), t)
+        return _weighted_sum(self.coeffs,
+                             _weights(self.basis, self.dim, self.cap, t))
 
     def multiply(self, other: "TruncatedSeries") -> "TruncatedSeries":
         """Exact truncated product.
@@ -309,7 +326,7 @@ class TruncatedSeries:
         Its overflow, sum_{|K| > cap} |c_K| w_K at ref_radius (w = r^|K|,
         or e^(|k| r) on a strip), is folded into the tail exactly,
         together with the |f_poly| T_g + |g_poly| T_f + T_f T_g cross
-        terms.
+        terms when either tail is nonzero.
 
         The certified norm is submultiplicative at ref_radius.  Below
         ref_radius it stays sound but can exceed |f|_t |g|_t when both
@@ -319,14 +336,16 @@ class TruncatedSeries:
         self._check_compatible(other)
         r, cap, basis = self.ref_radius, self.cap, self.basis
         full = _full_product(self.dim, cap, self.coeffs, other.coeffs)
-        deg = _degrees(basis, self.dim, 2 * cap)
-        drop = deg > cap
-        overflow = _weighted_sum(basis, full[drop], deg[drop], r)
-        kept = np.where(drop, 0.0, full)[_window(basis, self.dim, cap, 2 * cap)]
-        cross = (self._poly_majorant(r) * other.tail
-                 + other._poly_majorant(r) * self.tail
-                 + self.tail * other.tail)
-        return TruncatedSeries(self.dim, cap, r, basis, kept, cross + overflow)
+        drop = _degrees(basis, self.dim, 2 * cap) > cap
+        tail = _weighted_sum(full[drop],
+                             _weights(basis, self.dim, 2 * cap, r, cap))
+        if self.tail or other.tail:
+            tail = (self._poly_majorant(r) * other.tail
+                    + other._poly_majorant(r) * self.tail
+                    + self.tail * other.tail) + tail
+        # __init__ zeroes the window's entries of degree > cap (its corner)
+        kept = full[_window(basis, self.dim, cap, 2 * cap)]
+        return TruncatedSeries(self.dim, cap, r, basis, kept, tail)
 
     def reciprocal(self) -> "TruncatedSeries":
         """1/f via the Neumann sum (1/c) sum_k (1 - f/c)^k, c = f(0).
@@ -454,9 +473,8 @@ class TruncatedSeries:
             raise SeriesError(
                 f"not divisible: face coefficient {face_abs.max():g} > tol {tol:g}")
         # the face is a cap-`cap` array in the remaining dim - 1 variables
-        residue = _weighted_sum(self.basis, face,
-                                _degrees(self.basis, self.dim - 1, self.cap),
-                                self.ref_radius)
+        residue = _weighted_sum(face, _weights(self.basis, self.dim - 1,
+                                               self.cap, self.ref_radius))
         coeffs = self._shifted_down(axis)
         new_tail = (self.tail + residue) / self.ref_radius
         if self.tail > 0.0:
@@ -472,10 +490,12 @@ class TruncatedSeries:
     def _shifted_down(self, axis: int) -> np.ndarray:
         """Taylor coefficients of (f - f|_{z_axis = 0}) / z_axis: every
         index lowered by one along axis, zeros on the top face."""
-        pad = [(0, 0)] * self.dim
-        pad[axis] = (0, 1)
-        return np.pad(np.take(self.coeffs, np.arange(1, self.cap + 1),
-                              axis=axis), pad)
+        src = [slice(None)] * self.dim
+        dst = list(src)
+        src[axis], dst[axis] = slice(1, None), slice(0, -1)
+        out = np.zeros_like(self.coeffs)
+        out[tuple(dst)] = self.coeffs[tuple(src)]
+        return out
 
     def cutoff(self, lo: int, hi: int | None = None) -> "TruncatedSeries":
         """Keep degrees (Taylor: total degree, Fourier: |k|) in [lo, hi).
@@ -546,12 +566,12 @@ class TruncatedSeries:
             out.coeffs[_window(self.basis, self.dim, self.cap, new_cap)] = \
                 self.coeffs
             return out
-        deg = _degrees(self.basis, self.dim, self.cap)
-        drop = deg > new_cap
+        drop = _degrees(self.basis, self.dim, self.cap) > new_cap
         r = self.ref_radius
-        extra = _weighted_sum(self.basis, self.coeffs[drop], deg[drop], r)
-        kept = np.where(drop, 0.0, self.coeffs)[
-            _window(self.basis, self.dim, new_cap, self.cap)]
+        extra = _weighted_sum(self.coeffs[drop], _weights(
+            self.basis, self.dim, self.cap, r, new_cap))
+        # as in multiply, __init__ zeroes the window's corner
+        kept = self.coeffs[_window(self.basis, self.dim, new_cap, self.cap)]
         return TruncatedSeries(self.dim, new_cap, r, self.basis, kept,
                                self.tail + extra)
 

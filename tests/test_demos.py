@@ -191,3 +191,48 @@ def test_circle_problem_declares_divisor_envelope():
     # |j_n| = 2^n / (4 C): one doubling per stage
     assert problem.j_norms.value(0) == pytest.approx(1.0 / (4.0 * GOLDEN_C))
     assert problem.j_norms.value(3) == pytest.approx(8.0 / (4.0 * GOLDEN_C))
+
+
+# ---- one Borel chain per run ----
+
+def _capturing_run_lie(monkeypatch):
+    """Wrap demos.run_lie and count the exp calls of every conjugacy."""
+    import banachscale.demos as demos
+    import banachscale.local_ops as local_ops
+    seen = {"conjugacy": [], "exp": 0}
+    real_run_lie, real_exp = demos.run_lie, local_ops.exp
+
+    def run_lie(*args, **kwargs):
+        trace, conjugacy = real_run_lie(*args, **kwargs)
+        seen["conjugacy"].append(conjugacy)
+        return trace, conjugacy
+
+    def counted_exp(*args):
+        seen["exp"] += 1
+        return real_exp(*args)
+    monkeypatch.setattr(demos, "run_lie", run_lie)
+    monkeypatch.setattr(local_ops, "exp", counted_exp)
+    return seen
+
+
+@pytest.mark.parametrize("demo", [morse, circle])
+def test_demo_applies_its_conjugacy_once(monkeypatch, demo):
+    seen = _capturing_run_lie(monkeypatch)
+    demo()
+    (conjugacy,) = seen["conjugacy"]
+    assert seen["exp"] == len(conjugacy.operators) > 0
+
+
+def test_morse_tailed_seed_normalization_defect_is_recomputed(monkeypatch):
+    from banachscale.demos import _normalization_defect
+    from banachscale.local_ops import product_of_exponentials
+    seen = _capturing_run_lie(monkeypatch)
+    r0 = monomial(3, 1e-3)
+    r0.set_coefficient(4, -5e-4)
+    r0.tail = 1e-9
+    rep = morse(r0=r0)
+    (conjugacy,) = seen["conjugacy"]
+    fresh = product_of_exponentials(conjugacy.operators, conjugacy.radii)
+    want = _normalization_defect(morse_problem().f, r0, 1.0, fresh,
+                                 rep.trace.metadata["limit_radius"])
+    assert rep.details["normalization_defect"].hex() == want.hex()

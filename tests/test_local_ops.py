@@ -599,3 +599,59 @@ def test_product_distance_bound_observed():
     allowed = prod.bound * g.majorant_norm(1.0).value
     assert measured <= allowed * (1 + 1e-9)
     assert prod.bound == pytest.approx(prod.sigma / (1 - prod.sigma))
+
+
+# ---- the apply memo ----
+
+def _shift_chain():
+    us = [certify_vector_field(poly([0.12, 0.05], cap=6)),
+          certify_vector_field(poly([0.1, -0.03], cap=6))]
+    return us, [1.0, 0.7, 0.45]
+
+
+def _bytes(out, rem):
+    return out.to_json() + rem.hex()
+
+
+def test_product_apply_repeats_give_identical_bytes():
+    us, rs = _shift_chain()
+    prod = product_of_exponentials(us, rs)
+    g = poly([1.0, -1.0, 0.5, 2.0], cap=24)
+    first = _bytes(*prod.apply(g))
+    assert _bytes(*prod.apply(g.copy())) == first
+    assert _bytes(*product_of_exponentials(us, rs).apply(g)) == first
+
+
+def test_product_apply_result_is_the_callers_to_mutate():
+    us, rs = _shift_chain()
+    prod = product_of_exponentials(us, rs)
+    g = poly([1.0, -1.0, 0.5, 2.0], cap=24)
+    out, rem = prod.apply(g)
+    want = _bytes(out, rem)
+    for _ in range(2):          # the computed result, then a kept copy
+        out.coeffs[:] = 7.0
+        out.tail = 1.0
+        assert _bytes(*prod.apply(g)) == want
+        out, _ = prod.apply(g)
+    g.coeffs[0] = 3.0           # an input changed in place is a new input
+    assert _bytes(*prod.apply(g)) \
+        == _bytes(*product_of_exponentials(us, rs).apply(g))
+
+
+def test_product_apply_recomputes_an_input_that_differs_in_tail(monkeypatch):
+    import banachscale.local_ops as local_ops
+    us, rs = _shift_chain()
+    prod = product_of_exponentials(us, rs)
+    calls = []
+    real_exp = local_ops.exp
+    monkeypatch.setattr(local_ops, "exp",
+                        lambda *args: calls.append(1) or real_exp(*args))
+    g = poly([1.0, -1.0, 0.5, 2.0], cap=24)
+    prod.apply(g)
+    prod.apply(g)
+    assert len(calls) == len(us)
+    tailed = poly([1.0, -1.0, 0.5, 2.0], cap=24, tail=1e-9)
+    out = prod.apply(tailed)
+    assert len(calls) == 2 * len(us)
+    assert _bytes(*out) \
+        == _bytes(*product_of_exponentials(us, rs).apply(tailed))

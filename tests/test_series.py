@@ -8,8 +8,10 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import banachscale
+from banachscale import series as series_module
 from banachscale.series import (DEFAULT_ORDER_TOL, NormValue, SeriesError,
                                 TruncatedSeries, align)
 
@@ -718,3 +720,165 @@ def test_package_import_leaves_scipy_unloaded():
                          capture_output=True, text=True,
                          env={**os.environ, "PYTHONPATH": src})
     assert out.stdout.strip() == "[]"
+
+
+def test_nan_tail_is_rejected_and_inf_stays_legal():
+    with pytest.raises(SeriesError, match="nonnegative"):
+        TS(1, 2, 1.0, tail=float("nan"))
+    assert TS(1, 2, 1.0, tail=math.inf).majorant_norm(1.0).value == math.inf
+    # finite coefficients whose majorant overflows: a tail-free product
+    # keeps a clean tail, and inf * 0 in a cross term raises
+    big = TS(1, 2, 1.0, coeffs=[1e308, 1e308, 0])
+    prod = big.multiply(TS(1, 2, 1.0, coeffs=[1e308, 0, 0]))
+    assert prod.tail == 0.0
+    assert prod.majorant_norm(1.0).value == math.inf
+    with pytest.raises(SeriesError, match="nonnegative"):
+        TS(1, 2, 1.0, coeffs=[1e308, 1e308, 0], tail=1.0).multiply(
+            TS(1, 2, 1.0, coeffs=[1.0, 0, 0]))
+
+
+# ---- the weighted-sum kernel against its first formulation ----
+# Weights were recomputed per call and summed by np.sum; the cached
+# weights, the skipped zero-tail cross terms and the in-place shift must
+# reproduce these formulas bit for bit.
+
+def _oracle_degrees(basis, dim, cap):
+    if basis == "fourier":
+        return np.abs(np.arange(-cap, cap + 1))
+    return np.asarray(np.indices((cap + 1,) * dim).sum(axis=0))
+
+
+def _oracle_sum(basis, coeffs, deg, t):
+    if basis == "fourier":
+        return float(np.sum(np.abs(coeffs) * np.exp(deg * t)))
+    return float(np.sum(np.abs(coeffs) * np.power(t, deg, dtype=float)))
+
+
+def _oracle_window(basis, dim, cap, outer):
+    if basis == "fourier":
+        return (slice(outer - cap, outer + cap + 1),)
+    return (slice(0, cap + 1),) * dim
+
+
+def _oracle_poly(f, t):
+    return _oracle_sum(f.basis, f.coeffs,
+                       _oracle_degrees(f.basis, f.dim, f.cap), t)
+
+
+def _oracle_shifted_down(f, axis):
+    pad = [(0, 0)] * f.dim
+    pad[axis] = (0, 1)
+    return np.pad(np.take(f.coeffs, np.arange(1, f.cap + 1), axis=axis), pad)
+
+
+def _hexes(coeffs, tail):
+    flat = np.ascontiguousarray(coeffs).view(float).ravel()
+    return [float(v).hex() for v in flat] + [float(tail).hex()]
+
+
+@st.composite
+def _kernel_series(draw):
+    basis, dim = draw(st.sampled_from(_BASES))
+    cap = draw(st.integers(0, 7 if dim < 3 else 4))
+    ref = draw(st.floats(0.05, 2.0))
+    tail = draw(st.floats(1e-12, 10.0)) if draw(st.booleans()) else 0.0
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    scale = draw(st.sampled_from([1e-6, 1.0, 1e3]))
+    return _series(rng, basis, dim, cap, tail, ref).scale(scale)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_kernel_series(), st.floats(1e-3, 1.0))
+def test_majorant_norm_matches_the_oracle(f, frac):
+    t = f.ref_radius * frac
+    decay = (math.exp((f.cap + 1) * (t - f.ref_radius))
+             if f.basis == "fourier" else (t / f.ref_radius) ** (f.cap + 1))
+    want = _oracle_poly(f, t) + f.tail * decay
+    assert f.majorant_norm(t).value.hex() == want.hex()
+
+
+@settings(max_examples=200, deadline=None)
+@given(_kernel_series(), st.booleans(), st.integers(0, 2 ** 32 - 1))
+def test_multiply_matches_the_oracle(f, g_tailed, seed):
+    rng = np.random.default_rng(seed)
+    g = _series(rng, f.basis, f.dim, f.cap, 0.3 if g_tailed else 0.0,
+                f.ref_radius)
+    r, cap, basis = f.ref_radius, f.cap, f.basis
+    full = np.convolve(f.coeffs, g.coeffs) if f.dim == 1 \
+        else series_module._full_product(f.dim, cap, f.coeffs, g.coeffs)
+    deg = _oracle_degrees(basis, f.dim, 2 * cap)
+    drop = deg > cap
+    overflow = _oracle_sum(basis, full[drop], deg[drop], r)
+    kept = np.where(drop, 0.0, full)[_oracle_window(basis, f.dim, cap,
+                                                    2 * cap)]
+    cross = (_oracle_poly(f, r) * g.tail + _oracle_poly(g, r) * f.tail
+             + f.tail * g.tail)
+    prod = f.multiply(g)
+    assert _hexes(prod.coeffs, prod.tail) == _hexes(kept, cross + overflow)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_kernel_series(), st.integers(0, 6))
+def test_narrowing_with_cap_matches_the_oracle(f, new_cap):
+    if f.cap == 0:
+        return
+    new_cap = min(new_cap, f.cap - 1)
+    deg = _oracle_degrees(f.basis, f.dim, f.cap)
+    drop = deg > new_cap
+    extra = _oracle_sum(f.basis, f.coeffs[drop], deg[drop], f.ref_radius)
+    kept = np.where(drop, 0.0, f.coeffs)[
+        _oracle_window(f.basis, f.dim, new_cap, f.cap)]
+    g = f.with_cap(new_cap)
+    assert _hexes(g.coeffs, g.tail) == _hexes(kept, f.tail + extra)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_kernel_series(), st.integers(0, 2))
+def test_divide_by_coordinate_matches_the_oracle(f, axis):
+    if f.basis != "taylor" or (f.tail > 0.0 and f.cap == 0):
+        return
+    axis = min(axis, f.dim - 1)
+    # a sub-tolerance face, so the residue term is exercised
+    face = [slice(None)] * f.dim
+    face[axis] = 0
+    f.coeffs[tuple(face)] *= 1e-13 / max(1.0, np.abs(f.coeffs).max())
+    residue = _oracle_sum("taylor", np.take(f.coeffs, 0, axis=axis),
+                          _oracle_degrees("taylor", f.dim - 1, f.cap),
+                          f.ref_radius)
+    coeffs = _oracle_shifted_down(f, axis)
+    tail = (f.tail + residue) / f.ref_radius
+    if f.tail > 0.0:
+        coeffs = coeffs[_oracle_window("taylor", f.dim, f.cap - 1, f.cap)]
+    g = f.divide_by_coordinate(axis, tol=1e-12)
+    assert _hexes(g.coeffs, g.tail) == _hexes(coeffs, tail)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_kernel_series(), st.integers(0, 2))
+def test_derivative_matches_the_oracle(f, axis):
+    if f.tail > 0.0 and f.cap == 0:
+        return
+    if f.basis == "fourier":
+        # Fourier differentiation has no shift: c_k -> i k c_k
+        coeffs = f.coeffs * (1j * np.arange(-f.cap, f.cap + 1))
+        tail, at = 0.0, None
+        if f.tail > 0.0:
+            at = f.ref_radius / 2
+            kk, delta = f.cap + 1, f.ref_radius - at
+            tail = f.tail * (kk * math.exp(-kk * delta) if kk >= 1.0 / delta
+                             else 1.0 / (math.e * delta))
+        g = f.derivative(at=at)
+        assert _hexes(g.coeffs, g.tail) == _hexes(coeffs, tail)
+        return
+    axis = min(axis, f.dim - 1)
+    shape = [1] * f.dim
+    shape[axis] = f.cap + 1
+    coeffs = _oracle_shifted_down(f, axis) * np.arange(
+        1, f.cap + 2).reshape(shape)
+    tail = 0.0
+    if f.tail > 0.0:
+        at = f.ref_radius * f.cap / (f.cap + 1)
+        coeffs = coeffs[_oracle_window("taylor", f.dim, f.cap - 1, f.cap)]
+        tail = f.tail / (f.ref_radius - at)
+    g = f.derivative(axis)
+    assert _hexes(g.coeffs, g.tail) == _hexes(coeffs, tail)
