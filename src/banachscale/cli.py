@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import subprocess
 import sys
 from pathlib import Path
@@ -31,8 +32,21 @@ from .sequences import (PositiveSequence, SequenceDomainError, bruno_check,
 from .series import SeriesError, TruncatedSeries
 from .trace import fmt17
 
+
+class _NotFinite(Exception):
+    """A NaN or inf number; not a ValueError, so argparse passes it up."""
+
+
+def _finite(text: str) -> float:
+    """The type of every float option and sequence argument."""
+    if not math.isfinite(value := float(text)):
+        raise _NotFinite(f"{text!r} is not a finite number")
+    return value
+
+
+_finite.__name__ = "float"      # argparse's "invalid float value" message
 _INPUT_ERRORS = (SequenceDomainError, SeriesError, OperatorError,
-                 IterationError, LieError, ValueError)
+                 IterationError, LieError, ValueError, _NotFinite)
 
 OK, UNCERTIFIED, INPUT_ERROR = 0, 2, 1
 
@@ -50,14 +64,14 @@ def parse_sequence(spec: str) -> PositiveSequence:
         raise SequenceDomainError(
             f"sequence spec {spec!r} needs family:argument")
     if name == "geometric":
-        return PositiveSequence.geometric(float(arg))
+        return PositiveSequence.geometric(_finite(arg))
     if name == "exp_power":
-        x = float(arg)
+        x = _finite(arg)
         return PositiveSequence.exp_power(1 if x >= 0 else -1, abs(x))
     if name == "constant":
-        return PositiveSequence.constant(float(arg))
+        return PositiveSequence.constant(_finite(arg))
     if name == "tabulated":
-        return PositiveSequence.tabulated([float(v) for v in arg.split(",")])
+        return PositiveSequence.tabulated([_finite(v) for v in arg.split(",")])
     raise SequenceDomainError(f"unknown sequence family {name!r}")
 
 
@@ -292,8 +306,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("action", choices=("check", "transform"))
     p.add_argument("--family", required=True,
                    choices=("geometric", "exp_power", "tabulated"))
-    p.add_argument("--q", type=float, help="geometric ratio")
-    p.add_argument("--alpha", type=float, help="signed exp_power exponent")
+    p.add_argument("--q", type=_finite, help="geometric ratio")
+    p.add_argument("--alpha", type=_finite, help="signed exp_power exponent")
     p.add_argument("--values", help="comma-separated tabulated values")
     p.add_argument("--depth", type=int,
                    help="last term index (default 60, or a table's end)")
@@ -303,8 +317,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("tame", help="check a tame pair (a, b)")
     p.add_argument("--a", required=True, help="family:arg sequence spec")
     p.add_argument("--b", required=True, help="family:arg sequence spec")
-    p.add_argument("--scale-a", type=float, dest="scale_a")
-    p.add_argument("--scale-b", type=float, dest="scale_b")
+    p.add_argument("--scale-a", type=_finite, dest="scale_a")
+    p.add_argument("--scale-b", type=_finite, dest="scale_b")
     p.add_argument("--window", type=int,
                    help="pairs checked (default 60, or a table's end)")
     p.set_defaults(fn=_cmd_tame)
@@ -312,9 +326,9 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("model", help="run x_{n+1} = (a x^2 + b x)/2")
     p.add_argument("--a", required=True)
     p.add_argument("--b")
-    p.add_argument("--scale-a", type=float, dest="scale_a")
-    p.add_argument("--scale-b", type=float, dest="scale_b")
-    p.add_argument("--x0", type=float, required=True)
+    p.add_argument("--scale-a", type=_finite, dest="scale_a")
+    p.add_argument("--scale-b", type=_finite, dest="scale_b")
+    p.add_argument("--x0", type=_finite, required=True)
     p.add_argument("--steps", type=int,
                    help="iterations (default 100, or a table's end)")
     add_trace_outputs(p)
@@ -326,22 +340,22 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--b", required=True)
     p.add_argument("--k", type=int, required=True)
     p.add_argument("--l", type=int, required=True)
-    p.add_argument("--K", type=float)
-    p.add_argument("--alpha", type=float, default=1.5)
+    p.add_argument("--K", type=_finite)
+    p.add_argument("--alpha", type=_finite, default=1.5)
     p.add_argument("--window", type=int, default=40)
     p.add_argument("--depth", type=int, default=60)
     p.set_defaults(fn=_cmd_rho)
 
     p = sub.add_parser("newton", help="certified square root by Newton")
-    p.add_argument("--target", type=float, default=2.0)
-    p.add_argument("--x0", type=float, default=1.5)
+    p.add_argument("--target", type=_finite, default=2.0)
+    p.add_argument("--x0", type=_finite, default=1.5)
     p.add_argument("--steps", type=int, default=40)
     add_trace_outputs(p)
     p.set_defaults(fn=_cmd_newton)
 
     p = sub.add_parser("nashmoser",
                        help="solve u + u^2 = y on falling radii")
-    p.add_argument("--coeff", type=float, default=0.01,
+    p.add_argument("--coeff", type=_finite, default=0.01,
                    help="coefficient of the linear target y = c z")
     p.add_argument("--steps", type=int, default=8)
     p.add_argument("--cap", type=int, default=64)
@@ -351,13 +365,13 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("lie", help="run a worked conjugation problem")
     p.add_argument("--demo", required=True,
                    choices=("morse", "mather", "circle"))
-    p.add_argument("--eps", type=float, default=1e-3)
-    p.add_argument("--t", type=float, default=None,
+    p.add_argument("--eps", type=_finite, default=1e-3)
+    p.add_argument("--t", type=_finite, default=None,
                    help="starting radius (morse 1.0, mather 0.8)")
     p.add_argument("--steps", type=int, default=None)
-    p.add_argument("--omega", type=float, default=demos.GOLDEN_MEAN)
-    p.add_argument("--strip", type=float, default=0.5)
-    p.add_argument("--strip-end", type=float, dest="strip_end", default=0.2)
+    p.add_argument("--omega", type=_finite, default=demos.GOLDEN_MEAN)
+    p.add_argument("--strip", type=_finite, default=0.5)
+    p.add_argument("--strip-end", type=_finite, dest="strip_end", default=0.2)
     p.add_argument("--cap", type=int, default=64)
     add_trace_outputs(p)
     p.set_defaults(fn=_cmd_lie)
@@ -380,6 +394,9 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         # argparse exits 2 on bad usage; map to the input-error code
         return INPUT_ERROR if exc.code not in (0, None) else 0
+    except _NotFinite as exc:       # the command is the first argument
+        _diagnostic((sys.argv[1:] if argv is None else argv)[0], str(exc))
+        return INPUT_ERROR
     if args.command == "lie":
         t_default, steps_default = _LIE_DEFAULTS[args.demo]
         if args.t is None:

@@ -394,8 +394,9 @@ def borel_apply(symbol: BorelSymbol, u: LocalOperator, t: float, s: float,
         if ck != 0.0:
             # caps can zigzag: tailed derivatives lower them, tail-free
             # iterates jump back; fold whichever side cannot widen
-            acc2, wk = align(acc, w)
-            acc = acc2 + wk.scale(ck / kfact)
+            acc, wk = align(acc, w)     # acc is this loop's own series
+            acc.coeffs += wk.coeffs * (ck / kfact)  # = acc + wk.scale(..)
+            acc.tail += wk.tail * abs(ck / kfact)   # bit for bit, in place
         partial += abs(ck) * x ** k
         terms = k
         if w.tail > 0.0 and contrib <= 1e-18 * (input_norm + 1e-300) \

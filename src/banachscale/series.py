@@ -47,6 +47,10 @@ Majorants read their weights t^|I| (e^(|k| t) on a strip) from one
 bounded cache keyed by (basis, dim, cap, t), which also holds the
 overflow weights of the cap-2cap product grid, and reduce with
 np.add.reduce, the reduction np.sum performs: the cache changes no bit.
+
+Ownership: no two series share a coefficient array.  The constructor
+copies its input; operations hand fresh arrays to `_owning`, which skips
+the copy and the shape check, not the tail check or the zero corner.
 """
 
 from __future__ import annotations
@@ -104,6 +108,14 @@ def _degrees(basis: str, dim: int, cap: int) -> np.ndarray:
     return deg
 
 
+@lru_cache(maxsize=128)
+def _above(basis: str, dim: int, cap: int, above: int) -> np.ndarray:
+    """Mask of degree > above on a cap-`cap` array (shared, read-only)."""
+    mask = _degrees(basis, dim, cap) > above
+    mask.flags.writeable = False
+    return mask
+
+
 @lru_cache(maxsize=512)
 def _weights(basis: str, dim: int, cap: int, t: float,
              above: int = -1) -> np.ndarray:
@@ -112,7 +124,7 @@ def _weights(basis: str, dim: int, cap: int, t: float,
     flat vector (shared, read-only)."""
     deg = _degrees(basis, dim, cap)
     if above >= 0:
-        deg = deg[deg > above]
+        deg = deg[_above(basis, dim, cap, above)]
     w = np.asarray(np.exp(deg * t) if basis == "fourier"
                    else np.power(t, deg, dtype=float))
     w.flags.writeable = False
@@ -232,9 +244,21 @@ class TruncatedSeries:
                 raise SeriesError(f"coefficient shape {coeffs.shape} != {shape}")
             coeffs = coeffs.copy()
             if dim > 1:         # only a cube has entries of degree > cap
-                coeffs[_degrees(basis, dim, cap) > cap] = 0.0
+                coeffs[_above(basis, dim, cap, cap)] = 0.0
         self.coeffs = coeffs
         self.tail = float(tail)
+
+    @classmethod
+    def _owning(cls, dim: int, cap: int, ref_radius: float, basis: str,
+                coeffs: np.ndarray, tail: float) -> "TruncatedSeries":
+        if not (tail >= 0):
+            raise SeriesError(f"tail must be nonnegative, got {tail}")
+        if dim > 1:
+            coeffs[_above(basis, dim, cap, cap)] = 0.0
+        s = object.__new__(cls)
+        s.dim, s.cap, s.basis, s.coeffs = dim, cap, basis, coeffs
+        s.ref_radius, s.tail = float(ref_radius), float(tail)
+        return s
 
     # -- constructors --
 
@@ -260,8 +284,8 @@ class TruncatedSeries:
         return s
 
     def copy(self) -> "TruncatedSeries":
-        return TruncatedSeries(self.dim, self.cap, self.ref_radius, self.basis,
-                               self.coeffs, self.tail)
+        return self._owning(self.dim, self.cap, self.ref_radius, self.basis,
+                            self.coeffs.copy(), self.tail)
 
     # -- indexing helpers --
 
@@ -279,7 +303,7 @@ class TruncatedSeries:
 
     @property
     def is_zero(self) -> bool:
-        return self.tail == 0.0 and not np.any(self.coeffs)
+        return self.tail == 0.0 and not np.count_nonzero(self.coeffs)
 
     def _check_compatible(self, other: "TruncatedSeries") -> None:
         if (self.dim, self.basis) != (other.dim, other.basis):
@@ -295,19 +319,17 @@ class TruncatedSeries:
 
     def __add__(self, other: "TruncatedSeries") -> "TruncatedSeries":
         self._check_compatible(other)
-        return TruncatedSeries(self.dim, self.cap, self.ref_radius, self.basis,
-                               self.coeffs + other.coeffs,
-                               self.tail + other.tail)
+        return self._owning(self.dim, self.cap, self.ref_radius, self.basis,
+                            self.coeffs + other.coeffs, self.tail + other.tail)
 
     def __sub__(self, other: "TruncatedSeries") -> "TruncatedSeries":
         self._check_compatible(other)
-        return TruncatedSeries(self.dim, self.cap, self.ref_radius, self.basis,
-                               self.coeffs - other.coeffs,
-                               self.tail + other.tail)
+        return self._owning(self.dim, self.cap, self.ref_radius, self.basis,
+                            self.coeffs - other.coeffs, self.tail + other.tail)
 
     def scale(self, c: complex) -> "TruncatedSeries":
-        return TruncatedSeries(self.dim, self.cap, self.ref_radius, self.basis,
-                               self.coeffs * c, self.tail * abs(c))
+        return self._owning(self.dim, self.cap, self.ref_radius, self.basis,
+                            self.coeffs * c, self.tail * abs(c))
 
     def __neg__(self) -> "TruncatedSeries":
         return self.scale(-1.0)
@@ -336,16 +358,15 @@ class TruncatedSeries:
         self._check_compatible(other)
         r, cap, basis = self.ref_radius, self.cap, self.basis
         full = _full_product(self.dim, cap, self.coeffs, other.coeffs)
-        drop = _degrees(basis, self.dim, 2 * cap) > cap
-        tail = _weighted_sum(full[drop],
+        tail = _weighted_sum(full[_above(basis, self.dim, 2 * cap, cap)],
                              _weights(basis, self.dim, 2 * cap, r, cap))
         if self.tail or other.tail:
             tail = (self._poly_majorant(r) * other.tail
                     + other._poly_majorant(r) * self.tail
                     + self.tail * other.tail) + tail
-        # __init__ zeroes the window's entries of degree > cap (its corner)
-        kept = full[_window(basis, self.dim, cap, 2 * cap)]
-        return TruncatedSeries(self.dim, cap, r, basis, kept, tail)
+        # _owning zeroes the corner; a cube window is copied to free `full`
+        kept = np.ascontiguousarray(full[_window(basis, self.dim, cap, 2 * cap)])
+        return self._owning(self.dim, cap, r, basis, kept, tail)
 
     def reciprocal(self) -> "TruncatedSeries":
         """1/f via the Neumann sum (1/c) sum_k (1 - f/c)^k, c = f(0).
@@ -426,33 +447,33 @@ class TruncatedSeries:
             k = np.arange(-self.cap, self.cap + 1)
             coeffs = self.coeffs * (1j * k)
             if self.tail == 0.0:
-                return TruncatedSeries(1, self.cap, self.ref_radius, "fourier",
-                                       coeffs, 0.0)
+                return self._owning(1, self.cap, self.ref_radius, "fourier",
+                                    coeffs, 0.0)
             if at is None or not (0.0 < at < self.ref_radius):
                 raise SeriesError("derivative of a tailed series needs at < ref")
             delta = self.ref_radius - at
             kk = self.cap + 1
             sup = (kk * math.exp(-kk * delta) if kk >= 1.0 / delta
                    else 1.0 / (math.e * delta))
-            return TruncatedSeries(1, self.cap, at, "fourier", coeffs,
-                                   self.tail * sup)
+            return self._owning(1, self.cap, at, "fourier", coeffs,
+                                self.tail * sup)
         if not (0 <= axis < self.dim):
             raise SeriesError("axis out of range")
         mult_shape = [1] * self.dim
-        mult_shape[axis] = self.cap + 1
-        coeffs = self._shifted_down(axis) * np.arange(
-            1, self.cap + 2).reshape(mult_shape)
+        mult_shape[axis] = self.cap + 1     # ramp 1..cap+1: cached degrees
+        coeffs = self._shifted_down(axis) * _degrees(
+            "taylor", 1, self.cap + 1)[1:].reshape(mult_shape)
         if self.tail == 0.0:
-            return TruncatedSeries(self.dim, self.cap, self.ref_radius,
-                                   "taylor", coeffs, 0.0)
+            return self._owning(self.dim, self.cap, self.ref_radius,
+                                "taylor", coeffs, 0.0)
         if at is None or not (0.0 < at < self.ref_radius):
             raise SeriesError("derivative of a tailed series needs at < ref")
         if self.cap == 0:
             raise SeriesError("cap too small to differentiate a tailed series")
         new_cap = self.cap - 1
         corner = _window(self.basis, self.dim, new_cap, self.cap)
-        return TruncatedSeries(self.dim, new_cap, at, "taylor", coeffs[corner],
-                               self.tail / (self.ref_radius - at))
+        return self._owning(self.dim, new_cap, at, "taylor", coeffs[corner],
+                            self.tail / (self.ref_radius - at))
 
     def divide_by_coordinate(self, axis: int = 0,
                              tol: float = DEFAULT_ORDER_TOL
@@ -482,19 +503,20 @@ class TruncatedSeries:
                 raise SeriesError("cap too small to divide a tailed series")
             new_cap = self.cap - 1
             corner = _window(self.basis, self.dim, new_cap, self.cap)
-            return TruncatedSeries(self.dim, new_cap, self.ref_radius, "taylor",
-                                   coeffs[corner], new_tail)
-        return TruncatedSeries(self.dim, self.cap, self.ref_radius, "taylor",
-                               coeffs, new_tail)
+            return self._owning(self.dim, new_cap, self.ref_radius, "taylor",
+                                coeffs[corner], new_tail)
+        return self._owning(self.dim, self.cap, self.ref_radius, "taylor",
+                            coeffs, new_tail)
 
     def _shifted_down(self, axis: int) -> np.ndarray:
         """Taylor coefficients of (f - f|_{z_axis = 0}) / z_axis: every
         index lowered by one along axis, zeros on the top face."""
         src = [slice(None)] * self.dim
-        dst = list(src)
-        src[axis], dst[axis] = slice(1, None), slice(0, -1)
-        out = np.zeros_like(self.coeffs)
+        dst, top = list(src), list(src)
+        src[axis], dst[axis], top[axis] = slice(1, None), slice(0, -1), -1
+        out = np.empty_like(self.coeffs)
         out[tuple(dst)] = self.coeffs[tuple(src)]
+        out[tuple(top)] = 0.0
         return out
 
     def cutoff(self, lo: int, hi: int | None = None) -> "TruncatedSeries":
@@ -561,19 +583,19 @@ class TruncatedSeries:
         if new_cap > self.cap:
             if self.tail != 0.0:
                 raise SeriesError("cannot widen the cap of a tailed series")
-            out = TruncatedSeries(self.dim, new_cap, self.ref_radius,
-                                  self.basis)
-            out.coeffs[_window(self.basis, self.dim, self.cap, new_cap)] = \
+            wide = np.zeros(_shape(self.basis, self.dim, new_cap), complex)
+            wide[_window(self.basis, self.dim, self.cap, new_cap)] = \
                 self.coeffs
-            return out
-        drop = _degrees(self.basis, self.dim, self.cap) > new_cap
+            return self._owning(self.dim, new_cap, self.ref_radius,
+                                self.basis, wide, 0.0)
+        drop = _above(self.basis, self.dim, self.cap, new_cap)
         r = self.ref_radius
         extra = _weighted_sum(self.coeffs[drop], _weights(
             self.basis, self.dim, self.cap, r, new_cap))
-        # as in multiply, __init__ zeroes the window's corner
+        # as in multiply, _owning zeroes the window's corner
         kept = self.coeffs[_window(self.basis, self.dim, new_cap, self.cap)]
-        return TruncatedSeries(self.dim, new_cap, r, self.basis, kept,
-                               self.tail + extra)
+        return self._owning(self.dim, new_cap, r, self.basis, kept.copy(),
+                            self.tail + extra)
 
     def restrict(self, s: float) -> "TruncatedSeries":
         """Move the reference radius down to s; coefficients unchanged,
@@ -583,8 +605,8 @@ class TruncatedSeries:
         if s == self.ref_radius:
             return self.copy()
         factor = _decay(self.basis, self.cap, self.ref_radius, s)
-        return TruncatedSeries(self.dim, self.cap, s, self.basis, self.coeffs,
-                               self.tail * factor)
+        return self._owning(self.dim, self.cap, s, self.basis,
+                            self.coeffs.copy(), self.tail * factor)
 
     def evaluate(self, z) -> complex:
         """Point evaluation of the polynomial part (diagnostics only; the

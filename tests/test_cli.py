@@ -1,11 +1,12 @@
 """Tests for the command-line surface: exit codes, traces, diagnostics."""
 
+import argparse
 import json
 import math
 
 import pytest
 
-from banachscale.cli import main
+from banachscale.cli import build_parser, main
 
 
 def run(capsys, *argv):
@@ -213,3 +214,68 @@ def test_verify_scoped_run(capsys, tmp_path):
     code, *_ = run(capsys, "verify", "--expression", "test_exponents_k_and_l")
     assert code == 0
     assert run(capsys, "verify", "--tests", str(tmp_path / "missing"))[0] == 1
+
+
+# ---- non-finite numbers are input errors ----
+
+_RHO = ["rho", "--a", "geometric:2", "--aprime", "constant:1",
+        "--b", "exp_power:-1.5", "--k", "4", "--l", "1"]
+# every float option, each after a command line that is valid without it
+_FLOAT_FLAGS = [
+    (["bruno", "check", "--family", "geometric"], "--q"),
+    (["bruno", "check", "--family", "exp_power"], "--alpha"),
+    (["tame", "--a", "constant:1", "--b", "constant:0.5"], "--scale-a"),
+    (["tame", "--a", "constant:1", "--b", "constant:0.5"], "--scale-b"),
+    (["model", "--a", "constant:1", "--x0", "0.01"], "--scale-a"),
+    (["model", "--a", "constant:1", "--b", "constant:0.5", "--x0", "0.01"],
+     "--scale-b"),
+    (["model", "--a", "constant:1"], "--x0"),
+    (_RHO, "--K"),
+    (_RHO, "--alpha"),
+    (["newton"], "--target"),
+    (["newton"], "--x0"),
+    (["nashmoser"], "--coeff"),
+    (["lie", "--demo", "morse"], "--eps"),
+    (["lie", "--demo", "morse"], "--t"),
+    (["lie", "--demo", "circle"], "--omega"),
+    (["lie", "--demo", "circle"], "--strip"),
+    (["lie", "--demo", "circle"], "--strip-end"),
+]
+_NON_FINITE = ["nan", "inf", "-inf"]
+
+
+def _assert_input_error(code, err, command):
+    assert code == 1
+    assert "Traceback" not in err
+    diagnostic = json.loads(err)
+    assert set(diagnostic) == {"command", "error"}
+    assert diagnostic["command"] == command
+    assert "not a finite number" in diagnostic["error"]
+
+
+def test_float_flag_list_covers_the_parser():
+    sub = next(a for a in build_parser()._actions
+               if isinstance(a, argparse._SubParsersAction))
+    declared = {(name, action.option_strings[0])
+                for name, p in sub.choices.items() for action in p._actions
+                if action.type not in (None, int)}
+    assert declared == {(base[0], flag) for base, flag in _FLOAT_FLAGS}
+
+
+@pytest.mark.parametrize("value", _NON_FINITE)
+@pytest.mark.parametrize("base,flag", _FLOAT_FLAGS,
+                         ids=[f"{b[0]}{f}" for b, f in _FLOAT_FLAGS])
+def test_non_finite_float_option_exits_one(capsys, base, flag, value):
+    code, out, err = run(capsys, *base, f"{flag}={value}")
+    assert out == ""
+    _assert_input_error(code, err, base[0])
+
+
+@pytest.mark.parametrize("value", _NON_FINITE)
+@pytest.mark.parametrize("spec", ["geometric:{}", "exp_power:{}",
+                                  "constant:{}", "tabulated:2,{},1"])
+def test_non_finite_sequence_argument_exits_one(capsys, spec, value):
+    code, out, err = run(capsys, "tame", "--a", spec.format(value),
+                         "--b", "constant:0.5")
+    assert out == ""
+    _assert_input_error(code, err, "tame")

@@ -655,3 +655,81 @@ def test_product_apply_recomputes_an_input_that_differs_in_tail(monkeypatch):
     assert len(calls) == 2 * len(us)
     assert _bytes(*out) \
         == _bytes(*product_of_exponentials(us, rs).apply(tailed))
+
+
+# ---- cost of a Borel application ----
+
+@pytest.mark.parametrize("tail", [0.0, 1e-3])
+def test_borel_apply_builds_o1_validated_series(monkeypatch, tail):
+    # every term makes its series through the private constructor; the
+    # validating, copying public one runs a bounded number of times
+    rng = np.random.default_rng(11)
+    g = rand_poly(rng, cap=64, deg=20, tail=tail)
+    u = certify_vector_field(poly([0.05, 0.1], cap=64))
+    calls = []
+    init = TruncatedSeries.__init__
+
+    def counting(self, *args, **kwargs):
+        calls.append(args)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(TruncatedSeries, "__init__", counting)
+    app = borel_apply(EXP, u, 1.0, 0.5, g)
+    assert app.terms >= 15
+    assert len(calls) <= 2
+
+
+def _reference_borel_series(symbol, u, t, s, g):
+    """borel_apply's series before in-place accumulation: each accepted
+    term went in as acc + (u^k g).scale(a_k / k!).  Valid for inputs
+    whose remainder is not folded (a tail-free g at its own radius)."""
+    lam = u.weight.value(t, s)
+    x = u.norm_bound / lam
+    input_norm = g.majorant_norm(g.ref_radius).value
+    acc = TruncatedSeries(g.dim, g.cap, g.ref_radius, g.basis)
+    if symbol.coeff(0) != 0.0:
+        acc = acc + g.scale(symbol.coeff(0))
+    w, kfact = g, 1.0
+    for k in range(1, g.cap + 2):
+        ref_next = w.ref_radius if w.tail == 0.0 \
+            else max(s, s + 0.75 * (w.ref_radius - s))
+        if w.tail > 0.0 and not (ref_next < w.ref_radius):
+            break
+        w = u.action(w, w.ref_radius, ref_next)
+        kfact *= k
+        if w.is_zero:
+            break
+        ck = symbol.coeff(k)
+        contrib = abs(ck) / kfact * w.norm_at(s)
+        if contrib > abs(ck) * x ** k * input_norm * (1.0 + 1e-9) + 1e-300:
+            break
+        if ck != 0.0:
+            acc2, wk = align(acc, w)
+            acc = acc2 + wk.scale(ck / kfact)
+        if w.tail > 0.0 and contrib <= 1e-18 * (input_norm + 1e-300) \
+                and k >= 2:
+            break
+    return acc.restrict(s) if acc.ref_radius > s else acc
+
+
+def _bits(f):
+    return ([v.hex() for v in f.coeffs.view(float)]
+            + [f.tail.hex(), f.ref_radius.hex(), str(f.cap)])
+
+
+@pytest.mark.parametrize("symbol", [EXP, EXP_NEG, PHI, PSI])
+@pytest.mark.parametrize("seed", range(6))
+def test_in_place_accumulation_keeps_every_bit(symbol, seed):
+    # signed zeros and subnormals in g, fields with and without a
+    # constant term (tail-free iterates, then tailed descents)
+    rng = np.random.default_rng(seed)
+    g = rand_poly(rng, cap=24, deg=10, scale=0.5)
+    pick = rng.integers(0, 2, size=11).astype(bool)
+    g.coeffs[:11][pick] = rng.choice([0.0, -0.0, -5e-324], pick.sum()) \
+        + 1j * rng.choice([0.0, -0.0, 1e-300], pick.sum())
+    field = [0.04 * seed, 0.1, -0.05] if seed % 2 else [0.0, 0.1, 0.02]
+    u = certify_vector_field(poly(field, cap=24))
+    app = borel_apply(symbol, u, 1.0, 0.5, g)
+    assert app.terms >= 5 and not app.folded
+    assert _bits(app.series) == _bits(
+        _reference_borel_series(symbol, u, 1.0, 0.5, g))

@@ -882,3 +882,104 @@ def test_derivative_matches_the_oracle(f, axis):
         tail = f.tail / (f.ref_radius - at)
     g = f.derivative(axis)
     assert _hexes(g.coeffs, g.tail) == _hexes(coeffs, tail)
+
+
+# ---- ownership: no result shares an array with an input ----
+# Operations hand the arrays they allocate to the private `_owning`
+# constructor, which neither copies nor re-checks the shape.
+
+def _divisible(f):
+    h = f.copy()
+    h.coeffs[0] = 0.0       # the z_0 = 0 face (taylor only)
+    return h
+
+
+_OWNING_OPS = {
+    "add": lambda f, g: f + g,
+    "sub": lambda f, g: f - g,
+    "scale": lambda f, g: f.scale(-0.5 + 2.0j),
+    "multiply": lambda f, g: f.multiply(g),
+    "derivative": lambda f, g: f.derivative(),
+    "tailed_derivative": lambda f, g: f.restrict(0.7).derivative(
+        at=0.6) if f.tail else f.derivative(),
+    "restrict": lambda f, g: f.restrict(0.5),
+    "restrict_same": lambda f, g: f.restrict(f.ref_radius),
+    "narrow": lambda f, g: f.with_cap(f.cap - 2),
+    "widen": lambda f, g: g.with_cap(g.cap + 2),
+    "same_cap": lambda f, g: f.with_cap(f.cap),
+    "divide": lambda f, g: _divisible(f).divide_by_coordinate(),
+    "copy": lambda f, g: f.copy(),
+}
+
+
+def _ownership_inputs(basis, dim, tailed, seed):
+    rng = np.random.default_rng(seed)
+    f = _series(rng, basis, dim, 4, tail=0.01 if tailed else 0.0)
+    g = _series(rng, basis, dim, 4)         # widening needs tail 0
+    return f, g
+
+
+@pytest.mark.parametrize("tailed", [False, True])
+@pytest.mark.parametrize("op", sorted(_OWNING_OPS))
+@pytest.mark.parametrize("basis,dim", _BASES)
+def test_results_share_no_array_with_inputs(basis, dim, op, tailed):
+    if op == "divide" and basis == "fourier":
+        return
+    f, g = _ownership_inputs(basis, dim, tailed, 83 + dim)
+    if op == "divide":
+        f = _divisible(f)
+    before = [(s.coeffs.copy(), s.tail) for s in (f, g)]
+    out = _OWNING_OPS[op](f, g)
+    kept = out.coeffs.copy()
+    out.coeffs[...] = 7.0 + 7.0j         # mutate the result ...
+    out.tail = 7.0
+    for s, (coeffs, tail) in zip((f, g), before):
+        assert np.array_equal(s.coeffs, coeffs) and s.tail == tail
+    out.coeffs[...] = kept
+    for s in (f, g):                     # ... then the inputs
+        s.coeffs[...] = 9.0
+    assert np.array_equal(out.coeffs, kept)
+
+
+@pytest.mark.parametrize("tailed", [False, True])
+@pytest.mark.parametrize("op", sorted(_OWNING_OPS))
+@pytest.mark.parametrize("dim", [2, 3])
+def test_results_keep_a_zero_corner(dim, op, tailed):
+    f, g = _ownership_inputs("taylor", dim, tailed, 89 + dim)
+    out = _OWNING_OPS[op](f, g)
+    deg = np.indices(out.coeffs.shape).sum(axis=0)
+    corner = out.coeffs[deg > out.cap]
+    assert corner.size > 0
+    assert [float(v).hex() for v in corner.view(float)] == \
+        ["0x0.0p+0"] * (2 * corner.size)      # +0, not -0 or NaN
+
+
+@pytest.mark.parametrize("basis,dim", _BASES)
+def test_a_nan_tail_from_an_operation_still_raises(basis, dim):
+    f = _series(np.random.default_rng(97), basis, dim, 3, tail=math.inf)
+    zero = TS(dim, 3, f.ref_radius, basis)
+    with pytest.raises(SeriesError, match="nonnegative"):
+        f.multiply(zero)                  # |0| * inf in a cross term
+    with pytest.raises(SeriesError, match="nonnegative"):
+        f.scale(0.0)                      # inf * 0
+
+
+_ZEROISH = [0.0, -0.0, complex(0.0, -0.0), complex(-0.0, 0.0),
+            complex(-0.0, -0.0), math.nan, complex(0.0, math.nan),
+            complex(math.nan, -0.0), 5e-324, complex(0.0, -5e-324)]
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.sampled_from(_ZEROISH), min_size=9, max_size=9),
+       st.sampled_from([("taylor", 8), ("fourier", 4)]), st.booleans())
+def test_is_zero_agrees_with_np_any(entries, basis_cap, tailed):
+    basis, cap = basis_cap
+    coeffs = np.array(entries, dtype=complex)
+    s = TS(1, cap, 1.0, basis, coeffs, 1.0 if tailed else 0.0)
+    assert s.is_zero == (not tailed and not np.any(coeffs))
+
+
+@pytest.mark.parametrize("dim", [2, 3])
+def test_multivariate_product_does_not_keep_its_full_cube(dim):
+    f, g = _ownership_inputs("taylor", dim, False, 101)
+    assert f.multiply(g).coeffs.base is None
