@@ -46,7 +46,8 @@ def _finite(text: str) -> float:
 
 _finite.__name__ = "float"      # argparse's "invalid float value" message
 _INPUT_ERRORS = (SequenceDomainError, SeriesError, OperatorError,
-                 IterationError, LieError, ValueError, _NotFinite)
+                 IterationError, LieError, ValueError, OverflowError,
+                 _NotFinite)
 
 OK, UNCERTIFIED, INPUT_ERROR = 0, 2, 1
 
@@ -104,6 +105,8 @@ def _span(flag: int | None, *seqs: PositiveSequence, start: int = 0,
     tabulated sequence's own table (an explicit flag past a table still
     fails)."""
     if flag is not None:
+        if flag < 0:
+            raise SequenceDomainError(f"a span of {flag} terms is negative")
         return flag
     ends = [len(s.params["values"]) - 1 - start for s in seqs
             if s.family == "tabulated"]

@@ -28,6 +28,10 @@ certificate never exceeds the theorem bound), and covers everything
 uncomputed by the majorant remainder (|f|(x) - computed partial) |g|_t,
 folded into the result's tail exactly when the skipped terms are
 certifiably high-degree and reported separately otherwise.
+Only a derivation or a Taylor operator with order_raise >= 1 can end a
+Borel series exactly.  Any other series (a Fourier multiplier) stops once
+its symbol bound on the uncomputed terms falls below the result's
+rounding; a zero iterate there is underflow unless g or u is zero.
 """
 
 from __future__ import annotations
@@ -295,6 +299,8 @@ class BorelSymbol:
     majorant: Callable[[float], float]
 
 
+# each symbol has |a_n| <= n for n >= 1, so sum_{j>k} |a_j| x^j is at
+# most (k+1) x^(k+1) / (1-x)^2: borel_apply's rounding stop relies on it
 # B(1/(1-z)) = e^u
 EXP = BorelSymbol("exp", 1.0, lambda n: 1.0, lambda x: 1.0 / (1.0 - x))
 # B(1/(1+z)) = e^(-u)
@@ -343,6 +349,8 @@ def borel_apply(symbol: BorelSymbol, u: LocalOperator, t: float, s: float,
     its theoretical share |a_k| x^k |g|_t, so the certified output norm
     never exceeds the theorem bound (up to float honesty); everything
     uncomputed is covered by the remainder (|f|(x) - partial) |g|_t.
+    A series with no exact ending also stops after term k >= 2 once
+    (k+1) x^(k+1) / (1-x)^2 |g|_t <= 2^-53 |acc|_s (see the module).
     """
     if not (0.0 < s <= t):
         raise OperatorError(f"need 0 < s <= t, got ({t}, {s})")
@@ -371,6 +379,8 @@ def borel_apply(symbol: BorelSymbol, u: LocalOperator, t: float, s: float,
     terms = 0
     exact = False
     g_order = gt.order(tol=0.0)
+    endless = u.kind != "derivation" and not (
+        gt.basis == "taylor" and u.order_raise >= 1)
     for k in range(1, max_terms + 1):
         ref_next = w.ref_radius if w.tail == 0.0 \
             else max(s, s + 0.75 * (w.ref_radius - s))
@@ -382,9 +392,9 @@ def borel_apply(symbol: BorelSymbol, u: LocalOperator, t: float, s: float,
             break
         kfact *= k
         if w.is_zero:
-            # u^k g = 0, hence every later term vanishes: series is exact
-            terms = k
-            exact = True
+            # u^k g = 0 ends the series, unless it is underflow (endless)
+            exact = not endless or gt.is_zero or u.is_zero
+            terms = k if exact else terms
             break
         ck = symbol.coeff(k)
         share = abs(ck) * x ** k * input_norm
@@ -402,6 +412,9 @@ def borel_apply(symbol: BorelSymbol, u: LocalOperator, t: float, s: float,
         if w.tail > 0.0 and contrib <= 1e-18 * (input_norm + 1e-300) \
                 and k >= 2:
             break           # inexact and numerically stagnant
+        if endless and k >= 2 and (k + 1) * x ** (k + 1) * input_norm \
+                <= 2.0 ** -53 * (1.0 - x) ** 2 * acc.norm_at(s):
+            break           # sum_{j>k} j x^j |g|_t is below acc's rounding
     if exact:
         remainder = 0.0
     else:

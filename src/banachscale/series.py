@@ -49,8 +49,9 @@ overflow weights of the cap-2cap product grid, and reduce with
 np.add.reduce, the reduction np.sum performs: the cache changes no bit.
 
 Ownership: no two series share a coefficient array.  The constructor
-copies its input; operations hand fresh arrays to `_owning`, which skips
-the copy and the shape check, not the tail check or the zero corner.
+copies its input and refuses NaN coefficients, as `set_coefficient` does;
+operations hand fresh arrays to `_owning`, which skips the copy and the
+shape and NaN checks, not the tail check or the zero corner.
 """
 
 from __future__ import annotations
@@ -242,6 +243,8 @@ class TruncatedSeries:
             coeffs = np.asarray(coeffs, dtype=complex)
             if coeffs.shape != shape:
                 raise SeriesError(f"coefficient shape {coeffs.shape} != {shape}")
+            if np.isnan(coeffs).any():
+                raise SeriesError("coefficients must not be NaN")
             coeffs = coeffs.copy()
             if dim > 1:         # only a cube has entries of degree > cap
                 coeffs[_above(basis, dim, cap, cap)] = 0.0
@@ -299,6 +302,8 @@ class TruncatedSeries:
         pos = _position(self.basis, self.dim, self.cap, index)
         if _degrees(self.basis, self.dim, self.cap)[pos] > self.cap:
             raise SeriesError("index beyond cap")
+        if np.isnan(value):
+            raise SeriesError("coefficients must not be NaN")
         self.coeffs[pos] = value
 
     @property

@@ -1,10 +1,17 @@
 """Tests for the command-line surface: exit codes, traces, diagnostics."""
 
 import argparse
+import contextlib
+import io
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from banachscale.cli import build_parser, main
 
@@ -279,3 +286,79 @@ def test_non_finite_sequence_argument_exits_one(capsys, spec, value):
                          "--b", "constant:0.5")
     assert out == ""
     _assert_input_error(code, err, "tame")
+
+
+# ---- argv fuzz: the exit-code contract holds on any input ----
+
+_FUZZ_FLAGS = {
+    "bruno": ["check", "transform", "--family", "geometric", "exp_power",
+              "tabulated", "--q", "--alpha", "--values", "--depth", "--n"],
+    "tame": ["--a", "--b", "--scale-a", "--scale-b", "--window"],
+    "model": ["--a", "--b", "--scale-a", "--scale-b", "--x0", "--steps"],
+    "rho": ["--a", "--aprime", "--b", "--k", "--l", "--K", "--alpha",
+            "--window", "--depth"],
+    "newton": ["--target", "--x0", "--steps"],
+    "nashmoser": ["--coeff", "--steps", "--cap"],
+}
+# counts stay small: a huge --depth or --cap is slow, not a crash
+_FUZZ_VALUES = ["0", "1", "2", "3", "7", "40", "-1", "-3", "0.5", "1.5",
+                "1e-3", "0.015", "2.5", "1e308", "-1e308", "5e-324", "nan",
+                "-inf", "1,2,4", "0.5,0,2", "geometric:0.5", "geometric:2",
+                "exp_power:-1.5", "exp_power:1.2", "exp_power:0",
+                "constant:1", "constant:0", "constant:-1", "tabulated:1,2,4",
+                "tabulated:0.5", "tabulated:", "tabulated:1,,2",
+                "geometric:", "geometric:x", "foo:1", ":", "", "-", "--"]
+# garbage without a leading "-", so it never abbreviates --csv/--json
+_GARBAGE = st.text(alphabet="abx019.,:e+_ ", max_size=8)
+
+
+# a valid command line per command: later tokens override its flags, so
+# garbage also reaches the engines, not only the parser
+_FUZZ_BASES = {
+    "bruno": ["check", "--family", "geometric", "--q", "2"],
+    "tame": ["--a", "exp_power:1.2", "--b", "exp_power:-1.5"],
+    "model": ["--a", "exp_power:1.2", "--b", "exp_power:-1.5",
+              "--scale-b", "0.1", "--x0", "0.03"],
+    "rho": ["--a", "geometric:2", "--aprime", "constant:1",
+            "--b", "exp_power:-1.5", "--k", "4", "--l", "1"],
+    "newton": ["--target", "2"],
+    "nashmoser": ["--coeff", "0.01", "--steps", "3", "--cap", "16"],
+}
+
+
+@st.composite
+def _argv(draw):
+    command = draw(st.sampled_from(sorted(_FUZZ_FLAGS)))
+    flag = st.sampled_from(_FUZZ_FLAGS[command])
+    value = st.one_of(st.sampled_from(_FUZZ_VALUES),
+                      st.integers(-3, 40).map(str), st.floats().map(repr))
+    if draw(st.booleans()):     # a valid line with some flags overridden
+        pairs = draw(st.lists(st.tuples(flag, value), min_size=1,
+                              max_size=3))
+        return [command, *_FUZZ_BASES[command], *(t for p in pairs for t in p)]
+    return [command, *draw(st.lists(st.one_of(flag, value, _GARBAGE),
+                                    max_size=10))]
+
+
+@settings(max_examples=600, deadline=None)
+@given(_argv())
+@example(["tame", *_FUZZ_BASES["tame"], "--window", "-1"])
+@example(["model", *_FUZZ_BASES["model"], "--steps", "-1"])
+@example(["newton", "--target", "1e308"])
+def test_cli_exit_code_contract_holds_on_fuzzed_argv(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    assert code in (0, 1, 2), (argv, code)
+    assert "Traceback" not in err.getvalue()
+
+
+def test_python_dash_m_runs_the_cli(capsys):
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = {**os.environ, "PYTHONPATH": str(src)}
+    proc = subprocess.run(
+        [sys.executable, "-m", "banachscale", "newton", "--target", "2"],
+        capture_output=True, text=True, env=env, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    code, out, _ = run(capsys, "newton", "--target", "2")
+    assert code == 0 and proc.stdout == out

@@ -236,3 +236,25 @@ def test_morse_tailed_seed_normalization_defect_is_recomputed(monkeypatch):
     want = _normalization_defect(morse_problem().f, r0, 1.0, fresh,
                                  rep.trace.metadata["limit_radius"])
     assert rep.details["normalization_defect"].hex() == want.hex()
+
+
+def test_circle_cap_128_stops_its_borel_series_at_rounding(monkeypatch):
+    # Fourier iterates never vanish exactly; the parent convolved them to
+    # underflow, about 780 multiplication-operator terms per run
+    import banachscale.demos as demos
+    real = demos.multiplication_operator
+    terms = []
+
+    def counted(m, name=""):
+        op = real(m, name=name)
+        action = op.action
+
+        def counting(f, t, s):
+            terms.append(1)
+            return action(f, t, s)
+        op.action = counting
+        return op
+    monkeypatch.setattr(demos, "multiplication_operator", counted)
+    rep = circle(cap=128)
+    assert rep.converged
+    assert 0 < len(terms) <= 150

@@ -680,11 +680,13 @@ def test_borel_apply_builds_o1_validated_series(monkeypatch, tail):
 
 
 def _reference_borel_series(symbol, u, t, s, g):
-    """borel_apply's series before in-place accumulation: each accepted
-    term went in as acc + (u^k g).scale(a_k / k!).  Valid for inputs
-    whose remainder is not folded (a tail-free g at its own radius)."""
+    """borel_apply's series before in-place accumulation and before the
+    rounding stop of series with no exact ending: each accepted term
+    went in as acc + (u^k g).scale(a_k / k!), up to a zero iterate.
+    Valid for inputs whose remainder is not folded (a tail-free g at
+    its own radius)."""
     lam = u.weight.value(t, s)
-    x = u.norm_bound / lam
+    x = (1.0 if u.kind == "derivation" else math.e) * u.norm_bound / lam
     input_norm = g.majorant_norm(g.ref_radius).value
     acc = TruncatedSeries(g.dim, g.cap, g.ref_radius, g.basis)
     if symbol.coeff(0) != 0.0:
@@ -733,3 +735,111 @@ def test_in_place_accumulation_keeps_every_bit(symbol, seed):
     assert app.terms >= 5 and not app.folded
     assert _bits(app.series) == _bits(
         _reference_borel_series(symbol, u, 1.0, 0.5, g))
+
+
+# ---- Borel series with no exact ending ----
+
+def _fourier_input(rng, cap, ref=1.0):
+    """Decaying modes |k| <= cap/2, so early iterates stay tail-free."""
+    g = TruncatedSeries(1, cap, ref, "fourier")
+    half = cap // 2
+    k = np.arange(-half, half + 1)
+    g.coeffs[cap - half: cap + half + 1] = np.exp(-1.5 * np.abs(k)) * (
+        rng.standard_normal(k.size) + 1j * rng.standard_normal(k.size))
+    return g
+
+
+def _band_multiplier(rng, cap, top, x, ref=1.0):
+    """Modes 1 <= |k| <= top, scaled so that the generic x = e N(m)."""
+    m = TruncatedSeries(1, cap, ref, "fourier")
+    for k in range(1, top + 1):
+        for j in (k, -k):
+            m.set_coefficient(j, complex(*rng.standard_normal(2)))
+    return m.scale(x / (math.e * m.norm_at(ref)))
+
+
+@pytest.mark.parametrize("symbol", [EXP, EXP_NEG, PHI, PSI])
+@pytest.mark.parametrize("cap", [16, 64, 128])
+@pytest.mark.parametrize("seed,top,x", [(0, 1, 1.4e-3), (1, 2, 2e-2),
+                                        (2, 4, 0.2)])
+def test_rounding_stop_stays_inside_the_remainder(symbol, cap, seed, top, x):
+    # against the same loop without the stop: what the stop leaves out
+    # is covered by the reported remainder and is below rounding
+    rng = np.random.default_rng(seed)
+    g = _fourier_input(rng, cap)
+    u = multiplication_operator(_band_multiplier(rng, cap, top, x))
+    t, s = 1.0, 0.5
+    app = borel_apply(symbol, u, t, s, g)
+    ref = _reference_borel_series(symbol, u, t, s, g)
+    assert app.x == pytest.approx(x, rel=1e-12) and not app.folded
+    got = app.series
+    assert (got.cap, got.ref_radius) == (ref.cap, ref.ref_radius) == (cap, s)
+    diff = TruncatedSeries(1, cap, s, "fourier", ref.coeffs - got.coeffs,
+                           max(0.0, ref.tail - got.tail))
+    assert diff.norm_at(s) <= app.remainder
+    assert np.abs(diff.coeffs).max() <= 2.0 ** -52 * np.abs(ref.coeffs).max()
+    if x < 0.1 and cap >= 64:
+        assert app.terms <= 20          # the unstopped loop runs ~90
+
+
+def test_underflow_to_zero_is_not_an_exact_ending():
+    m = TruncatedSeries.fourier_mode(1, 1e-200, cap=8)
+    g = TruncatedSeries.fourier_mode(1, 1e-200, cap=8)
+    app = borel_apply(EXP, multiplication_operator(m), 1.0, 0.5, g)
+    assert m.multiply(g).is_zero        # 1e-400 underflows
+    assert app.terms == 0 and not app.folded
+    assert app.remainder >= 8.0 * math.ulp(1.0) * app.input_norm > 0.0
+
+
+@pytest.mark.parametrize("zero_side", ["g", "u"])
+def test_zero_input_or_operator_ends_a_fourier_series_exactly(zero_side):
+    m = TruncatedSeries.fourier_mode(1, 0.1, cap=8)
+    g = TruncatedSeries.fourier_mode(2, 0.5, cap=8)
+    if zero_side == "g":
+        g = TruncatedSeries(1, 8, 1.0, "fourier")
+    else:
+        m = TruncatedSeries(1, 8, 1.0, "fourier")
+    app = borel_apply(EXP, multiplication_operator(m), 1.0, 0.5, g)
+    assert app.remainder == 0.0 and app.terms == 1
+
+
+def test_constant_shift_of_a_polynomial_stays_exact():
+    # derivations keep their exact ending: nilpotent on a degree-12
+    # polynomial, so no rounding stop and no remainder
+    g = rand_poly(np.random.default_rng(3), cap=40, deg=12)
+    u = certify_vector_field(poly([0.003], cap=4))
+    app = exp(u, 1.0, 0.6, g)
+    assert app.remainder == 0.0 and app.terms == 13
+    np.testing.assert_allclose(app.series.coeffs, g.shift(0.003).coeffs,
+                               rtol=0, atol=1e-12)
+
+
+@pytest.mark.parametrize("symbol", [EXP, PHI])
+@pytest.mark.parametrize("cap,x", [(16, 1e-9), (128, 1.4e-3), (64, 0.2),
+                                   (128, 0.4)])
+def test_rounding_stop_is_the_first_term_below_rounding(symbol, cap, x):
+    # the stop fires after the first k >= 2 with
+    # (k+1) x^(k+1) / (1-x)^2 |g|_t <= 2^-53 |acc_k|_s, and not before;
+    # a one-mode band keeps every iterate inside the cap, tail-free
+    rng = np.random.default_rng(7)
+    g = _fourier_input(rng, cap)
+    u = multiplication_operator(_band_multiplier(rng, cap, 1, x))
+    t, s = 1.0, 0.5
+    app = borel_apply(symbol, u, t, s, g)
+    k = app.terms
+
+    def below(j):
+        acc = borel_apply(symbol, u, t, s, g, max_terms=j).series
+        return (j + 1) * app.x ** (j + 1) * app.input_norm \
+            <= 2.0 ** -53 * (1.0 - app.x) ** 2 * acc.norm_at(s)
+    assert 2 <= k < cap + 1 and below(k)
+    assert k == 2 or not below(k - 1)
+
+
+@pytest.mark.parametrize("raise_by,terms", [(1, 16), (2, 8)])
+def test_taylor_order_raise_still_ends_by_degree(raise_by, terms):
+    # z^r h multiplies its way out of the cap: no rounding stop, and the
+    # remainder folds into the tail as before
+    m = TruncatedSeries.monomial(raise_by, 1e-4, cap=16)
+    app = exp(multiplication_operator(m), 1.0, 0.5, poly([1.0, 0.5], cap=16))
+    assert app.terms == terms and app.folded and app.remainder == 0.0

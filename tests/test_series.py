@@ -737,6 +737,33 @@ def test_nan_tail_is_rejected_and_inf_stays_legal():
             TS(1, 2, 1.0, coeffs=[1.0, 0, 0]))
 
 
+@pytest.mark.parametrize("value", [math.nan, complex(0.0, math.nan),
+                                   complex(math.nan, 1.0)])
+def test_nan_coefficients_are_refused_where_series_enter(value):
+    with pytest.raises(SeriesError, match="NaN"):
+        TS(1, 2, 1.0, coeffs=[value, 0, 0])
+    with pytest.raises(SeriesError, match="NaN"):
+        TS(1, 2, 1.0, "fourier", coeffs=[0, 0, 0, value, 0])
+    with pytest.raises(SeriesError, match="NaN"):
+        TS(2, 2, 1.0, coeffs=[[0, 0, 0], [0, 0, 0], [0, 0, value]])
+    s = TS(1, 2, 1.0, coeffs=[1.0, 2.0, 0])
+    with pytest.raises(SeriesError, match="NaN"):
+        s.set_coefficient(1, value)
+    assert s.coefficient(1) == 2.0
+    d = TS(1, 2, 1.0).to_json_dict()
+    c = complex(value)
+    d["coeffs"] = [[1, c.real, c.imag]]
+    with pytest.raises(SeriesError, match="NaN"):
+        TS.from_json_dict(d)
+
+
+def test_inf_coefficients_stay_legal():
+    s = TS(1, 2, 1.0, coeffs=[math.inf, 0, 0])
+    s.set_coefficient(2, complex(0.0, -math.inf))
+    assert s.majorant_norm(1.0).value == math.inf
+    assert TS.from_json(s.to_json()).coefficient(2) == complex(0, -math.inf)
+
+
 # ---- the weighted-sum kernel against its first formulation ----
 # Weights were recomputed per call and summed by np.sum; the cached
 # weights, the skipped zero-tail cross terms and the in-place shift must
@@ -975,7 +1002,8 @@ _ZEROISH = [0.0, -0.0, complex(0.0, -0.0), complex(-0.0, 0.0),
 def test_is_zero_agrees_with_np_any(entries, basis_cap, tailed):
     basis, cap = basis_cap
     coeffs = np.array(entries, dtype=complex)
-    s = TS(1, cap, 1.0, basis, coeffs, 1.0 if tailed else 0.0)
+    s = TS(1, cap, 1.0, basis, tail=1.0 if tailed else 0.0)
+    s.coeffs[...] = coeffs
     assert s.is_zero == (not tailed and not np.any(coeffs))
 
 
