@@ -213,7 +213,7 @@ def _cmd_newton(args) -> int:
         raise SequenceDomainError("--x0 must exceed 1 for the ball bounds")
     m = 1.0 / (2.0 * (args.x0 - 1.0))
     trace = newton(lambda x: x * x, lambda x: 1.0 / (2.0 * x),
-                   args.x0, target, m=m, M=2.0, steps=args.steps)
+                   args.x0, target, m=m, M=2.0, steps=_span(args.steps))
     _emit_trace(trace, args)
     final = trace.metadata["final"]
     true_root = target ** 0.5
@@ -239,7 +239,7 @@ def _cmd_nashmoser(args) -> int:
     y = TruncatedSeries.monomial(1, args.coeff, cap=args.cap, ref_radius=1.0)
     x0 = TruncatedSeries.zero(1, args.cap, 1.0)
     trace = nash_moser(f, j, (0, 0, 0, 0), schedule, x0, y,
-                       steps=args.steps, j_const=2.0, d2f_const=1.0)
+                       steps=_span(args.steps), j_const=2.0, d2f_const=1.0)
     _emit_trace(trace, args)
     first = trace.steps[0].increment_norm if trace.steps else None
     print(f"steps used {trace.metadata['steps_used']}")
@@ -252,14 +252,15 @@ def _cmd_nashmoser(args) -> int:
 
 
 def _cmd_lie(args) -> int:
+    steps = _span(args.steps)
     if args.demo == "morse":
-        report = demos.morse(eps=args.eps, t=args.t, steps=args.steps,
+        report = demos.morse(eps=args.eps, t=args.t, steps=steps,
                              cap=args.cap)
     elif args.demo == "mather":
-        report = demos.mather(t=args.t, steps=args.steps, cap=args.cap)
+        report = demos.mather(t=args.t, steps=steps, cap=args.cap)
     else:
         report = demos.circle(omega=args.omega, eps=args.eps,
-                              steps=args.steps, strip=args.strip,
+                              steps=steps, strip=args.strip,
                               strip_end=args.strip_end, cap=args.cap)
     _emit_trace(report.trace, args)
     print(f"demo {report.name} status {report.trace.status}")

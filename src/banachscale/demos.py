@@ -28,7 +28,7 @@ from .lie import (ActionProblem, LieCertificate, LieError, LieSchedule,
 from .local_ops import (LocalOperator, WeightFunction, certify_vector_field,
                         multiplication_operator)
 from .sequences import PositiveSequence
-from .series import SeriesError, TruncatedSeries
+from .series import SeriesError, TruncatedSeries, align
 from .trace import IterationTrace
 
 GOLDEN_MEAN = (1.0 + math.sqrt(5.0)) / 2.0
@@ -145,8 +145,7 @@ def _normalization_defect(f: TruncatedSeries, r0: TruncatedSeries, t: float,
     tau = f if f.ref_radius == t else f.restrict(t)
     seed = r0 if r0.ref_radius == t else r0.restrict(t)
     gx, g_rem = conjugacy.apply(tau + seed)
-    base = tau if tau.ref_radius == gx.ref_radius \
-        else tau.restrict(gx.ref_radius)
+    gx, base = align(gx, tau)
     return (gx - base).majorant_norm(s_inf).value + g_rem
 
 

@@ -204,22 +204,26 @@ def newton(f: Callable, df_inverse: Callable, x0, y, m: float, M: float,
             d_first = d
         # below the float noise floor the quadratic ratio is meaningless
         # (d_prev^2 underflows relative to rounding), so the run stops
-        # and the terminal row carries no ratio
-        stopping = d <= 1e-14 * max(1.0, _norm(x_next))
+        # and the terminal row carries no ratio; an increment that
+        # overflowed stops it as diverged
+        diverged = not math.isfinite(d)
+        stopping = diverged or d <= 1e-14 * max(1.0, _norm(x_next))
         ratio = None
-        ok = True
+        ok = not diverged
         if not stopping and d_prev is not None and d_prev > 0.0:
-            ratio = d / d_prev ** 2
+            ratio = d / (d_prev * d_prev)
             ok = ratio <= C + 1e-9
+        bound = None if d_prev is None else C * d_prev * d_prev
         trace.add(StepRecord(n=n, value_norm=_norm(x_next), increment_norm=d,
-                             bound=None if d_prev is None else C * d_prev ** 2,
-                             sigma=C, checks_passed=ok,
+                             bound=bound, sigma=C, checks_passed=ok,
                              extra={"ratio": ratio}))
-        if not ok:
+        if diverged:
+            trace.fail(f"increment is not finite at n={n}")
+        elif not ok:
             trace.fail(f"quadratic ratio exceeds C at n={n}")
         x = x_next
         if stopping:
-            trace.status = "converged"
+            trace.status = "diverged" if diverged else "converged"
             break
         d_prev = d
     trace.metadata["d_first"] = d_first

@@ -471,8 +471,11 @@ def rho_schedule(problem: ActionProblem, b: PositiveSequence, t: float, *,
         gates.append(0.25 * math.exp(-logs["ap"][0]))
     threshold = min(gates)
     m = k + l
+    # epsilon = threshold / t^m is +inf where t^m underflows
+    tm = t ** m
     report = LieScheduleReport(window, K, halvings, alpha, conditions, None,
-                               threshold / t ** m, m, threshold, tau0, k, l)
+                               threshold / tm if tm else math.inf, m,
+                               threshold, tau0, k, l)
     return LieSchedule(rho, sigma, radii, b, report)
 
 

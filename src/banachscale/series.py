@@ -31,6 +31,12 @@ Tail bookkeeping rules worth knowing (each documented at the operation):
   cost follows the live entries rather than the (cap+1)^dim cube, and
   the overflow is summed from the whole product, not from a graded
   bound.  The cross terms are formed only when a factor has a tail;
+* reciprocal: with c = f(0), u = 1 - f/c and theta = |u|_ref < 1, the
+  kept coefficients are those of P = 1/(1 - u_poly) through the cap,
+  and T_1/f = T_uP / ((1 - theta) |c|), where T_uP is the tail of
+  u.multiply(P): the error (u_poly P)_{>cap} + (u - u_poly) P of
+  (1 - u) P = 1 has degree > cap, and dividing it by 1 - u costs at
+  most 1/(1 - theta);
 * derivative with tail > 0 must shrink to an explicit smaller radius s:
   the monomialwise Cauchy bound n s^(n-1) (r - s) <= r^n gives
   T' = T / (r - s), and the cap drops by one because the new top
@@ -188,6 +194,30 @@ def _pair_table(dim: int, cap: int) -> tuple[np.ndarray, np.ndarray]:
     src.flags.writeable = False
     pair.flags.writeable = False
     return src, pair
+
+
+@lru_cache(maxsize=16)
+def _degree_pairs(dim: int, cap: int) -> tuple:
+    """The pairs of `_pair_table` that build degree d of a reciprocal.
+
+    For each degree d = 1..cap, the flat (cap+1)^dim cube positions of
+    I, of J and of I + J over the live pairs with |I| >= 1 and
+    |I| + |J| = d (a flat position is linear in the index, and I + J
+    stays inside the cube).  Shared and read-only.
+    """
+    src = _pair_table(dim, cap)[0]
+    deg = _degrees("taylor", dim, cap).ravel()[src]
+    total = np.add.outer(deg, deg)
+    total[deg == 0] = cap + 1               # I = 0 feeds no degree
+    at = np.flatnonzero(total <= cap)
+    at = at[np.argsort(total.ravel()[at], kind="stable")]
+    cut = np.searchsorted(total.ravel()[at], np.arange(1, cap + 2))
+    i, j = src[at // src.size], src[at % src.size]
+    blocks = tuple((i[lo:hi], j[lo:hi], i[lo:hi] + j[lo:hi])
+                   for lo, hi in zip(cut, cut[1:]))
+    for a in (a for b in blocks for a in b):
+        a.flags.writeable = False
+    return blocks
 
 
 def _full_product(dim: int, cap: int, a: np.ndarray,
@@ -374,11 +404,25 @@ class TruncatedSeries:
         return self._owning(self.dim, cap, r, basis, kept, tail)
 
     def reciprocal(self) -> "TruncatedSeries":
-        """1/f via the Neumann sum (1/c) sum_k (1 - f/c)^k, c = f(0).
+        """1/f = (1/c) / (1 - u) with c = f(0) and u = 1 - f/c.
 
-        Requires the majorant norm of 1 - f/c at ref_radius to be < 1; the
-        analytic remainder beyond the computed sum is the geometric bound
-        theta^(cap+1) / (1 - theta), added to the tail.
+        Requires theta = |u|_r < 1 at r = ref_radius (u's tail T_u
+        included).  The kept coefficients are those of P = 1/(1 - u_poly)
+        through the cap, by the degree recursion
+
+            g_0 = 1,   g_K = sum_{0 < I <= K} u_I g_{K-I}   (|K| <= cap),
+
+        one pass over the live pairs with |I| + |J| <= cap.  Then
+        (1 - u_poly) P = 1 - (u_poly P)_{>cap}, so with h = u - u_poly
+
+            1/(1 - u) - P = [(u_poly P)_{>cap} + h P] / (1 - u).
+
+        The bracket has only terms of degree > cap, and its majorant at r
+        is at most the overflow of u_poly P plus |P|_r T_u: exactly the
+        tail of u.multiply(P).  Dividing by 1 - u costs at most the
+        factor 1/(1 - theta) and raises no degree, so the tail of 1/f is
+        u.multiply(P).tail / ((1 - theta) |c|), and it decays like
+        (t/r)^(cap+1) below r.
         """
         if self.basis != "taylor":
             raise SeriesError("reciprocal implemented for taylor basis")
@@ -389,7 +433,7 @@ class TruncatedSeries:
         u = self.scale(-1.0 / c)
         u.coeffs[origin] += 1.0               # u = 1 - f/c
         # Rounding can leave a ~1e-16 constant term in u; fold it into c so
-        # u has exact order >= 1 and the geometric remainder keeps high order.
+        # u has exact order >= 1, as the degree recursion below needs.
         eta = complex(u.coeffs[origin])
         if eta != 0:
             u.coeffs[origin] = 0.0
@@ -398,15 +442,21 @@ class TruncatedSeries:
         theta = u.majorant_norm(self.ref_radius).value
         if theta >= 1.0:
             raise SeriesError(f"not invertible at this radius (theta={theta})")
-        one = TruncatedSeries(self.dim, self.cap, self.ref_radius)
-        one.coeffs[origin] = 1.0
-        acc = one.copy()
-        for _ in range(self.cap):
-            acc = one + u.multiply(acc)       # Horner: 1 + u(1 + u(...))
-        remainder = theta ** (self.cap + 1) / (1.0 - theta)
-        out = acc.scale(1.0 / c)
-        out.tail += remainder / abs(c)
-        return out
+        dim, cap, r = self.dim, self.cap, self.ref_radius
+        uv = u.coeffs.ravel()
+        g = np.zeros(uv.size, dtype=complex)
+        g[0] = 1.0
+        if dim == 1:        # a dot per degree: faster, and no pair table
+            for d in range(1, cap + 1):
+                g[d] = np.dot(uv[1:d + 1], g[d - 1::-1])
+        else:
+            for i, j, k in _degree_pairs(dim, cap):
+                np.add.at(g, k, uv[i] * g[j])
+        g = g.reshape(u.coeffs.shape)
+        p = self._owning(dim, cap, r, "taylor", g, 0.0)
+        tail = u.multiply(p).tail / (1.0 - theta)
+        return self._owning(dim, cap, r, "taylor", g * (1.0 / c),
+                            tail / abs(c))
 
     # -- norms --
 

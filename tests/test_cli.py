@@ -172,6 +172,24 @@ def test_newton_rejects_bad_ball(capsys):
     assert "x0" in json.loads(err)["error"]
 
 
+def test_newton_overflowing_target_is_uncertified(capsys):
+    # x_1 ~ 3e307, so x_1^2 overflows: a diverged trace, not an error
+    code, out, err = run(capsys, "newton", "--target", "1e308")
+    assert code == 2
+    assert err == ""
+    assert "certified False status diverged" in out
+
+
+@pytest.mark.parametrize("base", [("newton",), ("nashmoser",),
+                                  ("lie", "--demo", "morse")],
+                         ids=lambda base: base[0])
+def test_negative_steps_is_input_error(capsys, base):
+    code, out, err = run(capsys, *base, "--steps", "-1")
+    assert (code, out) == (1, "")
+    assert json.loads(err) == {"command": base[0],
+                               "error": "a span of -1 terms is negative"}
+
+
 def test_nashmoser_certified(capsys):
     code, out, _ = run(capsys, "nashmoser")
     assert code == 0
@@ -185,6 +203,14 @@ def test_nashmoser_certified(capsys):
 @pytest.mark.parametrize("demo", ["morse", "mather", "circle"])
 def test_lie_demos_certify(capsys, demo):
     code, out, _ = run(capsys, "lie", "--demo", demo)
+    assert code == 0
+    assert "status converged" in out
+
+
+@pytest.mark.parametrize("demo", ["morse", "mather", "circle"])
+def test_lie_demos_certify_at_cap_16(capsys, demo):
+    # a tailed conjugacy image drops a cap below the base point's
+    code, out, _ = run(capsys, "lie", "--demo", demo, "--cap", "16")
     assert code == 0
     assert "status converged" in out
 
@@ -299,6 +325,8 @@ _FUZZ_FLAGS = {
             "--window", "--depth"],
     "newton": ["--target", "--x0", "--steps"],
     "nashmoser": ["--coeff", "--steps", "--cap"],
+    "lie": ["--demo", "morse", "mather", "circle", "--eps", "--t", "--steps",
+            "--omega", "--strip", "--strip-end", "--cap"],
 }
 # counts stay small: a huge --depth or --cap is slow, not a crash
 _FUZZ_VALUES = ["0", "1", "2", "3", "7", "40", "-1", "-3", "0.5", "1.5",
@@ -323,6 +351,7 @@ _FUZZ_BASES = {
             "--b", "exp_power:-1.5", "--k", "4", "--l", "1"],
     "newton": ["--target", "2"],
     "nashmoser": ["--coeff", "0.01", "--steps", "3", "--cap", "16"],
+    "lie": ["--demo", "morse", "--steps", "2", "--cap", "16"],
 }
 
 
@@ -345,6 +374,7 @@ def _argv(draw):
 @example(["tame", *_FUZZ_BASES["tame"], "--window", "-1"])
 @example(["model", *_FUZZ_BASES["model"], "--steps", "-1"])
 @example(["newton", "--target", "1e308"])
+@example(["lie", *_FUZZ_BASES["lie"], "--t", "5e-324"])
 def test_cli_exit_code_contract_holds_on_fuzzed_argv(argv):
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):

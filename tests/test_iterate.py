@@ -125,6 +125,20 @@ def test_newton_singular_inverse_raises_with_step():
                m=1.0, M=2.0, steps=3)
 
 
+def test_newton_overflow_gives_a_diverged_trace():
+    # from 1.5 toward sqrt(1e308) the first iterate is ~3e307; squaring
+    # it overflows, and the run ends uncertified instead of raising
+    trace = newton(lambda x: x * x, lambda x: 1.0 / (2.0 * x), 1.5, 1e308,
+                   m=1.0, M=2.0, steps=40)
+    assert not trace.certified
+    assert trace.status == "diverged"
+    assert len(trace.steps) == 2
+    assert trace.steps[0].increment_norm == pytest.approx(1e308 / 3.0)
+    assert math.isinf(trace.steps[1].increment_norm)
+    assert not trace.steps[1].checks_passed
+    assert "increment is not finite at n=1" in trace.failures
+
+
 def test_newton_quadratic_map_ratios():
     m = 1.0 / (1.0 - 2.0 * 0.25)
     trace = newton(lambda x: x + x * x, lambda x: 1.0 / (1.0 + 2.0 * x),

@@ -1,5 +1,6 @@
 """Truncated-series arithmetic: norms, calculus, tail soundness."""
 
+import itertools
 import math
 import os
 import subprocess
@@ -440,9 +441,105 @@ def test_reciprocal_geometric_series():
         assert g.coefficient(k) == pytest.approx(0.5 ** k, rel=1e-12)
     # analytic remainder is included
     assert g.tail >= 0.5 ** 17 / (1 - 0.5)
+    # ... and is exact here: the overflow of u P is 0.5^17 z^17
+    assert g.tail == 0.5 ** 17 / (1 - 0.5)
     prod = f.multiply(g)
     prod.coeffs[0] -= 1.0
     assert prod.majorant_norm(1.0).value < 1e-4
+
+
+def _indices(dim, degree):
+    """Every multi-index of total degree <= degree, by degree."""
+    return sorted((I for I in itertools.product(range(degree + 1), repeat=dim)
+                   if sum(I) <= degree), key=sum)
+
+
+def _unit_input(rng, dim, cap, top, r, theta):
+    """Coefficients of c (1 - u) at cap `top`: u has a sparse random
+    support (up to ten indices of degree 1..cap and four above it)
+    scaled to |u|_r = theta, and c is a random complex constant."""
+    low = [I for I in _indices(dim, cap) if any(I)]
+    high = [I for I in _indices(dim, top) if sum(I) > cap]
+    support = [low[i] for i in rng.choice(len(low), min(len(low), 10),
+                                          replace=False)]
+    support += [high[i] for i in rng.choice(len(high), min(len(high), 4),
+                                            replace=False)]
+    u = {I: complex(*rng.normal(size=2)) for I in support}
+    scale = theta / sum(abs(v) * r ** sum(I) for I, v in u.items())
+    c = complex(rng.uniform(0.5, 2.0), rng.uniform(-1.0, 1.0))
+    coeffs = np.zeros((top + 1,) * dim, dtype=complex)
+    coeffs[(0,) * dim] = c
+    for I, v in u.items():
+        coeffs[I] = -c * v * scale
+    return coeffs
+
+
+def _mp_reciprocal(mpmath, coeffs, dim, degree):
+    """Coefficients of 1/F through total degree `degree`, at 50 digits,
+    for the polynomial F with exactly these (float) coefficients."""
+    nonzero = {tuple(int(i) for i in I): mpmath.mpc(complex(coeffs[I]))
+               for I in zip(*np.nonzero(coeffs))}
+    inv0 = 1 / nonzero.pop((0,) * dim)
+    g = {}
+    for K in _indices(dim, degree):
+        acc = mpmath.mpc(0 if any(K) else 1)
+        for I, v in nonzero.items():
+            J = tuple(k - i for k, i in zip(K, I))
+            if min(J) >= 0:
+                acc -= v * g[J]
+        g[K] = acc * inv0
+    return g
+
+
+# (dim, cap, degrees of F above the cap, ref radius, |u|_r, oracle degree)
+_RECIPROCAL_CASES = [
+    (1, 16, 0, 1.0, 0.5, 120), (1, 16, 3, 1.0, 0.7, 160),
+    (1, 64, 0, 0.8, 0.6, 300), (1, 64, 3, 1.0, 0.4, 300),
+    (2, 8, 0, 1.0, 0.5, 48), (2, 8, 3, 0.9, 0.6, 56),
+    (3, 5, 0, 1.0, 0.5, 24), (3, 5, 3, 1.0, 0.4, 24),
+]
+
+
+@pytest.mark.parametrize("dim,cap,extra,r,theta,degree", _RECIPROCAL_CASES)
+def test_reciprocal_matches_a_50_digit_oracle(dim, cap, extra, r, theta,
+                                              degree):
+    # F is a concrete polynomial; with extra > 0 the input is F folded to
+    # the cap by with_cap, so it carries a tail that F realizes
+    mpmath = pytest.importorskip("mpmath")
+    rng = np.random.default_rng(100 * dim + cap + extra)
+    F = _unit_input(rng, dim, cap, cap + extra, r, theta)
+    f = TS(dim, cap + extra, r, "taylor", F).with_cap(cap)
+    assert (f.tail > 0) == (extra > 0)
+    g = f.reciprocal()
+    assert (g.dim, g.cap, g.ref_radius) == (dim, cap, r)
+    with mpmath.workdps(50):
+        # kept coefficients: f (1/f) = 1 through the cap, to rounding
+        n = (cap + 1) ** dim + 8
+        gamma = n * 2.0 ** -53 / (1 - n * 2.0 ** -53)
+        support = [(I, complex(f.coeffs[I])) for I in _indices(dim, cap)
+                   if f.coeffs[I] != 0]
+        for K in _indices(dim, cap):
+            exact, bound = mpmath.mpc(0 if any(K) else -1), 0.0
+            for I, a in support:
+                J = tuple(k - i for k, i in zip(K, I))
+                if min(J) >= 0:
+                    exact += mpmath.mpc(a) * mpmath.mpc(complex(g.coeffs[J]))
+                    bound += abs(a) * abs(g.coeffs[J])
+            assert abs(exact) <= gamma * bound, K
+        # tail: at least the majorant of the exact high part of 1/F at
+        # every t <= r, up to the rounding of the tail's own arithmetic
+        exact = _mp_reciprocal(mpmath, F, dim, degree)
+        layers = [mpmath.mpf(0)] * (degree + 1)
+        for K, v in exact.items():
+            layers[sum(K)] += abs(v) * mpmath.mpf(r) ** sum(K)
+        high = sum(layers[cap + 1:])
+        assert layers[degree] < 1e-2 * high     # the oracle runs far enough
+        for t in (r, 0.75 * r, 0.5 * r):
+            scale = mpmath.mpf(t / r)
+            high_t = sum(layer * scale ** d
+                         for d, layer in enumerate(layers) if d > cap)
+            claim = g.tail * (t / r) ** (cap + 1)
+            assert claim >= float(high_t) * (1 - 1e-12), t
 
 
 def test_reciprocal_rejects_noninvertible():
