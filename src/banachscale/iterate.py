@@ -117,6 +117,8 @@ class RadiusSchedule:
             p = self.params
             return p["s_inf"] + (p["s0"] - p["s_inf"]) * p["q"] ** n
         p = self.params
+        if n == 0:
+            return p["s0"]      # exp(log s0) can round above s0
         log_s = math.log(p["s0"])
         for m in range(n):
             log_s += p["rho"].log(m) * math.pow(2.0, -m)

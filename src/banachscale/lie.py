@@ -167,6 +167,12 @@ class LieState:
     """State after n steps: radius, split x_n = tau_n + r_n, and the
     last increment delta_n and field u_{n-1} that produced it.
 
+    image is the conjugacy so far applied to the start,
+    e^(-u_{n-1}) ... e^(-u_0) x_0, computed by its own chain of Borel
+    series, and image_rem the unfolded remainder bound of that chain.
+    None stands for x_n itself, as at step 0: a lone step then replays
+    e^(-u_n) on tau_n + r_n.
+
     slack is the truncation ledger: the summed norm of everything the
     Borel applications could not represent below the cap.  It is kept
     outside the series (flat, never rescaled, so always an upper bound)
@@ -183,6 +189,8 @@ class LieState:
     delta: TruncatedSeries | None = None
     u: LocalOperator | None = None
     slack: float = 0.0
+    image: TruncatedSeries | None = None
+    image_rem: float = 0.0
 
     @property
     def x(self) -> TruncatedSeries:
@@ -221,6 +229,13 @@ def lie_step(state: LieState, problem: ActionProblem,
     remainders are folded into the tail of r_{n+1} so its recorded norm
     stays an upper bound.  Any domain violation raises LieError naming
     the failing sub-expression.
+
+    The last Borel series carries the conjugacy: it applies e^(-u_n)
+    to the state's image g_{n-1} ... g_0 (x_0) (to x_n when there is
+    none), and the next state keeps the result with the remainder
+    recursion of `ExponentialProduct.apply`.  consistency_defect is the
+    largest coefficient gap between tau_{n+1} + r_{n+1} and that image,
+    the versality identity checked at every step.
     """
     n, s = state.n, state.s
     s1 = radii.radius(n + 1)
@@ -274,10 +289,12 @@ def lie_step(state: LieState, problem: ActionProblem,
     delta = delta_raw.restrict(s1)
     tau_next = guard("tau_{n+1}", _add, tau.restrict(s1), delta)
 
-    # x_{n+1} = e^(-u_n) x_n must hold coefficientwise; measure it
-    direct = guard("exp(-u_n) x_n", borel_apply, EXP_NEG, u_op, s, s1,
-                   _add(tau, r))
-    defect = _max_coeff_diff(_add(tau_next, r_next), direct.series)
+    # x_{n+1} = e^(-u_n) ... e^(-u_0) x_0 must hold coefficientwise
+    image = state.x if state.image is None else state.image
+    direct = guard("exp(-u_n) g_{n-1} ... g_0 x_0", borel_apply, EXP_NEG,
+                   u_op, s, s1, image)
+    image_rem = state.image_rem / (1.0 - direct.x) + (
+        0.0 if direct.folded else direct.remainder)
 
     if not (r_next.is_zero or problem.m_member(n + 1, r_next)):
         raise LieError(f"step {n}: r_{{n+1}} left M")
@@ -285,9 +302,10 @@ def lie_step(state: LieState, problem: ActionProblem,
             delta.is_zero or problem.t_member(n + 1, delta)):
         raise LieError(f"step {n}: delta_{{n+1}} left T")
 
-    nxt = LieState(n + 1, s1, tau_next, r_next, delta, u_op, slack)
+    nxt = LieState(n + 1, s1, tau_next, r_next, delta, u_op, slack,
+                   direct.series, image_rem)
     diag = {
-        "consistency_defect": defect,
+        "consistency_defect": _max_coeff_diff(nxt.x, direct.series),
         "s_quarter": p1,
         "s_half": p2,
         "phi_terms": phi_app.terms,
@@ -492,6 +510,9 @@ def run_lie(problem: ActionProblem, schedule: LieSchedule | RadiusSchedule,
     versality identity g(tau_0 + r_0) = tau_0 + sum delta_i + r_N
     coefficientwise at the final radius; the reported defect is |r_N|
     plus the truncation ledger accumulated by the Borel applications.
+    Row n + 1 carries the same identity for g_n ... g_0 as its
+    consistency_defect.  g(x_0) is the image the steps carried, kept in
+    the product, so applying g to x_0 again costs no Borel series.
     """
     if isinstance(schedule, LieSchedule):
         radii = schedule.radii
@@ -529,6 +550,7 @@ def run_lie(problem: ActionProblem, schedule: LieSchedule | RadiusSchedule,
         "r0_norm": r.norm_at(t) + slack0,
     })
     state = LieState(0, t, tau, r, slack=slack0)
+    x0 = state.x
     trace.add(StepRecord(0, radius=t, value_norm=state.r_norm,
                          increment_norm=0.0, aux_norm=0.0,
                          bound=value_at(b, 0), sigma=value_at(sigma, 0),
@@ -551,11 +573,14 @@ def run_lie(problem: ActionProblem, schedule: LieSchedule | RadiusSchedule,
     rs = [radii.radius(i) for i in range(steps + 1)]
     try:
         conjugacy = product_of_exponentials([_negated(u) for u in fields], rs)
-        x0 = _add(tau, r)
-        gx, g_rem = conjugacy.apply(x0)
+        if steps:
+            gx, g_rem = state.image, state.image_rem
+            conjugacy._keep(x0, gx, g_rem)
+        else:
+            gx, g_rem = conjugacy.apply(x0)
     except (OperatorError, SeriesError) as exc:
         raise LieError(f"conjugacy assembly: {exc}") from None
-    versality = _max_coeff_diff(gx, _add(state.tau, state.r))
+    versality = _max_coeff_diff(gx, state.x)
 
     x0_norm = x0.norm_at(t)
     trace.metadata.update({

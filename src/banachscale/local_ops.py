@@ -455,11 +455,10 @@ class ExponentialProduct:
         applying the chain again to a series with the same basis, dim,
         cap, ref_radius, tail and coefficient bytes returns a fresh copy
         of that result, not a second run of the Borel chain.  Any other
-        input is computed afresh and replaces the kept one.
+        input is computed afresh and replaces the kept one.  `run_lie`
+        carries this chain through its steps and keeps its result here.
         """
-        key = (tuple(self.operators), tuple(self.radii), g.basis, g.dim,
-               g.cap, g.ref_radius, float(g.tail).hex(), g.coeffs.tobytes())
-        if self._memo is not None and self._memo[0] == key:
+        if self._memo is not None and self._memo[0] == self._key(g):
             return self._memo[1].copy(), self._memo[2]
         w = g
         rem = 0.0
@@ -468,8 +467,17 @@ class ExponentialProduct:
             app = exp(u, t, s, w)
             rem = rem / (1.0 - app.x) + (0.0 if app.folded else app.remainder)
             w = app.series
-        self._memo = (key, w.copy(), rem)
+        self._keep(g, w, rem)
         return w, rem
+
+    def _key(self, g: TruncatedSeries) -> tuple:
+        return (tuple(self.operators), tuple(self.radii), g.basis, g.dim,
+                g.cap, g.ref_radius, float(g.tail).hex(), g.coeffs.tobytes())
+
+    def _keep(self, g: TruncatedSeries, result: TruncatedSeries,
+              rem: float) -> None:
+        """Keep (result, rem) as this chain's value at g."""
+        self._memo = (self._key(g), result.copy(), rem)
 
 
 def product_of_exponentials(us: Sequence[LocalOperator],

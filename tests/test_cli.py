@@ -215,6 +215,14 @@ def test_lie_demos_certify_at_cap_16(capsys, demo):
     assert "status converged" in out
 
 
+def test_lie_morse_certifies_where_exp_log_t_rounds_up(capsys):
+    # the schedule's first radius is t itself, not exp(log t) > t
+    code, out, _ = run(capsys, "lie", "--demo", "morse", "--t", "0.1")
+    assert code == 0
+    assert "status converged" in out
+    assert "verdict certified" in out
+
+
 def test_lie_circle_rational_frequency_is_input_error(capsys):
     code, _, err = run(capsys, "lie", "--demo", "circle",
                        "--omega", "0.75")

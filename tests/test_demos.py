@@ -196,11 +196,13 @@ def test_circle_problem_declares_divisor_envelope():
 # ---- one Borel chain per run ----
 
 def _capturing_run_lie(monkeypatch):
-    """Wrap demos.run_lie and count the exp calls of every conjugacy."""
+    """Wrap demos.run_lie and count the exp and borel_apply calls."""
     import banachscale.demos as demos
+    import banachscale.lie as lie
     import banachscale.local_ops as local_ops
-    seen = {"conjugacy": [], "exp": 0}
+    seen = {"conjugacy": [], "exp": 0, "borel": 0}
     real_run_lie, real_exp = demos.run_lie, local_ops.exp
+    real_borel = local_ops.borel_apply
 
     def run_lie(*args, **kwargs):
         trace, conjugacy = real_run_lie(*args, **kwargs)
@@ -210,17 +212,73 @@ def _capturing_run_lie(monkeypatch):
     def counted_exp(*args):
         seen["exp"] += 1
         return real_exp(*args)
+
+    def counted_borel(*args, **kwargs):
+        seen["borel"] += 1
+        return real_borel(*args, **kwargs)
     monkeypatch.setattr(demos, "run_lie", run_lie)
     monkeypatch.setattr(local_ops, "exp", counted_exp)
+    monkeypatch.setattr(local_ops, "borel_apply", counted_borel)
+    monkeypatch.setattr(lie, "borel_apply", counted_borel)
     return seen
 
 
-@pytest.mark.parametrize("demo", [morse, circle])
-def test_demo_applies_its_conjugacy_once(monkeypatch, demo):
+@pytest.mark.parametrize("demo, per_step", [(morse, 3), (mather, 3),
+                                            (circle, 4)],
+                         ids=["morse", "mather", "circle"])
+def test_demo_runs_no_separate_conjugacy_chain(monkeypatch, demo, per_step):
+    # phi, exp(-u) kappa and the carried image per step, plus psi where a
+    # projector exists; g(x_0) comes from the steps, never from exp
     seen = _capturing_run_lie(monkeypatch)
-    demo()
+    rep = demo()
     (conjugacy,) = seen["conjugacy"]
-    assert seen["exp"] == len(conjugacy.operators) > 0
+    steps = len(rep.trace.steps) - 1
+    assert steps == len(conjugacy.operators) > 0
+    assert seen["exp"] == 0
+    assert seen["borel"] == per_step * steps
+
+
+def _recording_keeps(monkeypatch):
+    """Record every (input, result, remainder) a product keeps."""
+    from banachscale.local_ops import ExponentialProduct
+    kept = []
+    real_keep = ExponentialProduct._keep
+
+    def keep(self, g, result, rem):
+        kept.append((self, g, result.copy(), rem))
+        return real_keep(self, g, result, rem)
+    monkeypatch.setattr(ExponentialProduct, "_keep", keep)
+    return kept
+
+
+def _tailed_morse_seed():
+    r0 = monomial(3, 1e-3)
+    r0.set_coefficient(4, -5e-4)
+    r0.tail = 1e-9
+    return r0
+
+
+@pytest.mark.parametrize("run", [
+    lambda: morse(cap=64), lambda: morse(cap=128),
+    lambda: mather(cap=64), lambda: mather(cap=128),
+    lambda: circle(cap=64), lambda: circle(cap=128),
+    lambda: morse(r0=_tailed_morse_seed()),
+], ids=["morse64", "morse128", "mather64", "mather128", "circle64",
+        "circle128", "morse-tailed"])
+def test_carried_image_is_the_conjugacy_chain(monkeypatch, run):
+    from banachscale.local_ops import product_of_exponentials
+    kept = _recording_keeps(monkeypatch)
+    rep = run()
+    conjugacy, x0, gx, g_rem = kept[0]
+    assert conjugacy.operators
+    fresh = product_of_exponentials(conjugacy.operators, conjugacy.radii)
+    want, want_rem = fresh.apply(x0)
+    assert gx.to_json() == want.to_json()
+    assert g_rem.hex() == want_rem.hex()
+    meta = rep.trace.metadata
+    last = rep.trace.steps[-1].extra["consistency_defect"]
+    assert last.hex() == meta["conjugacy_coeff_defect"].hex()
+    assert meta["consistency_worst"] >= last
 
 
 def test_morse_tailed_seed_normalization_defect_is_recomputed(monkeypatch):

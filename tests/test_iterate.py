@@ -73,6 +73,14 @@ def test_rho_driven_schedule_matches_product():
     assert all(a > b for a, b in zip(radii, radii[1:]))
 
 
+def test_rho_driven_schedule_starts_exactly_at_s0():
+    # exp(log s0) rounds above s0 for some t, e.g. 0.1, 0.104 and 0.11
+    rho = PositiveSequence.constant(0.25)
+    for i in range(100, 1001):
+        t = i / 1000
+        assert RadiusSchedule.rho_driven(rho, t).radius(0) == t
+
+
 def test_rho_driven_rejects_non_summable_and_rho_above_one():
     bad = PositiveSequence.exp_power(-1, 2.5)
     with pytest.raises(IterationError, match="non-summable"):
