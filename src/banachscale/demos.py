@@ -130,21 +130,21 @@ def morse(eps: float = 1e-3, t: float = 1.0, steps: int = 5, *,
         "orders": _observed_orders(r0, trace),
         "conjugacy_defect": trace.metadata["conjugacy_coeff_defect"],
         "normalization_defect": _normalization_defect(
-            problem.f, r0, t, conjugacy, trace.metadata["limit_radius"]),
+            conjugacy, problem.f, t, trace.metadata["limit_radius"]),
         "verdict": cert.verdict,
     }
     return DemoReport("morse", trace, trace.metadata["versality_defect"],
                       details, cert)
 
 
-def _normalization_defect(f: TruncatedSeries, r0: TruncatedSeries, t: float,
-                          conjugacy, s_inf: float) -> float:
+def _normalization_defect(conjugacy, f: TruncatedSeries, t: float,
+                          s_inf: float) -> float:
     """Norm of g(f + r0) - f at the limit radius, conjugacy remainder
     included; this is the distance of the conjugated seed to the base
-    point, as opposed to the coefficientwise replay defect."""
+    point, as opposed to the coefficientwise replay defect.  g(f + r0)
+    is the image `run_lie` carried."""
     tau = f if f.ref_radius == t else f.restrict(t)
-    seed = r0 if r0.ref_radius == t else r0.restrict(t)
-    gx, g_rem = conjugacy.apply(tau + seed)
+    gx, g_rem = conjugacy.image
     gx, base = align(gx, tau)
     return (gx - base).majorant_norm(s_inf).value + g_rem
 
@@ -271,7 +271,7 @@ def _mean_projector(cap: int) -> LocalOperator:
         out.set_coefficient(0, g.coefficient(0))
         out.tail = g.tail
         return out
-    return LocalOperator(action, WeightFunction(k=0), 0, 1.0,
+    return LocalOperator(action, WeightFunction(k=0), 1.0,
                          kind="projector", name="mean")
 
 
@@ -374,8 +374,7 @@ def circle(omega: float = GOLDEN_MEAN, eps: float = 1e-3, steps: int = 8, *,
         "omega": omega,
         "C": C,
         "nu": nu,
-        "lambda_correction": _lambda_correction(conjugacy, problem.f, f,
-                                                tau_mean, strip),
+        "lambda_correction": _lambda_correction(conjugacy, tau_mean),
         "divisor_log": divisor_log,
         "one_step_envelope": 2.0 * (f_norm / sigma) ** 2,
         "conjugacy_defect": gx,
@@ -384,10 +383,8 @@ def circle(omega: float = GOLDEN_MEAN, eps: float = 1e-3, steps: int = 8, *,
                       details)
 
 
-def _lambda_correction(conjugacy, tau0: TruncatedSeries, r0: TruncatedSeries,
-                       base_mean: float, strip: float) -> float:
-    """Frequency correction: the mean of the conjugated element minus
-    the unperturbed 2 pi omega."""
-    x0 = tau0.restrict(strip) + r0.restrict(strip)
-    gx, _ = conjugacy.apply(x0)
+def _lambda_correction(conjugacy, base_mean: float) -> float:
+    """Frequency correction: the mean of the conjugated element (the
+    image `run_lie` carried) minus the unperturbed 2 pi omega."""
+    gx, _ = conjugacy.image
     return float((gx.coefficient(0) - base_mean).real)

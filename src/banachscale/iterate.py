@@ -113,12 +113,11 @@ class RadiusSchedule:
     def radius(self, n: int) -> float:
         if n < 0:
             raise IterationError("index must be nonnegative")
-        if self.kind == "geometric":
-            p = self.params
-            return p["s_inf"] + (p["s0"] - p["s_inf"]) * p["q"] ** n
         p = self.params
         if n == 0:
-            return p["s0"]      # exp(log s0) can round above s0
+            return p["s0"]      # either formula can round above s0
+        if self.kind == "geometric":
+            return p["s_inf"] + (p["s0"] - p["s_inf"]) * p["q"] ** n
         log_s = math.log(p["s0"])
         for m in range(n):
             log_s += p["rho"].log(m) * math.pow(2.0, -m)

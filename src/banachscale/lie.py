@@ -5,7 +5,9 @@ the current remainder onto a transversal (the delta update) and push
 the rest into the group direction through e^(-u) (the r update).  Radii
 fall along a certified schedule; each step spends the decrement
 s_n - s_{n+1} in quarters so that the field application, the projector
-and the three Borel series all fit inside the step's window.
+and the step's Borel series all fit inside its window: phi(u) tau and
+e^(-u) kappa, psi(u) delta when there is a projector, and e^(-u) on the
+carried image of the conjugacy.
 
 `rho_schedule` tunes the contraction sequence rho so the five smallness
 conditions backing the quadratic convergence proof hold on a finite
@@ -60,7 +62,7 @@ def _negated(u: LocalOperator) -> LocalOperator:
     def action(g: TruncatedSeries, t: float, s: float) -> TruncatedSeries:
         return u.action(g, t, s).scale(-1.0)
 
-    return LocalOperator(action, u.weight, u.grade, u.norm_bound, u.kind,
+    return LocalOperator(action, u.weight, u.norm_bound, u.kind,
                          f"-{u.name}", u.order_raise, u.cert_radius)
 
 
@@ -170,8 +172,8 @@ class LieState:
     image is the conjugacy so far applied to the start,
     e^(-u_{n-1}) ... e^(-u_0) x_0, computed by its own chain of Borel
     series, and image_rem the unfolded remainder bound of that chain.
-    None stands for x_n itself, as at step 0: a lone step then replays
-    e^(-u_n) on tau_n + r_n.
+    `run_lie` starts it at the caller's x_0; None stands for x_n itself,
+    so a lone step replays e^(-u_n) on tau_n + r_n.
 
     slack is the truncation ledger: the summed norm of everything the
     Borel applications could not represent below the cap.  It is kept
@@ -199,10 +201,6 @@ class LieState:
     @property
     def r_norm(self) -> float:
         return self.r.norm_at(self.s)
-
-    @property
-    def tau_norm(self) -> float:
-        return self.tau.norm_at(self.s)
 
     @property
     def delta_norm(self) -> float:
@@ -511,8 +509,9 @@ def run_lie(problem: ActionProblem, schedule: LieSchedule | RadiusSchedule,
     coefficientwise at the final radius; the reported defect is |r_N|
     plus the truncation ledger accumulated by the Borel applications.
     Row n + 1 carries the same identity for g_n ... g_0 as its
-    consistency_defect.  g(x_0) is the image the steps carried, kept in
-    the product, so applying g to x_0 again costs no Borel series.
+    consistency_defect.  The product's `image` is (g(x_0), remainder
+    bound), carried by the steps from the caller's x_0 = tau_0 + r_0 at
+    radius t, tail included, so nothing needs to apply g to x_0 again.
     """
     if isinstance(schedule, LieSchedule):
         radii = schedule.radii
@@ -534,6 +533,7 @@ def run_lie(problem: ActionProblem, schedule: LieSchedule | RadiusSchedule,
         raise LieError("f and r_0 must be certified at the starting radius")
     tau = problem.f if problem.f.ref_radius == t else problem.f.restrict(t)
     r = r0 if r0.ref_radius == t else r0.restrict(t)
+    x0 = _add(tau, r)
     slack0 = 0.0
     if r.tail > 0.0:
         r = r.copy()
@@ -549,8 +549,7 @@ def run_lie(problem: ActionProblem, schedule: LieSchedule | RadiusSchedule,
         "tau0_norm": tau.norm_at(t),
         "r0_norm": r.norm_at(t) + slack0,
     })
-    state = LieState(0, t, tau, r, slack=slack0)
-    x0 = state.x
+    state = LieState(0, t, tau, r, slack=slack0, image=x0)
     trace.add(StepRecord(0, radius=t, value_norm=state.r_norm,
                          increment_norm=0.0, aux_norm=0.0,
                          bound=value_at(b, 0), sigma=value_at(sigma, 0),
@@ -573,13 +572,10 @@ def run_lie(problem: ActionProblem, schedule: LieSchedule | RadiusSchedule,
     rs = [radii.radius(i) for i in range(steps + 1)]
     try:
         conjugacy = product_of_exponentials([_negated(u) for u in fields], rs)
-        if steps:
-            gx, g_rem = state.image, state.image_rem
-            conjugacy._keep(x0, gx, g_rem)
-        else:
-            gx, g_rem = conjugacy.apply(x0)
     except (OperatorError, SeriesError) as exc:
         raise LieError(f"conjugacy assembly: {exc}") from None
+    gx, g_rem = state.image, state.image_rem
+    conjugacy.image = (gx, g_rem)
     versality = _max_coeff_diff(gx, state.x)
 
     x0_norm = x0.norm_at(t)

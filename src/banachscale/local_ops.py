@@ -1,11 +1,9 @@
-"""Weight functions, graded local operators, and the Borel calculus.
+"""Weight functions, local operators, and the Borel calculus.
 
 A weight lambda(t, s) = C s^p t^(-q) (t-s)^k measures how much an
-operator costs as it maps from radius t down to radius s; its grades
-lambda_n = e^n lambda^n / n^n make the family submultiplicative through
-the interior point m = (p s + q t)/(p + q).  A `LocalOperator` bundles an
-action on truncated series with a certified bound: for all 0 < s < t up
-to cert_radius,
+operator costs as it maps from radius t down to radius s.  A
+`LocalOperator` bundles an action on truncated series with a certified
+bound: for all 0 < s < t up to cert_radius,
 
     |u(f)|_s  <=  norm_bound * |f|_t / lambda(t, s).
 
@@ -16,9 +14,10 @@ factorial iterate estimate
 
     |u^n(f)|_s  <=  n! (norm_bound / (t-s))^n |f|_t,
 
-inherited from the flow/Cauchy-integral argument; equal-radius chaining
-alone only gives n^n = e^n-ish n!, which is where the baked-in factor e
-of the grades comes from.  The Borel map B f(u) = sum a_n u^n / n!
+inherited from the flow/Cauchy-integral argument.  A generic operator
+has only its one-step bound: chained through n equal sub-steps of
+(t, s) it gives n^n (norm_bound / (t-s))^n, and n^n <= e^n n! is where
+its factor e comes from.  The Borel map B f(u) = sum a_n u^n / n!
 therefore converges for |u| < R (t-s) with |B f(u) g|_s <= |f|(x) |g|_t
 at x = |u|/(t-s); generic (non-derivation) operators pay the chain
 factor and use x = e |u|/lambda.  borel_apply computes the series term
@@ -41,15 +40,12 @@ import sys
 from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
-import numpy as np
-
 from .series import SeriesError, TruncatedSeries, align
 
-__all__ = ["WeightFunction", "CutoffWeight", "LocalOperator",
-           "OperatorError", "certify_vector_field", "multiplication_operator",
-           "restriction_operator", "compose", "submult_check",
-           "SubmultReport", "BorelSymbol", "EXP", "EXP_NEG", "PHI", "PSI",
-           "BorelApplication", "borel_apply", "exp",
+__all__ = ["WeightFunction", "LocalOperator", "OperatorError",
+           "certify_vector_field", "multiplication_operator",
+           "restriction_operator", "BorelSymbol", "EXP", "EXP_NEG", "PHI",
+           "PSI", "BorelApplication", "borel_apply", "exp",
            "product_of_exponentials", "ExponentialProduct"]
 
 _EPS = sys.float_info.epsilon
@@ -61,14 +57,13 @@ class OperatorError(ValueError):
 
 @dataclass(frozen=True)
 class WeightFunction:
-    """lambda(t, s) = C s^p t^(-q) (t-s)^k with graded variants."""
+    """lambda(t, s) = C s^p t^(-q) (t-s)^k, the cost of mapping radius t
+    down to s."""
 
     C: float = 1.0
     p: float = 0.0
     q: float = 0.0
     k: int = 1
-
-    submultiplicative = True
 
     def __post_init__(self):
         if self.C <= 0 or self.p < 0 or self.q < 0 or self.k < 0:
@@ -79,60 +74,25 @@ class WeightFunction:
             raise OperatorError(f"weight needs 0 < s <= t, got ({t}, {s})")
         return self.C * s ** self.p * t ** (-self.q) * (t - s) ** self.k
 
-    def grade(self, n: int, t: float, s: float) -> float:
-        """lambda_n(t, s) = e^n lambda^n / n^n; grade 0 is 1."""
-        if n == 0:
-            return 1.0
-        lam = self.value(t, s)
-        return math.exp(n) * lam ** n / float(n) ** n
-
-    def split_point(self, p: int, q: int, t: float, s: float) -> float:
-        """Interior radius through which a grade-(p+q) composite chains."""
-        return (p * s + q * t) / (p + q)
-
-
-@dataclass(frozen=True)
-class CutoffWeight:
-    """lambda(n, s, t) = (t/s)^(2^n) s^a (t-s)^b.
-
-    Grows along the grade index instead of shrinking: explicitly not
-    submultiplicative, so cutoff operators never enter grade composition.
-    """
-
-    a: float = 0.0
-    b: float = 0.0
-
-    submultiplicative = False
-
-    def __post_init__(self):
-        if self.a < 0 or self.b < 0:
-            raise OperatorError("cutoff weight needs a, b >= 0")
-
-    def value(self, n: int, s: float, t: float) -> float:
-        if not (0.0 < s < t):
-            raise OperatorError("cutoff weight needs 0 < s < t")
-        return (t / s) ** (2 ** n) * s ** self.a * (t - s) ** self.b
-
 
 class LocalOperator:
     """Action on truncated series plus a certified weighted norm bound.
 
     kind is one of 'derivation', 'multiplication', 'restriction',
-    'composite', 'generic'; only derivations get the factorial Borel
+    'projector', 'generic'; only derivations get the factorial Borel
     route.  order_raise is a certified lower bound on how much one
     application raises the vanishing order of its argument (counted on
     exactly zero coefficients, no tolerance).  cert_radius caps the
     radii t at which the norm_bound certificate applies.
     """
 
-    def __init__(self, action: Callable, weight, grade: int,
+    def __init__(self, action: Callable, weight: WeightFunction,
                  norm_bound: float, kind: str = "generic", name: str = "",
                  order_raise: int = 0, cert_radius: float = math.inf):
         if norm_bound < 0:
             raise OperatorError("norm_bound must be nonnegative")
         self.action = action
         self.weight = weight
-        self.grade = int(grade)
         self.norm_bound = float(norm_bound)
         self.kind = kind
         self.name = name or kind
@@ -148,8 +108,7 @@ class LocalOperator:
         return self.norm_bound == 0.0
 
     def __repr__(self) -> str:
-        return (f"LocalOperator({self.name}, grade={self.grade}, "
-                f"bound={self.norm_bound:g})")
+        return f"LocalOperator({self.name}, bound={self.norm_bound:g})"
 
 
 def _clamp(f: TruncatedSeries, t: float) -> TruncatedSeries:
@@ -196,14 +155,14 @@ def certify_vector_field(a: TruncatedSeries, name: str = "vector_field"
         prod = am.multiply(fp)
         return _clamp(prod, s)
 
-    return LocalOperator(action, WeightFunction(k=1), 1, bound,
+    return LocalOperator(action, WeightFunction(k=1), bound,
                          kind="derivation", name=name, order_raise=raise_by,
                          cert_radius=a.ref_radius)
 
 
 def multiplication_operator(h: TruncatedSeries, name: str = "multiplication"
                             ) -> LocalOperator:
-    """f -> h f, weight 1 (grade 0): |h f|_s <= N(h) |f|_t."""
+    """f -> h f, weight 1: |h f|_s <= N(h) |f|_t."""
     bound = h.majorant_norm(h.ref_radius).value
 
     def action(f: TruncatedSeries, t: float, s: float) -> TruncatedSeries:
@@ -213,7 +172,7 @@ def multiplication_operator(h: TruncatedSeries, name: str = "multiplication"
         prod = hm.multiply(ft)
         return _clamp(prod, s)
 
-    return LocalOperator(action, WeightFunction(k=0), 0, bound,
+    return LocalOperator(action, WeightFunction(k=0), bound,
                          kind="multiplication", name=name,
                          order_raise=h.order(tol=0.0),
                          cert_radius=h.ref_radius)
@@ -224,66 +183,8 @@ def restriction_operator() -> LocalOperator:
     def action(f: TruncatedSeries, t: float, s: float) -> TruncatedSeries:
         _check_window(t, s, (f.ref_radius,))
         return f.restrict(min(s, f.ref_radius))
-    return LocalOperator(action, WeightFunction(k=0), 0, 1.0,
+    return LocalOperator(action, WeightFunction(k=0), 1.0,
                          kind="restriction", name="iota")
-
-
-def compose(u: LocalOperator, v: LocalOperator) -> LocalOperator:
-    """v after u, chained through the closed-form interior radius.
-
-    u (grade p) maps t -> m and v (grade q) maps m -> s with
-    m = (p s + q t)/(p + q); the certified bound multiplies.
-    """
-    for op in (u, v):
-        if not getattr(op.weight, "submultiplicative", False):
-            raise OperatorError("cutoff weights do not compose in grades")
-    if u.weight != v.weight:
-        raise OperatorError("composition needs one common base weight")
-    p, q = u.grade, v.grade
-    if p < 1 or q < 1:
-        raise OperatorError("grade composition needs grades >= 1")
-
-    def action(f: TruncatedSeries, t: float, s: float) -> TruncatedSeries:
-        m = u.weight.split_point(p, q, t, s)
-        return v.action(u.action(f, t, m), m, s)
-
-    return LocalOperator(action, u.weight, p + q,
-                         u.norm_bound * v.norm_bound, kind="composite",
-                         name=f"{v.name}*{u.name}",
-                         order_raise=u.order_raise + v.order_raise,
-                         cert_radius=min(u.cert_radius, v.cert_radius))
-
-
-@dataclass(frozen=True)
-class SubmultReport:
-    p: int
-    q: int
-    samples: int
-    worst_margin: float     # min over the grid of (rhs - lhs)/scale
-    passed: bool
-
-
-def submult_check(weight: WeightFunction, p: int, q: int,
-                  grid: Sequence[tuple[float, float]] | None = None
-                  ) -> SubmultReport:
-    """Verify lambda_{p+q}(t, s) <= lambda_p(t, m) lambda_q(m, s) at the
-    interior point m = (p s + q t)/(p + q) over a sampled (s, t) grid."""
-    if not getattr(weight, "submultiplicative", False):
-        raise OperatorError("weight is flagged non-submultiplicative")
-    if p < 1 or q < 1:
-        raise OperatorError("grades must be >= 1")
-    if grid is None:
-        ts = np.linspace(0.1, 2.0, 16)
-        fracs = np.linspace(0.05, 0.95, 13)
-        grid = [(float(f * t), float(t)) for t in ts for f in fracs]
-    worst = math.inf
-    for s, t in grid:
-        m = weight.split_point(p, q, t, s)
-        lhs = weight.grade(p + q, t, s)
-        rhs = weight.grade(p, t, m) * weight.grade(q, m, s)
-        scale = max(abs(lhs), abs(rhs), 1e-300)
-        worst = min(worst, (rhs - lhs) / scale)
-    return SubmultReport(p, q, len(grid), worst, worst >= -1e-12)
 
 
 # ---- Borel calculus ----
@@ -439,27 +340,22 @@ def exp(u: LocalOperator, t: float, s: float, g: TruncatedSeries
 
 @dataclass
 class ExponentialProduct:
-    """e^(u_N) ... e^(u_0) chained along a decreasing radius list."""
+    """e^(u_N) ... e^(u_0) chained along a decreasing radius list.
+
+    image is (g(x_0), remainder bound) for the x_0 a `run_lie` run
+    started from, carried through its steps; None for other products.
+    """
 
     operators: list
     radii: list
     sigma: float
     bound: float            # sigma / (1 - sigma) when sigma < 1 else inf
     xs: list
-    _memo: tuple | None = field(default=None, repr=False, compare=False)
+    image: tuple | None = field(default=None, repr=False, compare=False)
 
     def apply(self, g: TruncatedSeries) -> tuple[TruncatedSeries, float]:
-        """Returns (result at the final radius, unfolded remainder bound).
-
-        The last input and a private copy of its result are kept:
-        applying the chain again to a series with the same basis, dim,
-        cap, ref_radius, tail and coefficient bytes returns a fresh copy
-        of that result, not a second run of the Borel chain.  Any other
-        input is computed afresh and replaces the kept one.  `run_lie`
-        carries this chain through its steps and keeps its result here.
-        """
-        if self._memo is not None and self._memo[0] == self._key(g):
-            return self._memo[1].copy(), self._memo[2]
+        """Returns (result at the final radius, unfolded remainder bound),
+        running the whole Borel chain on g."""
         w = g
         rem = 0.0
         for n, u in enumerate(self.operators):
@@ -467,17 +363,7 @@ class ExponentialProduct:
             app = exp(u, t, s, w)
             rem = rem / (1.0 - app.x) + (0.0 if app.folded else app.remainder)
             w = app.series
-        self._keep(g, w, rem)
         return w, rem
-
-    def _key(self, g: TruncatedSeries) -> tuple:
-        return (tuple(self.operators), tuple(self.radii), g.basis, g.dim,
-                g.cap, g.ref_radius, float(g.tail).hex(), g.coeffs.tobytes())
-
-    def _keep(self, g: TruncatedSeries, result: TruncatedSeries,
-              rem: float) -> None:
-        """Keep (result, rem) as this chain's value at g."""
-        self._memo = (self._key(g), result.copy(), rem)
 
 
 def product_of_exponentials(us: Sequence[LocalOperator],

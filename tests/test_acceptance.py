@@ -87,7 +87,7 @@ def _even_projector(cap):
         return TruncatedSeries(1, g.cap, g.ref_radius, "taylor", coeffs,
                                g.tail)
 
-    return LocalOperator(action, WeightFunction(), 0, 1.0, kind="generic",
+    return LocalOperator(action, WeightFunction(), 1.0, kind="generic",
                          name="even part")
 
 

@@ -223,6 +223,14 @@ def test_lie_morse_certifies_where_exp_log_t_rounds_up(capsys):
     assert "verdict certified" in out
 
 
+def test_lie_circle_certifies_where_the_geometric_start_rounds_up(capsys):
+    # 0.008 + (0.102 - 0.008) rounds above 0.102; the strip is the start
+    code, out, _ = run(capsys, "lie", "--demo", "circle", "--strip", "0.102",
+                       "--strip-end", "0.008")
+    assert code == 0
+    assert "status converged" in out
+
+
 def test_lie_circle_rational_frequency_is_input_error(capsys):
     code, _, err = run(capsys, "lie", "--demo", "circle",
                        "--omega", "0.75")

@@ -196,16 +196,19 @@ def test_circle_problem_declares_divisor_envelope():
 # ---- one Borel chain per run ----
 
 def _capturing_run_lie(monkeypatch):
-    """Wrap demos.run_lie and count the exp and borel_apply calls."""
+    """Wrap demos.run_lie, keep its arguments and conjugacy, and count
+    the exp, borel_apply and ExponentialProduct.apply calls."""
     import banachscale.demos as demos
     import banachscale.lie as lie
     import banachscale.local_ops as local_ops
-    seen = {"conjugacy": [], "exp": 0, "borel": 0}
+    seen = {"args": [], "conjugacy": [], "exp": 0, "borel": 0, "apply": 0}
     real_run_lie, real_exp = demos.run_lie, local_ops.exp
     real_borel = local_ops.borel_apply
+    real_apply = local_ops.ExponentialProduct.apply
 
     def run_lie(*args, **kwargs):
         trace, conjugacy = real_run_lie(*args, **kwargs)
+        seen["args"].append(args)
         seen["conjugacy"].append(conjugacy)
         return trace, conjugacy
 
@@ -216,10 +219,15 @@ def _capturing_run_lie(monkeypatch):
     def counted_borel(*args, **kwargs):
         seen["borel"] += 1
         return real_borel(*args, **kwargs)
+
+    def counted_apply(self, g):
+        seen["apply"] += 1
+        return real_apply(self, g)
     monkeypatch.setattr(demos, "run_lie", run_lie)
     monkeypatch.setattr(local_ops, "exp", counted_exp)
     monkeypatch.setattr(local_ops, "borel_apply", counted_borel)
     monkeypatch.setattr(lie, "borel_apply", counted_borel)
+    monkeypatch.setattr(local_ops.ExponentialProduct, "apply", counted_apply)
     return seen
 
 
@@ -228,27 +236,32 @@ def _capturing_run_lie(monkeypatch):
                          ids=["morse", "mather", "circle"])
 def test_demo_runs_no_separate_conjugacy_chain(monkeypatch, demo, per_step):
     # phi, exp(-u) kappa and the carried image per step, plus psi where a
-    # projector exists; g(x_0) comes from the steps, never from exp
+    # projector exists; g(x_0) comes from the steps, never from exp or
+    # from applying the product
     seen = _capturing_run_lie(monkeypatch)
     rep = demo()
     (conjugacy,) = seen["conjugacy"]
     steps = len(rep.trace.steps) - 1
     assert steps == len(conjugacy.operators) > 0
     assert seen["exp"] == 0
+    assert seen["apply"] == 0
     assert seen["borel"] == per_step * steps
 
 
-def _recording_keeps(monkeypatch):
-    """Record every (input, result, remainder) a product keeps."""
-    from banachscale.local_ops import ExponentialProduct
-    kept = []
-    real_keep = ExponentialProduct._keep
+def _start(problem, schedule, r0):
+    """The x_0 = tau_0 + r_0 a run starts from, tail included."""
+    radii = getattr(schedule, "radii", schedule)
+    t = radii.radius(0)
+    return problem.f.restrict(t) + r0.restrict(t)
 
-    def keep(self, g, result, rem):
-        kept.append((self, g, result.copy(), rem))
-        return real_keep(self, g, result, rem)
-    monkeypatch.setattr(ExponentialProduct, "_keep", keep)
-    return kept
+
+def _fresh_image(seen):
+    """The run's conjugacy and a fresh application of its chain to x_0."""
+    from banachscale.local_ops import product_of_exponentials
+    (conjugacy,) = seen["conjugacy"]
+    problem, schedule, r0, _ = seen["args"][0]
+    fresh = product_of_exponentials(conjugacy.operators, conjugacy.radii)
+    return conjugacy, fresh, fresh.apply(_start(problem, schedule, r0))
 
 
 def _tailed_morse_seed():
@@ -266,13 +279,11 @@ def _tailed_morse_seed():
 ], ids=["morse64", "morse128", "mather64", "mather128", "circle64",
         "circle128", "morse-tailed"])
 def test_carried_image_is_the_conjugacy_chain(monkeypatch, run):
-    from banachscale.local_ops import product_of_exponentials
-    kept = _recording_keeps(monkeypatch)
+    seen = _capturing_run_lie(monkeypatch)
     rep = run()
-    conjugacy, x0, gx, g_rem = kept[0]
+    conjugacy, _, (want, want_rem) = _fresh_image(seen)
     assert conjugacy.operators
-    fresh = product_of_exponentials(conjugacy.operators, conjugacy.radii)
-    want, want_rem = fresh.apply(x0)
+    gx, g_rem = conjugacy.image
     assert gx.to_json() == want.to_json()
     assert g_rem.hex() == want_rem.hex()
     meta = rep.trace.metadata
@@ -282,18 +293,19 @@ def test_carried_image_is_the_conjugacy_chain(monkeypatch, run):
 
 
 def test_morse_tailed_seed_normalization_defect_is_recomputed(monkeypatch):
+    # the carried image starts from tau + r_0 with r_0's tail, before that
+    # tail moves to the slack ledger
     from banachscale.demos import _normalization_defect
-    from banachscale.local_ops import product_of_exponentials
     seen = _capturing_run_lie(monkeypatch)
-    r0 = monomial(3, 1e-3)
-    r0.set_coefficient(4, -5e-4)
-    r0.tail = 1e-9
-    rep = morse(r0=r0)
-    (conjugacy,) = seen["conjugacy"]
-    fresh = product_of_exponentials(conjugacy.operators, conjugacy.radii)
-    want = _normalization_defect(morse_problem().f, r0, 1.0, fresh,
-                                 rep.trace.metadata["limit_radius"])
-    assert rep.details["normalization_defect"].hex() == want.hex()
+    rep = morse(r0=_tailed_morse_seed())
+    conjugacy, fresh, (want, want_rem) = _fresh_image(seen)
+    gx, g_rem = conjugacy.image
+    assert gx.to_json() == want.to_json()
+    assert g_rem.hex() == want_rem.hex()
+    fresh.image = (want, want_rem)
+    defect = _normalization_defect(fresh, morse_problem().f, 1.0,
+                                   rep.trace.metadata["limit_radius"])
+    assert rep.details["normalization_defect"].hex() == defect.hex()
 
 
 def test_circle_cap_128_stops_its_borel_series_at_rounding(monkeypatch):

@@ -74,11 +74,16 @@ def test_rho_driven_schedule_matches_product():
 
 
 def test_rho_driven_schedule_starts_exactly_at_s0():
-    # exp(log s0) rounds above s0 for some t, e.g. 0.1, 0.104 and 0.11
+    # exp(log s0) rounds above s0 for some t, e.g. 0.1, 0.104 and 0.11;
+    # so does a geometric s_inf + (s0 - s_inf), e.g. at (0.102, 0.008)
     rho = PositiveSequence.constant(0.25)
+    assert RadiusSchedule.geometric(0.5, 0.102, 0.008).radius(0) == 0.102
     for i in range(100, 1001):
         t = i / 1000
         assert RadiusSchedule.rho_driven(rho, t).radius(0) == t
+        for j in range(100, i, 9):
+            sched = RadiusSchedule.geometric(0.5, t, j / 1000)
+            assert sched.radius(0) == t
 
 
 def test_rho_driven_rejects_non_summable_and_rho_above_one():

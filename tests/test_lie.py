@@ -369,7 +369,7 @@ def even_projector(cap=32):
         coeffs[1::2] = 0.0
         return TruncatedSeries(1, g.cap, g.ref_radius, "taylor", coeffs,
                                g.tail)
-    return LocalOperator(action, WeightFunction(), 0, 1.0, kind="generic",
+    return LocalOperator(action, WeightFunction(), 1.0, kind="generic",
                          name="even part")
 
 

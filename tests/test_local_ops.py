@@ -7,22 +7,18 @@ import pytest
 from scipy.integrate import solve_ivp
 
 from banachscale.local_ops import (
-    CutoffWeight,
     EXP,
     EXP_NEG,
     PHI,
     PSI,
-    LocalOperator,
     OperatorError,
     WeightFunction,
     borel_apply,
     certify_vector_field,
-    compose,
     exp,
     multiplication_operator,
     product_of_exponentials,
     restriction_operator,
-    submult_check,
 )
 from banachscale.series import TruncatedSeries, align
 
@@ -52,14 +48,11 @@ def zero_field():
 
 # ---- weight functions ----
 
-def test_weight_value_and_grade_formulas():
+def test_weight_value_formula():
     w = WeightFunction(C=2.0, p=1.0, q=0.5, k=2)
     t, s = 1.5, 0.6
     expected = 2.0 * 0.6 * 1.5 ** -0.5 * 0.9 ** 2
     assert w.value(t, s) == pytest.approx(expected, rel=1e-15)
-    assert w.grade(0, t, s) == 1.0
-    assert w.grade(3, t, s) == pytest.approx(
-        math.e ** 3 * expected ** 3 / 27.0, rel=1e-14)
 
 
 def test_weight_rejects_bad_parameters():
@@ -69,61 +62,6 @@ def test_weight_rejects_bad_parameters():
         WeightFunction(p=-1.0)
     with pytest.raises(OperatorError):
         WeightFunction().value(0.5, 0.7)
-    with pytest.raises(OperatorError):
-        CutoffWeight(a=-1.0)
-
-
-def test_cutoff_weight_value():
-    w = CutoffWeight(a=1.0, b=2.0)
-    # (t/s)^(2^n) s^a (t-s)^b at n=2, s=0.5, t=1
-    assert w.value(2, 0.5, 1.0) == pytest.approx(16.0 * 0.5 * 0.25, rel=1e-15)
-    assert not w.submultiplicative
-
-
-def test_midpoint_split_equality_for_linear_weight():
-    # lambda = (t-s), p = q = 1 at (s,t) = (0.2, 1): both sides e^2 * 0.16
-    w = WeightFunction(k=1)
-    m = w.split_point(1, 1, 1.0, 0.2)
-    assert m == pytest.approx(0.6)
-    lhs = w.grade(2, 1.0, 0.2)
-    rhs = w.grade(1, 1.0, m) * w.grade(1, m, 0.2)
-    assert lhs == pytest.approx(math.e ** 2 * 0.16, rel=1e-14)
-    assert rhs == pytest.approx(lhs, rel=1e-14)
-    rep = submult_check(w, 1, 1, grid=[(0.2, 1.0)])
-    assert rep.passed and abs(rep.worst_margin) < 1e-12
-
-
-def test_submult_check_constant_weight_grid():
-    w = WeightFunction(C=1.7, k=0)
-    for p, q in [(1, 1), (1, 2), (3, 2)]:
-        rep = submult_check(w, p, q)
-        assert rep.passed, (p, q, rep.worst_margin)
-
-
-def test_submult_check_linear_weight_with_prefactors():
-    rep = submult_check(WeightFunction(C=0.8, p=1.0, q=0.5, k=1), 2, 3)
-    assert rep.passed
-
-
-def test_submult_check_degenerate_interval_is_vacuous():
-    # s = t: every grade is 0 on both sides
-    rep = submult_check(WeightFunction(k=1), 2, 2, grid=[(1.0, 1.0)])
-    assert rep.passed and rep.worst_margin == 0.0
-
-
-def test_submult_check_detects_square_weight_failure():
-    # (t-s)^2 grades are not submultiplicative at the interior point:
-    # the margin is negative by the factor (p^p q^q/(p+q)^(p+q))^(k-1).
-    rep = submult_check(WeightFunction(k=2), 1, 1)
-    assert not rep.passed
-    assert rep.worst_margin < -0.1
-
-
-def test_submult_check_refuses_cutoff_and_bad_grades():
-    with pytest.raises(OperatorError):
-        submult_check(CutoffWeight(), 1, 1)       # type: ignore[arg-type]
-    with pytest.raises(OperatorError):
-        submult_check(WeightFunction(), 0, 1)
 
 
 # ---- certified vector fields ----
@@ -132,7 +70,7 @@ def test_unit_vector_field_has_norm_one():
     a = poly([1.0], cap=8)
     u = certify_vector_field(a)
     assert u.norm_bound == 1.0
-    assert u.kind == "derivation" and u.grade == 1
+    assert u.kind == "derivation" and u.weight == WeightFunction(k=1)
     assert u.order_raise == 0
 
 
@@ -238,39 +176,8 @@ def test_operator_horizontality_on_three_point_chain():
             assert np.array_equal(hi.restrict(0.4).coeffs, lo.coeffs)
 
 
-# ---- composition ----
-
-def test_double_derivative_composes_to_grade_two():
-    u = certify_vector_field(poly([1.0], cap=16))
-    uu = compose(u, u)
-    assert uu.grade == 2
-    assert uu.norm_bound == 1.0
-    out = uu(TruncatedSeries.monomial(3, 1.0, cap=16), 1.0, 0.25)
-    assert out.coefficient(1) == pytest.approx(6.0)
-
-
-def test_compose_with_zero_operator_is_zero():
-    u = certify_vector_field(poly([0.5, 0.5], cap=8))
-    z = compose(u, zero_field())
-    assert z.is_zero
-    out = z(poly([1.0, 1.0], cap=8), 1.0, 0.5)
-    assert norm_at_own_ref(out) == 0.0
-
-
-def test_compose_rejects_mixed_weights_and_low_grades():
-    u = certify_vector_field(poly([1.0], cap=8))
-    mult = multiplication_operator(poly([1.0], cap=8))
-    with pytest.raises(OperatorError):
-        compose(u, mult)        # weight k=1 vs k=0
-    with pytest.raises(OperatorError):
-        compose(mult, mult)     # grade 0
-    cut = LocalOperator(lambda f, t, s: f, CutoffWeight(), 1, 1.0)
-    with pytest.raises(OperatorError):
-        compose(u, cut)
-
-
-def test_grade_two_norm_of_composed_fields_random():
-    # sampled grade-2 weighted norm never exceeds N(a) N(b)
+def test_two_field_chain_norm_random():
+    # b after a through the midpoint: ((t-s)/2)^2 |b a f|_s <= N(a) N(b) |f|_t
     rng = np.random.default_rng(19)
     w = WeightFunction(k=1)
     for _ in range(200):
@@ -278,59 +185,38 @@ def test_grade_two_norm_of_composed_fields_random():
         b = rand_poly(rng, cap=12, deg=4, scale=rng.uniform(0.2, 1.5))
         f = rand_poly(rng, cap=12, deg=8,
                       tail=float(rng.uniform(0, 0.5) * (rng.random() < 0.4)))
-        op = compose(certify_vector_field(a), certify_vector_field(b))
+        ua, ub = certify_vector_field(a), certify_vector_field(b)
         t = rng.uniform(0.3, 1.0)
         s = rng.uniform(0.1, 0.95) * t
-        out = op(f, t, s)
+        m = (s + t) / 2
+        out = ub(ua(f, t, m), m, s)
         lhs = (w.value(t, s) ** 2 / 4.0) * norm_at_own_ref(out)
-        rhs = op.norm_bound * f.majorant_norm(t).value
+        rhs = ua.norm_bound * ub.norm_bound * f.majorant_norm(t).value
         assert lhs <= rhs * (1 + 1e-9)
 
 
-def test_power_inequality_up_to_grade_five():
-    # |u^n f|_s * (lambda^n / n^n) <= norm_bound^n |f|_t; with the grade
-    # factor e^n included the certified payoff weakens to (e norm_bound)^n.
+def test_power_inequality_up_to_five_sub_steps():
+    # u applied n times through n equal sub-steps of (t, s):
+    # |u^n f|_s * (lambda^n / n^n) <= norm_bound^n |f|_t, the iterate
+    # estimate behind borel_apply's x = |u|/lambda
     rng = np.random.default_rng(23)
     a = poly([0.3, 0.2, 0.1], cap=24)
     u = certify_vector_field(a)
     w = u.weight
-    un = u
     for n in range(2, 6):
-        un = compose(un, u)
-        assert un.grade == n
         for _ in range(40):
             f = rand_poly(rng, cap=24, deg=int(rng.integers(2, 20)),
                           tail=float(rng.uniform(0, 0.5)
                                      * (rng.random() < 0.3)))
             t = rng.uniform(0.4, 1.0)
             s = rng.uniform(0.15, 0.9) * t
-            out = un(f, t, s)
-            # compose's split points cut (t, s) into n equal sub-steps
             radii = [t - i * (t - s) / n for i in range(n)] + [s]
-            chain = f
+            out = f
             for hi, lo in zip(radii, radii[1:]):
-                chain = u(chain, hi, lo)
-            np.testing.assert_allclose(chain.coeffs, out.coeffs,
-                                       rtol=1e-12, atol=1e-300)
+                out = u(out, hi, lo)
             bare = (w.value(t, s) ** n / float(n) ** n) * norm_at_own_ref(out)
             rhs = u.norm_bound ** n * f.majorant_norm(t).value
             assert bare <= rhs * (1 + 1e-9)
-            graded = w.grade(n, t, s) * norm_at_own_ref(out)
-            assert graded <= (math.e * u.norm_bound) ** n \
-                * f.majorant_norm(t).value * (1 + 1e-9)
-
-
-def test_sharp_monomial_grade_norm_exceeds_bare_bound_with_e_factor():
-    # d^2/dz^2 on z^2 at small s: the e^n-graded measurement reaches
-    # e^2 n!/n^n > 1, which is why the bare-grade form is the certified one.
-    u = certify_vector_field(poly([1.0], cap=8))
-    uu = compose(u, u)
-    f = TruncatedSeries.monomial(2, 1.0, cap=8)
-    out = uu(f, 1.0, 0.01)
-    graded = uu.weight.grade(2, 1.0, 0.01) * norm_at_own_ref(out)
-    assert graded > 1.5     # e^2 * 2/4 * (0.99)^2 ~ 3.6
-    bare = (uu.weight.value(1.0, 0.01) ** 2 / 4.0) * norm_at_own_ref(out)
-    assert bare <= 1.0 + 1e-12
 
 
 # ---- Borel calculus ----
@@ -601,7 +487,7 @@ def test_product_distance_bound_observed():
     assert prod.bound == pytest.approx(prod.sigma / (1 - prod.sigma))
 
 
-# ---- the apply memo ----
+# ---- repeated application ----
 
 def _shift_chain():
     us = [certify_vector_field(poly([0.12, 0.05], cap=6)),
@@ -628,33 +514,14 @@ def test_product_apply_result_is_the_callers_to_mutate():
     g = poly([1.0, -1.0, 0.5, 2.0], cap=24)
     out, rem = prod.apply(g)
     want = _bytes(out, rem)
-    for _ in range(2):          # the computed result, then a kept copy
+    for _ in range(2):
         out.coeffs[:] = 7.0
         out.tail = 1.0
         assert _bytes(*prod.apply(g)) == want
         out, _ = prod.apply(g)
-    g.coeffs[0] = 3.0           # an input changed in place is a new input
+    g.coeffs[0] = 3.0
     assert _bytes(*prod.apply(g)) \
         == _bytes(*product_of_exponentials(us, rs).apply(g))
-
-
-def test_product_apply_recomputes_an_input_that_differs_in_tail(monkeypatch):
-    import banachscale.local_ops as local_ops
-    us, rs = _shift_chain()
-    prod = product_of_exponentials(us, rs)
-    calls = []
-    real_exp = local_ops.exp
-    monkeypatch.setattr(local_ops, "exp",
-                        lambda *args: calls.append(1) or real_exp(*args))
-    g = poly([1.0, -1.0, 0.5, 2.0], cap=24)
-    prod.apply(g)
-    prod.apply(g)
-    assert len(calls) == len(us)
-    tailed = poly([1.0, -1.0, 0.5, 2.0], cap=24, tail=1e-9)
-    out = prod.apply(tailed)
-    assert len(calls) == 2 * len(us)
-    assert _bytes(*out) \
-        == _bytes(*product_of_exponentials(us, rs).apply(tailed))
 
 
 # ---- cost of a Borel application ----
