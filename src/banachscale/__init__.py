@@ -11,7 +11,7 @@ from .sequences import (
     model_iteration,
     lemma_rho,
 )
-from .series import TruncatedSeries, NormValue
+from .series import TruncatedSeries
 from .local_ops import (
     LocalOperator,
     WeightFunction,

@@ -252,16 +252,21 @@ def _cmd_nashmoser(args) -> int:
 
 
 def _cmd_lie(args) -> int:
-    steps = _span(args.steps)
-    if args.demo == "morse":
-        report = demos.morse(eps=args.eps, t=args.t, steps=steps,
-                             cap=args.cap)
-    elif args.demo == "mather":
-        report = demos.mather(t=args.t, steps=steps, cap=args.cap)
-    else:
+    # the demo signatures hold the defaults; pass only what was given
+    given = {"cap": args.cap}
+    if args.steps is not None:
+        given["steps"] = _span(args.steps)
+    if args.demo == "circle":
         report = demos.circle(omega=args.omega, eps=args.eps,
-                              steps=steps, strip=args.strip,
-                              strip_end=args.strip_end, cap=args.cap)
+                              strip=args.strip, strip_end=args.strip_end,
+                              **given)
+    else:
+        if args.t is not None:
+            given["t"] = args.t
+        if args.demo == "morse":
+            report = demos.morse(eps=args.eps, **given)
+        else:
+            report = demos.mather(**given)
     _emit_trace(report.trace, args)
     print(f"demo {report.name} status {report.trace.status}")
     print(f"residual {fmt17(report.residual)}")
@@ -388,9 +393,6 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-_LIE_DEFAULTS = {"morse": (1.0, 5), "mather": (0.8, 4), "circle": (None, 8)}
-
-
 def main(argv=None) -> int:
     parser = build_parser()
     try:
@@ -401,12 +403,6 @@ def main(argv=None) -> int:
     except _NotFinite as exc:       # the command is the first argument
         _diagnostic((sys.argv[1:] if argv is None else argv)[0], str(exc))
         return INPUT_ERROR
-    if args.command == "lie":
-        t_default, steps_default = _LIE_DEFAULTS[args.demo]
-        if args.t is None:
-            args.t = t_default
-        if args.steps is None:
-            args.steps = steps_default
     try:
         return args.fn(args)
     except _INPUT_ERRORS as exc:

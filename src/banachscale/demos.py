@@ -63,7 +63,9 @@ class DemoReport:
 
 
 def _entry_check(r0: TruncatedSeries, t: float, schedule: LieSchedule) -> float:
-    norm = r0.norm_at(t)
+    if r0.ref_radius < t:
+        raise LieError("r0 must be certified at the starting radius")
+    norm = r0.majorant_norm(t)
     threshold = schedule.report.threshold
     if norm > threshold:
         raise LieError(
@@ -119,8 +121,6 @@ def morse(eps: float = 1e-3, t: float = 1.0, steps: int = 5, *,
     schedule = rho_schedule(problem, _STRICT_B, t)
     if r0 is None:
         r0 = TruncatedSeries.monomial(3, eps, cap=cap, ref_radius=t)
-    elif r0.ref_radius < t:
-        raise LieError("r0 must be certified at the starting radius")
     norm0 = _entry_check(r0, t, schedule)
     trace, conjugacy = run_lie(problem, schedule, r0, steps)
     cert = certify(trace, problem, schedule.rho, schedule.sigma, schedule.b)
@@ -146,7 +146,7 @@ def _normalization_defect(conjugacy, f: TruncatedSeries, t: float,
     tau = f if f.ref_radius == t else f.restrict(t)
     gx, g_rem = conjugacy.image
     gx, base = align(gx, tau)
-    return (gx - base).majorant_norm(s_inf).value + g_rem
+    return (gx - base).majorant_norm(s_inf) + g_rem
 
 
 # ---- finitely determined base point ----
@@ -368,7 +368,7 @@ def circle(omega: float = GOLDEN_MEAN, eps: float = 1e-3, steps: int = 8, *,
     trace, conjugacy = run_lie(problem, radii, f, steps)
     gx = trace.metadata["conjugacy_coeff_defect"]
     tau_mean = 2.0 * math.pi * omega
-    f_norm = f.norm_at(strip)
+    f_norm = f.majorant_norm(strip)
     sigma = math.sqrt(2.0 * math.pi * omega) / math.e
     details = {
         "omega": omega,

@@ -1,9 +1,10 @@
-"""Certified iteration engines on truncated series.
+"""Certified iteration engines: Newton on scalars, Nash-Moser on
+truncated series.
 
 Two engines share the trace plumbing:
 
-* `newton` is the classical quadratically convergent loop with declared
-  bounds m >= |j| and M >= |D^2 f|, certifying the ratio
+* `newton` is the classical quadratically convergent loop on scalars
+  with declared bounds m >= |j| and M >= |D^2 f|, certifying the ratio
   |x_{n+1} - x_n| / |x_n - x_{n-1}|^2 <= C = m M / 2.
 * `nash_moser` runs the same loop on a falling radius schedule: the
   residual is restricted to the midpoint radius s_{n+1/2}, the declared
@@ -28,8 +29,7 @@ import math
 from typing import Callable
 
 from .local_ops import LocalOperator, OperatorError
-from .sequences import (PositiveSequence, SequenceDomainError, bruno_check,
-                        bruno_transform)
+from .sequences import PositiveSequence, SequenceDomainError, bruno_transform
 from .series import SeriesError, TruncatedSeries
 from .trace import IterationTrace, StepRecord
 
@@ -44,12 +44,6 @@ __all__ = [
 
 class IterationError(ValueError):
     """Raised for malformed engine inputs or non-executable steps."""
-
-
-def _norm(x) -> float:
-    if isinstance(x, TruncatedSeries):
-        return x.norm_at(x.ref_radius)
-    return abs(x)
 
 
 # ---- radius schedules ----
@@ -87,15 +81,9 @@ class RadiusSchedule:
                     break
                 if lr >= 0.0:
                     raise IterationError(f"rho_{n} >= 1; radii must fall")
-            try:
-                cert = bruno_check(rho)
-            except SequenceDomainError:    # table shorter than the window
-                params["limit_certified"] = False
-            else:
-                if cert.verdict == "not_bruno":
-                    raise IterationError(
-                        "rho is certified non-summable; the limit radius is 0")
-                params["limit_certified"] = cert.verdict == "bruno"
+            if rho.divergence_witness():
+                raise IterationError(
+                    "rho is certified non-summable; the limit radius is 0")
         else:
             raise IterationError(f"unknown schedule kind {kind!r}")
         self.kind = kind
@@ -167,40 +155,34 @@ def newton(f: Callable, df_inverse: Callable, x0, y, m: float, M: float,
            steps: int = 40) -> IterationTrace:
     """Newton iteration x_{n+1} = x_n - j(x_n)(f(x_n) - y).
 
-    Works on scalars and on truncated series: `df_inverse(x)` may return
-    a multiplier (applied by scaling) or a callable (applied to the
-    residual).  With declared bounds m >= |j| and M >= |D^2 f| on the
-    working ball the loop certifies the quadratic estimate
-    |x_{n+1} - x_n| <= C |x_n - x_{n-1}|^2 for C = m M / 2 together with
-    the entry condition |x_1 - x_0| < 1/C.
+    Works on scalars: `df_inverse(x)` returns the multiplier j(x), and
+    increments are measured by abs (`nash_moser` is the series engine).
+    With declared bounds m >= |j| and M >= |D^2 f| on the working ball
+    the loop certifies the quadratic estimate |x_{n+1} - x_n| <=
+    C |x_n - x_{n-1}|^2 for C = m M / 2 together with the entry
+    condition |x_1 - x_0| < 1/C.
 
     A singular derivative inverse (ZeroDivisionError, SeriesError or
-    OperatorError from `df_inverse` or its application) aborts the run
-    with an `IterationError` naming the step.
+    OperatorError from `f` or `df_inverse`) aborts the run with an
+    `IterationError` naming the step.
     """
     if not (m > 0 and M > 0):
         raise IterationError("bounds m, M must be positive")
     C = 0.5 * m * M
     trace = IterationTrace(engine="newton")
     trace.metadata = {"m": m, "M": M, "C": C, "steps": steps}
-    x = x0.copy() if isinstance(x0, TruncatedSeries) else x0
+    x = x0
     d_prev = None
     d_first = None
     for n in range(steps):
         try:
             resid = f(x) - y
-            jx = df_inverse(x)
-            if callable(jx):
-                delta = jx(resid)
-            elif isinstance(resid, TruncatedSeries):
-                delta = resid.scale(jx)
-            else:
-                delta = jx * resid
+            delta = df_inverse(x) * resid
         except (ZeroDivisionError, SeriesError, OperatorError) as exc:
             raise IterationError(
                 f"derivative inverse failed at step {n}: {exc}") from exc
         x_next = x - delta
-        d = _norm(delta)
+        d = abs(delta)
         if d_first is None:
             d_first = d
         # below the float noise floor the quadratic ratio is meaningless
@@ -208,14 +190,14 @@ def newton(f: Callable, df_inverse: Callable, x0, y, m: float, M: float,
         # and the terminal row carries no ratio; an increment that
         # overflowed stops it as diverged
         diverged = not math.isfinite(d)
-        stopping = diverged or d <= 1e-14 * max(1.0, _norm(x_next))
+        stopping = diverged or d <= 1e-14 * max(1.0, abs(x_next))
         ratio = None
         ok = not diverged
         if not stopping and d_prev is not None and d_prev > 0.0:
             ratio = d / (d_prev * d_prev)
             ok = ratio <= C + 1e-9
         bound = None if d_prev is None else C * d_prev * d_prev
-        trace.add(StepRecord(n=n, value_norm=_norm(x_next), increment_norm=d,
+        trace.add(StepRecord(n=n, value_norm=abs(x_next), increment_norm=d,
                              bound=bound, sigma=C, checks_passed=ok,
                              extra={"ratio": ratio}))
         if diverged:
@@ -233,8 +215,7 @@ def newton(f: Callable, df_inverse: Callable, x0, y, m: float, M: float,
         trace.fail(f"entry condition |x_1 - x_0| < 1/C fails "
                    f"({d_first} >= {1.0 / C})")
     trace.certified = trace.all_checks_passed
-    trace.metadata["final"] = x if not isinstance(x, TruncatedSeries) \
-        else x.to_json_dict()
+    trace.metadata["final"] = x
     return trace
 
 
@@ -334,7 +315,7 @@ def nash_moser(f: Callable[[TruncatedSeries], TruncatedSeries],
         except (SeriesError, OperatorError) as exc:
             raise IterationError(f"step {n}: {exc}") from exc
         x = x.restrict(s_next) + w
-        d = w.majorant_norm(s_next).value
+        d = w.majorant_norm(s_next)
         a_n = M * q ** (-alpha * n)
         if gate_ok is None:
             gate_ok = d < gate_lo
@@ -353,7 +334,8 @@ def nash_moser(f: Callable[[TruncatedSeries], TruncatedSeries],
                 env = math.exp(scaled) if scaled < 700.0 else math.inf
         elif d > 0:
             log_env = math.log(d)
-        trace.add(StepRecord(n=n, radius=s_next, value_norm=_norm(x),
+        trace.add(StepRecord(n=n, radius=s_next,
+                             value_norm=x.majorant_norm(x.ref_radius),
                              increment_norm=d, bound=bound, sigma=a_n,
                              checks_passed=ok,
                              extra={"s_half": s_half, "envelope": env}))
@@ -368,14 +350,14 @@ def nash_moser(f: Callable[[TruncatedSeries], TruncatedSeries],
         else:
             growths = 0
         d_prev = d
-        if d <= 1e-16 * (1.0 + _norm(x)):
+        if d <= 1e-16 * (1.0 + x.majorant_norm(x.ref_radius)):
             trace.status = "converged"
             break
 
     s_inf = schedule.limit
     x_lim = x.restrict(s_inf)
     resid_lim = y.restrict(s_inf) - f(x_lim)
-    trace.metadata["residual_at_limit"] = resid_lim.majorant_norm(s_inf).value
+    trace.metadata["residual_at_limit"] = resid_lim.majorant_norm(s_inf)
     trace.metadata["limit_radius"] = s_inf
     trace.metadata["steps_used"] = len(trace.steps)
     trace.metadata["x_final"] = x.to_json_dict()

@@ -43,10 +43,9 @@ from typing import Callable, Sequence
 from .series import SeriesError, TruncatedSeries, align
 
 __all__ = ["WeightFunction", "LocalOperator", "OperatorError",
-           "certify_vector_field", "multiplication_operator",
-           "restriction_operator", "BorelSymbol", "EXP", "EXP_NEG", "PHI",
-           "PSI", "BorelApplication", "borel_apply", "exp",
-           "product_of_exponentials", "ExponentialProduct"]
+           "certify_vector_field", "multiplication_operator", "BorelSymbol",
+           "EXP", "EXP_NEG", "PHI", "PSI", "BorelApplication", "borel_apply",
+           "exp", "product_of_exponentials", "ExponentialProduct"]
 
 _EPS = sys.float_info.epsilon
 
@@ -78,12 +77,12 @@ class WeightFunction:
 class LocalOperator:
     """Action on truncated series plus a certified weighted norm bound.
 
-    kind is one of 'derivation', 'multiplication', 'restriction',
-    'projector', 'generic'; only derivations get the factorial Borel
-    route.  order_raise is a certified lower bound on how much one
-    application raises the vanishing order of its argument (counted on
-    exactly zero coefficients, no tolerance).  cert_radius caps the
-    radii t at which the norm_bound certificate applies.
+    kind is one of 'derivation', 'multiplication', 'projector',
+    'generic'; only derivations get the factorial Borel route.
+    order_raise is a certified lower bound on how much one application
+    raises the vanishing order of its argument (counted on exactly zero
+    coefficients, no tolerance).  cert_radius caps the radii t at which
+    the norm_bound certificate applies.
     """
 
     def __init__(self, action: Callable, weight: WeightFunction,
@@ -136,7 +135,7 @@ def certify_vector_field(a: TruncatedSeries, name: str = "vector_field"
     """
     if a.basis != "taylor" or a.dim != 1:
         raise OperatorError("vector fields are univariate taylor series")
-    bound = a.majorant_norm(a.ref_radius).value
+    bound = a.majorant_norm(a.ref_radius)
     raise_by = max(0, a.order(tol=0.0) - 1)
 
     def action(f: TruncatedSeries, t: float, s: float) -> TruncatedSeries:
@@ -163,7 +162,7 @@ def certify_vector_field(a: TruncatedSeries, name: str = "vector_field"
 def multiplication_operator(h: TruncatedSeries, name: str = "multiplication"
                             ) -> LocalOperator:
     """f -> h f, weight 1: |h f|_s <= N(h) |f|_t."""
-    bound = h.majorant_norm(h.ref_radius).value
+    bound = h.majorant_norm(h.ref_radius)
 
     def action(f: TruncatedSeries, t: float, s: float) -> TruncatedSeries:
         _check_window(t, s, (f.ref_radius, h.ref_radius))
@@ -176,15 +175,6 @@ def multiplication_operator(h: TruncatedSeries, name: str = "multiplication"
                          kind="multiplication", name=name,
                          order_raise=h.order(tol=0.0),
                          cert_radius=h.ref_radius)
-
-
-def restriction_operator() -> LocalOperator:
-    """iota: identity on coefficients, reference radius moved down."""
-    def action(f: TruncatedSeries, t: float, s: float) -> TruncatedSeries:
-        _check_window(t, s, (f.ref_radius,))
-        return f.restrict(min(s, f.ref_radius))
-    return LocalOperator(action, WeightFunction(k=0), 1.0,
-                         kind="restriction", name="iota")
 
 
 # ---- Borel calculus ----
@@ -222,7 +212,7 @@ class BorelApplication:
 
     series: TruncatedSeries
     remainder: float        # |f|-majorant bound on everything uncomputed
-    folded: bool            # True when the remainder sits in series.tail
+    folded: bool            # the bound sits in series.tail; remainder is 0
     x: float                # |u|/lambda(t, s); e-inflated for non-derivations
     lam: float
     input_norm: float       # majorant norm of g at t
@@ -231,10 +221,8 @@ class BorelApplication:
 
     def certified_norm(self) -> float:
         """Sound upper bound for the true result's majorant norm at s."""
-        value = self.series.majorant_norm(self.series.ref_radius).value
-        if not self.folded:
-            value += self.remainder
-        return value
+        return self.series.majorant_norm(self.series.ref_radius) \
+            + self.remainder
 
 
 def borel_apply(symbol: BorelSymbol, u: LocalOperator, t: float, s: float,
@@ -265,7 +253,7 @@ def borel_apply(symbol: BorelSymbol, u: LocalOperator, t: float, s: float,
         raise OperatorError(
             f"outside the Borel disc: |u|/lambda = {x:g} >= {symbol.radius:g}")
     gt = _clamp(g, t)
-    input_norm = gt.majorant_norm(gt.ref_radius).value
+    input_norm = gt.majorant_norm(gt.ref_radius)
     bound = symbol.majorant(x) * input_norm
 
     if max_terms is None:
@@ -299,7 +287,7 @@ def borel_apply(symbol: BorelSymbol, u: LocalOperator, t: float, s: float,
             break
         ck = symbol.coeff(k)
         share = abs(ck) * x ** k * input_norm
-        contrib = abs(ck) / kfact * w.norm_at(s)
+        contrib = abs(ck) / kfact * w.majorant_norm(s)
         if contrib > share * (1.0 + 1e-9) + 1e-300:
             break           # tail bookkeeping left the theoretical budget
         if ck != 0.0:
@@ -314,7 +302,7 @@ def borel_apply(symbol: BorelSymbol, u: LocalOperator, t: float, s: float,
                 and k >= 2:
             break           # inexact and numerically stagnant
         if endless and k >= 2 and (k + 1) * x ** (k + 1) * input_norm \
-                <= 2.0 ** -53 * (1.0 - x) ** 2 * acc.norm_at(s):
+                <= 2.0 ** -53 * (1.0 - x) ** 2 * acc.majorant_norm(s):
             break           # sum_{j>k} j x^j |g|_t is below acc's rounding
     if exact:
         remainder = 0.0
@@ -361,7 +349,7 @@ class ExponentialProduct:
         for n, u in enumerate(self.operators):
             t, s = self.radii[n], self.radii[n + 1]
             app = exp(u, t, s, w)
-            rem = rem / (1.0 - app.x) + (0.0 if app.folded else app.remainder)
+            rem = rem / (1.0 - app.x) + app.remainder
             w = app.series
         return w, rem
 

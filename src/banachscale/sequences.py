@@ -277,32 +277,6 @@ class PositiveSequence:
     def to_json(self) -> str:
         return json.dumps(self.to_json_dict(), sort_keys=True)
 
-    @staticmethod
-    def from_json_dict(d: dict) -> "PositiveSequence":
-        f = d["family"]
-        if f == "geometric":
-            return PositiveSequence.geometric(d["q"])
-        if f == "exp_power":
-            return PositiveSequence.exp_power(d["sign"], d["alpha"])
-        if f == "tabulated":
-            return PositiveSequence.tabulated(d["values"])
-        if f == "product":
-            factors = [PositiveSequence.from_json_dict(x) for x in d["factors"]]
-            seq = factors[0]
-            for s in factors[1:]:
-                seq = seq * s
-            return seq
-        if f == "power":
-            return PositiveSequence.from_json_dict(d["base"]) ** d["exponent"]
-        if f == "scaled":
-            return PositiveSequence.from_json_dict(d["base"]).scaled(
-                log_factor=d["log_factor"])
-        raise SequenceDomainError(f"unknown family {f!r}")
-
-    @staticmethod
-    def from_json(text: str) -> "PositiveSequence":
-        return PositiveSequence.from_json_dict(json.loads(text))
-
     def __repr__(self) -> str:
         return f"PositiveSequence({self.to_json()})"
 
@@ -374,10 +348,6 @@ class BrunoTransformResult:
     def enclosure(self) -> tuple[float, float]:
         lo = math.exp(self.log_lower) if math.isfinite(self.log_lower) else 0.0
         return (lo, math.exp(self.log_value))
-
-    @property
-    def log_width(self) -> float:
-        return self.log_value - self.log_lower
 
 
 def bruno_transform(a: PositiveSequence, n: int = 0,

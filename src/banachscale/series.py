@@ -21,6 +21,9 @@ function at radius t.  The Hilbert norm on the polydisc,
 is exact and is the norm in which the degree-cutoff estimate
 |[f]_N|_s <= (s/t)^(d+N) |f|_t holds.
 
+`majorant_norm(t)` and `hilbert_norm(t)` return these norms as plain
+floats and refuse a radius t outside (0, ref_radius] with SeriesError.
+
 Tail bookkeeping rules worth knowing (each documented at the operation):
 
 * multiply: T_fg = |f|_ref T_g + |g|_ref T_f + overflow of the exact
@@ -37,7 +40,7 @@ Tail bookkeeping rules worth knowing (each documented at the operation):
   u.multiply(P): the error (u_poly P)_{>cap} + (u - u_poly) P of
   (1 - u) P = 1 has degree > cap, and dividing it by 1 - u costs at
   most 1/(1 - theta);
-* derivative with tail > 0 must shrink to an explicit smaller radius s:
+* derivative (Taylor only) with tail > 0 must shrink to an explicit smaller radius s:
   the monomialwise Cauchy bound n s^(n-1) (r - s) <= r^n gives
   T' = T / (r - s), and the cap drops by one because the new top
   coefficient depends on an unknown coefficient of f;
@@ -65,12 +68,11 @@ from __future__ import annotations
 import json
 import math
 import operator
-from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
 
-__all__ = ["TruncatedSeries", "NormValue", "SeriesError", "align",
+__all__ = ["TruncatedSeries", "SeriesError", "align",
             "DEFAULT_CAP_1D", "DEFAULT_CAP_ND", "DEFAULT_ORDER_TOL"]
 
 DEFAULT_CAP_1D = 64
@@ -80,18 +82,6 @@ DEFAULT_ORDER_TOL = 1e-12
 
 class SeriesError(ValueError):
     """Domain or compatibility error in a series operation."""
-
-
-@dataclass(frozen=True)
-class NormValue:
-    """A certified norm evaluation: which norm, at which radius."""
-
-    kind: str       # 'majorant_sup' | 'hilbert'
-    radius: float
-    value: float
-
-    def __float__(self) -> float:
-        return self.value
 
 
 # ---- the basis block: every Taylor/Fourier difference lives here ----
@@ -439,7 +429,7 @@ class TruncatedSeries:
             u.coeffs[origin] = 0.0
             c = c * (1.0 - eta)
             u = u.scale(1.0 / (1.0 - eta))
-        theta = u.majorant_norm(self.ref_radius).value
+        theta = u.majorant_norm(self.ref_radius)
         if theta >= 1.0:
             raise SeriesError(f"not invertible at this radius (theta={theta})")
         dim, cap, r = self.dim, self.cap, self.ref_radius
@@ -460,19 +450,13 @@ class TruncatedSeries:
 
     # -- norms --
 
-    def majorant_norm(self, t: float) -> NormValue:
+    def majorant_norm(self, t: float) -> float:
         if not (0.0 < t <= self.ref_radius):
             raise SeriesError(f"radius {t} outside (0, {self.ref_radius}]")
-        value = self._poly_majorant(t) + self.tail * _decay(
+        return self._poly_majorant(t) + self.tail * _decay(
             self.basis, self.cap, self.ref_radius, t)
-        return NormValue("majorant_sup", t, value)
 
-    def norm_at(self, t: float) -> float:
-        """Majorant norm at min(t, ref_radius): a series certified only
-        up to a smaller radius is measured at its own radius."""
-        return self.majorant_norm(min(t, self.ref_radius)).value
-
-    def hilbert_norm(self, t: float) -> NormValue:
+    def hilbert_norm(self, t: float) -> float:
         if self.basis != "taylor":
             raise SeriesError("hilbert norm defined for taylor basis")
         if self.tail != 0.0:
@@ -483,35 +467,23 @@ class TruncatedSeries:
         c = _hilbert_c(self.dim, self.cap + 1)
         sq = np.sum(np.abs(self.coeffs) ** 2 * c
                     * np.power(t, 2 * self.dim + 2 * deg, dtype=float))
-        return NormValue("hilbert", t, float(math.sqrt(sq)))
+        return math.sqrt(sq)
 
     # -- calculus --
 
     def derivative(self, axis: int = 0, *, at: float | None = None
                    ) -> "TruncatedSeries":
-        """d/dz_axis (Taylor) or d/dx (Fourier: c_k -> i k c_k).
+        """d/dz_axis of a Taylor series.
 
         Exact when tail == 0.  With a tail the result lives at a strictly
         smaller radius `at` (default: the worst-case maximizer
         ref_radius * cap / (cap + 1)) and the tail propagates as described
         in the module docstring.
         """
+        if self.basis != "taylor":
+            raise SeriesError("derivative implemented for taylor basis")
         if self.tail > 0.0 and at is None:
             at = self.ref_radius * self.cap / (self.cap + 1)
-        if self.basis == "fourier":
-            k = np.arange(-self.cap, self.cap + 1)
-            coeffs = self.coeffs * (1j * k)
-            if self.tail == 0.0:
-                return self._owning(1, self.cap, self.ref_radius, "fourier",
-                                    coeffs, 0.0)
-            if at is None or not (0.0 < at < self.ref_radius):
-                raise SeriesError("derivative of a tailed series needs at < ref")
-            delta = self.ref_radius - at
-            kk = self.cap + 1
-            sup = (kk * math.exp(-kk * delta) if kk >= 1.0 / delta
-                   else 1.0 / (math.e * delta))
-            return self._owning(1, self.cap, at, "fourier", coeffs,
-                                self.tail * sup)
         if not (0 <= axis < self.dim):
             raise SeriesError("axis out of range")
         mult_shape = [1] * self.dim
@@ -662,24 +634,6 @@ class TruncatedSeries:
         factor = _decay(self.basis, self.cap, self.ref_radius, s)
         return self._owning(self.dim, self.cap, s, self.basis,
                             self.coeffs.copy(), self.tail * factor)
-
-    def evaluate(self, z) -> complex:
-        """Point evaluation of the polynomial part (diagnostics only; the
-        tail is not included)."""
-        if self.basis == "fourier":
-            k = np.arange(-self.cap, self.cap + 1)
-            return complex(np.sum(self.coeffs * np.exp(1j * k * z)))
-        if self.dim == 1:
-            res = 0.0 + 0.0j
-            for a in self.coeffs[::-1]:
-                res = res * z + a
-            return complex(res)
-        z = np.asarray(z, dtype=complex)
-        grids = np.indices(self.coeffs.shape)
-        mono = np.ones(self.coeffs.shape, dtype=complex)
-        for ax in range(self.dim):
-            mono = mono * z[ax] ** grids[ax]
-        return complex(np.sum(self.coeffs * mono))
 
     # -- serialization --
 

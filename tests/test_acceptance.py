@@ -202,8 +202,8 @@ def test_criterion_04_norm_inequalities_hold_on_random_draws():
         t = float(rng.uniform(0.05, 1.0))
         s = float(rng.uniform(0.01, 0.99)) * t
         axis = int(rng.integers(0, dim))
-        lhs = f.derivative(axis).majorant_norm(s).value
-        assert lhs <= f.majorant_norm(t).value / (t - s) * (1 + 1e-12)
+        lhs = f.derivative(axis).majorant_norm(s)
+        assert lhs <= f.majorant_norm(t) / (t - s) * (1 + 1e-12)
 
     for _ in range(1000):
         dim = int(rng.integers(1, 4))
@@ -215,8 +215,8 @@ def test_criterion_04_norm_inequalities_hold_on_random_draws():
         f.tail = float(rng.uniform(0.0, 0.5))
         g = f.divide_by_coordinate(axis)
         t = float(rng.uniform(0.05, 1.0))
-        assert g.majorant_norm(t).value \
-            <= f.majorant_norm(t).value / t * (1 + 1e-12)
+        assert g.majorant_norm(t) \
+            <= f.majorant_norm(t) / t * (1 + 1e-12)
 
     checked = 0
     while checked < 1000:
@@ -229,8 +229,8 @@ def test_criterion_04_norm_inequalities_hold_on_random_draws():
             continue
         t = float(rng.uniform(0.3, 1.0))
         s = float(rng.uniform(0.05, 0.95)) * t
-        lhs = cut.hilbert_norm(s).value
-        rhs = (s / t) ** (dim + n_min) * f.hilbert_norm(t).value
+        lhs = cut.hilbert_norm(s)
+        rhs = (s / t) ** (dim + n_min) * f.hilbert_norm(t)
         assert lhs <= rhs * (1 + 1e-12)
         checked += 1
     _budget(t0, 10.0)
@@ -260,14 +260,14 @@ def test_criterion_05_exponential_calculus_shift_and_borel_bounds():
         cap = int(rng.integers(6, 28))
         a = _poly(rng, cap, int(rng.integers(0, 4)), ref=t)
         a = a.scale(float(rng.uniform(0.05, 0.95)) * (t - s)
-                    / a.majorant_norm(t).value)
+                    / a.majorant_norm(t))
         g = _poly(rng, cap, int(rng.integers(1, cap + 1)), ref=t,
                   tail=float(rng.uniform(0, 1.0) * (rng.random() < 0.5)))
         app = exp_field(certify_vector_field(a), t, s, g)
-        x = a.majorant_norm(t).value / (t - s)
+        x = a.majorant_norm(t) / (t - s)
         assert x < 1.0
         assert app.certified_norm() \
-            <= g.majorant_norm(t).value / (1.0 - x) * (1 + 2e-9)
+            <= g.majorant_norm(t) / (1.0 - x) * (1 + 2e-9)
 
     for _ in range(50):
         count = int(rng.integers(2, 5))
@@ -280,9 +280,9 @@ def test_criterion_05_exponential_calculus_shift_and_borel_bounds():
             a = _poly(rng, 8, int(rng.integers(0, 2)), ref=rs[i])
             gap = rs[i] - rs[i + 1]
             a = a.scale(float(rng.uniform(0.02, 0.2)) * gap
-                        / a.majorant_norm(rs[i]).value)
+                        / a.majorant_norm(rs[i]))
             us.append(certify_vector_field(a))
-            sigma_indep += a.majorant_norm(rs[i]).value / gap
+            sigma_indep += a.majorant_norm(rs[i]) / gap
         prod = product_of_exponentials(us, rs)
         assert prod.sigma < 1.0
         assert prod.sigma == pytest.approx(sigma_indep, rel=1e-12)
@@ -290,9 +290,9 @@ def test_criterion_05_exponential_calculus_shift_and_borel_bounds():
             prod.sigma / (1.0 - prod.sigma), rel=1e-12)
         g = _poly(rng, 24, 4)
         out, rem = prod.apply(g)
-        measured = (out - g.restrict(rs[-1])).majorant_norm(rs[-1]).value \
+        measured = (out - g.restrict(rs[-1])).majorant_norm(rs[-1]) \
             + rem
-        assert measured <= prod.bound * g.majorant_norm(1.0).value \
+        assert measured <= prod.bound * g.majorant_norm(1.0) \
             * (1 + 1e-9)
     _budget(t0, 10.0)
 

@@ -68,6 +68,13 @@ def test_morse_seed_must_cover_radius():
         morse(r0=monomial(3, 1e-3, ref=0.5), t=1.0)
 
 
+def test_mather_seed_must_cover_radius():
+    # refused before the seed is measured, as for morse
+    with pytest.raises(LieError, match="r0 must be certified at the "
+                                       "starting radius"):
+        mather(r0=monomial(7, 1e-4, ref=0.5), t=0.8)
+
+
 # ---- finitely determined base point ----
 
 def test_mather_default_run_is_certified():

@@ -172,10 +172,11 @@ def test_transform_recursion_randomized():
         a = _random_summable_increasing(rng)
         depth = 60
         results = [bruno_transform(a, n, depth) for n in range(42)]
+        width = [r.log_value - r.log_lower for r in results]
         for n in range(41):
             lhs = results[n + 1].log_value
             rhs = a.log(n) + 2.0 * results[n].log_value
-            slack = (results[n + 1].log_width + 2.0 * results[n].log_width
+            slack = (width[n + 1] + 2.0 * width[n]
                      + 1e-9 * (1.0 + abs(lhs) + abs(rhs)))
             assert abs(lhs - rhs) <= slack
 
@@ -489,18 +490,6 @@ def test_lemma_rho_rejects_bad_inputs():
 
 
 # ---- serialization ----
-
-def test_sequence_json_round_trip():
-    rng = np.random.default_rng(5)
-    for _ in range(10):
-        a = _random_summable_increasing(rng)
-        back = PS.from_json(a.to_json())
-        for n in (0, 3, 17):
-            assert back.log(n) == a.log(n)
-    t = PS.tabulated([0.5, 0.25, 0.125])
-    back = PS.from_json(t.to_json())
-    assert back.log(2) == t.log(2)
-
 
 def test_log_one_minus_exp_matches_high_precision():
     mpmath = pytest.importorskip("mpmath")
