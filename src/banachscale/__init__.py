@@ -1,7 +1,7 @@
 """Certified norm estimates and quadratic-convergence iteration on scales
 of Banach spaces: summable-sequence calculus, truncated power series with
 tail bounds, weighted local operators with a Borel functional calculus,
-and Newton / scale / Lie iteration engines with per-step certificates."""
+and Newton / Nash-Moser / Lie iteration engines with per-step certificates."""
 
 from .sequences import (
     PositiveSequence,

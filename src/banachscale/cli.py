@@ -23,13 +23,12 @@ import sys
 from pathlib import Path
 
 from . import demos
-from .iterate import (IterationError, RadiusSchedule, nash_moser, newton)
-from .lie import LieError
-from .local_ops import OperatorError, multiplication_operator
+from .iterate import RadiusSchedule, nash_moser, newton
+from .local_ops import multiplication_operator
 from .sequences import (PositiveSequence, SequenceDomainError, bruno_check,
                         bruno_transform, lemma_rho, model_iteration,
                         tame_check)
-from .series import SeriesError, TruncatedSeries
+from .series import TruncatedSeries
 from .trace import fmt17
 
 
@@ -45,9 +44,7 @@ def _finite(text: str) -> float:
 
 
 _finite.__name__ = "float"      # argparse's "invalid float value" message
-_INPUT_ERRORS = (SequenceDomainError, SeriesError, OperatorError,
-                 IterationError, LieError, ValueError, OverflowError,
-                 _NotFinite)
+_INPUT_ERRORS = (ValueError, OverflowError, _NotFinite)
 
 OK, UNCERTIFIED, INPUT_ERROR = 0, 2, 1
 
@@ -251,22 +248,26 @@ def _cmd_nashmoser(args) -> int:
     return OK if ok else UNCERTIFIED
 
 
+# the demo flags of `lie` each demo takes (--steps and --cap fit all)
+_LIE_FLAGS = {"morse": ("eps", "t"), "mather": ("t",),
+              "circle": ("omega", "eps", "strip", "strip_end")}
+
+
 def _cmd_lie(args) -> int:
-    # the demo signatures hold the defaults; pass only what was given
+    # the demo signatures hold the defaults; pass only what was given,
+    # and refuse a flag the chosen demo would not read
     given = {"cap": args.cap}
     if args.steps is not None:
         given["steps"] = _span(args.steps)
-    if args.demo == "circle":
-        report = demos.circle(omega=args.omega, eps=args.eps,
-                              strip=args.strip, strip_end=args.strip_end,
-                              **given)
-    else:
-        if args.t is not None:
-            given["t"] = args.t
-        if args.demo == "morse":
-            report = demos.morse(eps=args.eps, **given)
-        else:
-            report = demos.mather(**given)
+    for flag in ("eps", "t", "omega", "strip", "strip_end"):
+        if getattr(args, flag) is None:
+            continue
+        if flag not in _LIE_FLAGS[args.demo]:
+            raise SequenceDomainError(
+                f"--{flag.replace('_', '-')} does not apply to "
+                f"the {args.demo} demo")
+        given[flag] = getattr(args, flag)
+    report = getattr(demos, args.demo)(**given)
     _emit_trace(report.trace, args)
     print(f"demo {report.name} status {report.trace.status}")
     print(f"residual {fmt17(report.residual)}")
@@ -374,13 +375,17 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("lie", help="run a worked conjugation problem")
     p.add_argument("--demo", required=True,
                    choices=("morse", "mather", "circle"))
-    p.add_argument("--eps", type=_finite, default=1e-3)
-    p.add_argument("--t", type=_finite, default=None,
+    p.add_argument("--eps", type=_finite,
+                   help="perturbation size (morse and circle 1e-3)")
+    p.add_argument("--t", type=_finite,
                    help="starting radius (morse 1.0, mather 0.8)")
-    p.add_argument("--steps", type=int, default=None)
-    p.add_argument("--omega", type=_finite, default=demos.GOLDEN_MEAN)
-    p.add_argument("--strip", type=_finite, default=0.5)
-    p.add_argument("--strip-end", type=_finite, dest="strip_end", default=0.2)
+    p.add_argument("--steps", type=int)
+    p.add_argument("--omega", type=_finite,
+                   help="rotation number (circle, golden mean)")
+    p.add_argument("--strip", type=_finite,
+                   help="starting strip width (circle 0.5)")
+    p.add_argument("--strip-end", type=_finite, dest="strip_end",
+                   help="limit strip width (circle 0.2)")
     p.add_argument("--cap", type=int, default=64)
     add_trace_outputs(p)
     p.set_defaults(fn=_cmd_lie)

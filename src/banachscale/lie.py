@@ -29,12 +29,13 @@ from .iterate import RadiusSchedule
 from .local_ops import (EXP_NEG, PHI, PSI, LocalOperator, OperatorError,
                         borel_apply, product_of_exponentials)
 from .sequences import (PositiveSequence, SequenceDomainError, bruno_check,
-                        lemma_rho, log_one_minus_exp, strictness_check)
+                        lemma_rho, log_one_minus_exp)
 from .series import SeriesError, TruncatedSeries, align
 from .trace import IterationTrace, StepRecord
 
 _LOG2 = math.log(2.0)
 _LOG4E = math.log(4.0) + 1.0
+_WINDOW = 40        # rho_schedule checks its conditions at n = 0..39
 
 
 class LieError(ValueError):
@@ -300,11 +301,9 @@ class LieScheduleReport:
     halvings: int
     alpha: float
     conditions: dict
-    binding: str | None
     epsilon: float
     m: int
     threshold: float
-    tau0_norm: float
     k: int
     l: int
 
@@ -349,24 +348,26 @@ def _derived_logs(problem: ActionProblem, tau0: float, count: int) -> dict:
             "a4": log_a4}
 
 
-def rho_schedule(problem: ActionProblem, b: PositiveSequence, t: float, *,
-                 alpha: float = 1.5, window: int = 40,
-                 max_halvings: int = 64) -> LieSchedule:
+def rho_schedule(problem: ActionProblem, b: PositiveSequence,
+                 t: float) -> LieSchedule:
     """Tune rho_n = K b_n c_n e^(-alpha^n) until the five smallness
     conditions hold on the window, then emit the radius schedule
     s_{n+1} = rho_n^(1/2^n) s_n from s_0 = t.
 
     Condition 1 is the tame model pair (2 (a'' + a''') sigma^-k,
-    2 rho a'''' sigma^-l); condition 2 controls the linear branch
+    2 rho a'''' sigma^-l), which is `lemma_rho`'s own pair of
+    conclusions; condition 2 controls the linear branch
     (a'''' sigma^-l rho_n <= rho_{n+1}^(1/2)); condition 3 the
     exponentials (4 e |j_n| sigma_n^-1 rho_n^(1/2) <= rho_{n+1}^(1/4));
     condition 4 the transversal increments (a'_n sigma_n^(-k/2)
     rho_n^(1/2) <= rho_{n+1}^(1/4)); condition 5 keeps
-    rho_n^(1/4) < 1/2^n.  K is halved (at most max_halvings times)
-    until all pass; absent kappa makes conditions 1 and 2 vacuous in
-    their kappa factor and an absent projector makes condition 4
-    vacuous.  The report carries the entry threshold as epsilon * t^m
-    with m = k + l.
+    rho_n^(1/4) < 1/2^n.  Conditions 2-5 join the one K search, the one
+    in `lemma_rho`, evaluated on each candidate rho's own log values; a
+    refusal of `lemma_rho` (no passing K, naming the binding condition,
+    or an input it cannot tame) becomes a LieError with its message.
+    Absent kappa makes conditions 1 and 2 vacuous in their kappa factor
+    and an absent projector makes condition 4 vacuous.  The report
+    carries the entry threshold as epsilon * t^m with m = k + l.
     """
     if not (t > 0.0):
         raise LieError("the starting radius t must be positive")
@@ -377,20 +378,17 @@ def rho_schedule(problem: ActionProblem, b: PositiveSequence, t: float, *,
         if seq is None:
             continue
         try:
-            cert = bruno_check(seq, depth=window + 1)
+            cert = bruno_check(seq, depth=_WINDOW + 1)
         except SequenceDomainError as exc:
             raise LieError(f"|{label}| norm sequence: {exc}") from None
         if cert.verdict == "not_bruno":
             raise LieError(
                 f"|{label}| is certified non-summable; no schedule exists")
-    if not strictness_check(b, window + 2):
-        raise LieError("b must be strict (b <= 1, b_n^2 <= b_{n+1})")
 
     exps = problem.exponents
     k, l = exps.k, exps.l
-    count = window + 2
     tau0 = problem.f.restrict(t).majorant_norm(t)
-    logs = _derived_logs(problem, tau0, count)
+    logs = _derived_logs(problem, tau0, _WINDOW + 2)
     # lemma_rho needs closed-form inputs for its tail certificates, so
     # dominate 2 (a'' + a''') by a scaled power of |j|: the pair check
     # only gets harder and the taming epsilon only smaller.
@@ -404,52 +402,28 @@ def rho_schedule(problem: ActionProblem, b: PositiveSequence, t: float, *,
     else:
         ap_lem = PositiveSequence.constant(1.0)
 
-    chosen = None
-    binding = "rho outside (0, 1)"
-    K_try = 0.5
-    halvings = 0
-    for halvings in range(max_halvings):
-        try:
-            rho, sigma, rep = lemma_rho(a_lem, ap_lem, b, k, l, K=K_try,
-                                        alpha=alpha, window=window,
-                                        depth=window)
-        except SequenceDomainError:
-            binding = "rho outside (0, 1)"
-            K_try *= 0.5
-            continue
-        lr = rho.log_values(window)
-        x = lr / np.power(2.0, np.arange(window + 1))
-        ls = log_one_minus_exp(x)
-        la4, lap, lj = logs["a4"], logs["ap"], logs["j"]
-        c2, c3, c4, c5 = [], [], [], []
-        for n in range(window):
-            c2.append(bool(la4[n] - l * ls[n] + lr[n] <= 0.5 * lr[n + 1]))
-            c3.append(bool(_LOG4E + lj[n] - ls[n] + 0.5 * lr[n]
-                           <= 0.25 * lr[n + 1]))
-            c4.append(bool(lap[n] - 0.5 * k * ls[n] + 0.5 * lr[n]
-                           <= 0.25 * lr[n + 1]))
-            c5.append(bool(0.25 * lr[n] < -n * _LOG2))
-        conditions = {
-            "model-pair": rep.pair_star,
-            "model-below-b": rep.below_b,
-            "linear-branch": tuple(c2),
-            "exp-smallness": tuple(c3),
-            "transversal-increment": tuple(c4),
-            "n-range": tuple(c5),
-        }
-        if all(all(v) for v in conditions.values()):
-            chosen = (rho, sigma, conditions, K_try)
-            break
-        for name, flags in conditions.items():
-            if not all(flags):
-                binding = name
-                break
-        K_try *= 0.5
-    if chosen is None:
-        raise LieError(f"no radius schedule within {max_halvings} halvings; "
-                       f"binding condition: {binding}")
+    la4, lap, lj = (logs[key][:_WINDOW] for key in ("a4", "ap", "j"))
 
-    rho, sigma, conditions, K = chosen
+    def lie_conditions(rho: PositiveSequence) -> dict:
+        lr = rho.log_values(_WINDOW)
+        ls = log_one_minus_exp(lr / np.power(2.0, np.arange(_WINDOW + 1)))
+        now, nxt, ls = lr[:-1], lr[1:], ls[:-1]
+        flags = {
+            "linear-branch": la4 - l * ls + now <= 0.5 * nxt,
+            "exp-smallness": _LOG4E + lj - ls + 0.5 * now <= 0.25 * nxt,
+            "transversal-increment": (lap - 0.5 * k * ls + 0.5 * now
+                                      <= 0.25 * nxt),
+            "n-range": 0.25 * now < -np.arange(_WINDOW) * _LOG2,
+        }
+        return {name: tuple(v.tolist()) for name, v in flags.items()}
+
+    try:
+        rho, sigma, rep = lemma_rho(a_lem, ap_lem, b, k, l, window=_WINDOW,
+                                    depth=_WINDOW, conditions=lie_conditions)
+    except SequenceDomainError as exc:
+        raise LieError(str(exc)) from None
+    conditions = {"model-pair": rep.pair_star,
+                  "model-below-b": rep.below_b, **lie_conditions(rho)}
     radii = RadiusSchedule.rho_driven(rho, t)
     sig0 = sigma.value(0)
     gates = [sig0 / (4.0 * math.e * math.exp(logs["j"][0])), b.value(0)]
@@ -460,9 +434,9 @@ def rho_schedule(problem: ActionProblem, b: PositiveSequence, t: float, *,
     m = k + l
     # epsilon = threshold / t^m is +inf where t^m underflows
     tm = t ** m
-    report = LieScheduleReport(window, K, halvings, alpha, conditions, None,
-                               threshold / tm if tm else math.inf, m,
-                               threshold, tau0, k, l)
+    report = LieScheduleReport(_WINDOW, rep.K, rep.halvings, rep.alpha,
+                               conditions, threshold / tm if tm else math.inf,
+                               m, threshold, k, l)
     return LieSchedule(rho, sigma, radii, b, report)
 
 

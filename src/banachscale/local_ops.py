@@ -1,7 +1,8 @@
 """Weight functions, local operators, and the Borel calculus.
 
-A weight lambda(t, s) = C s^p t^(-q) (t-s)^k measures how much an
-operator costs as it maps from radius t down to radius s.  A
+A weight lambda(t, s) = (t-s)^k measures how much an operator costs as
+it maps from radius t down to radius s: k = 1 for vector fields, k = 0
+for multiplications and projectors.  A
 `LocalOperator` bundles an action on truncated series with a certified
 bound: for all 0 < s < t up to cert_radius,
 
@@ -56,22 +57,18 @@ class OperatorError(ValueError):
 
 @dataclass(frozen=True)
 class WeightFunction:
-    """lambda(t, s) = C s^p t^(-q) (t-s)^k, the cost of mapping radius t
-    down to s."""
+    """lambda(t, s) = (t-s)^k, the cost of mapping radius t down to s."""
 
-    C: float = 1.0
-    p: float = 0.0
-    q: float = 0.0
     k: int = 1
 
     def __post_init__(self):
-        if self.C <= 0 or self.p < 0 or self.q < 0 or self.k < 0:
-            raise OperatorError("weight needs C > 0 and p, q, k >= 0")
+        if self.k < 0:
+            raise OperatorError("weight needs k >= 0")
 
     def value(self, t: float, s: float) -> float:
         if not (0.0 < s <= t):
             raise OperatorError(f"weight needs 0 < s <= t, got ({t}, {s})")
-        return self.C * s ** self.p * t ** (-self.q) * (t - s) ** self.k
+        return (t - s) ** self.k
 
 
 class LocalOperator:

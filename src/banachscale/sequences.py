@@ -38,6 +38,7 @@ import json
 import math
 import sys
 from dataclasses import dataclass, replace
+from typing import Callable
 
 import numpy as np
 
@@ -58,6 +59,7 @@ __all__ = [
 ]
 
 LOG2 = math.log(2.0)
+_MAX_HALVINGS = 64     # K search of lemma_rho: K = 2^-1 ... 2^-64
 
 
 class SequenceDomainError(ValueError):
@@ -575,20 +577,27 @@ def log_one_minus_exp(x: np.ndarray) -> np.ndarray:
 def lemma_rho(a: PositiveSequence, aprime: PositiveSequence,
               b: PositiveSequence, k: int, l: int, *,
               K: float | None = None, alpha: float = 1.5,
-              window: int = 40, depth: int = 60):
+              window: int = 40, depth: int = 60,
+              conditions: Callable[[PositiveSequence], dict] | None = None):
     """Construct rho_n = K b_n c_n e^(-alpha^n) and sigma_n = 1 - rho_n^(1/2^n).
 
     c = eps * b where eps tames a * aprime^2 on the window, so the two
     conclusions hold index-by-index: the pair (a_n sigma_n^-k,
     rho_n a'_n sigma_n^-l) satisfies (*), and rho_n a'_n sigma_n^-l < b_n.
-    Both are verified in log space on the window; when K is not given it
-    is auto-tuned from 1/2 by halving (at most 64 times) until both
-    verify.  Returns (rho, sigma, report).
+    Both are verified in log space on the window.  When K is not given
+    it is auto-tuned from 1/2 by halving (at most 64 times) until both
+    verify and so do the caller's `conditions`, which map a candidate
+    rho to {name: per-index verdicts}; the search fails naming the
+    first condition the last candidate broke.  A fixed K is returned
+    with its two conclusions whatever they say, and takes no
+    conditions.  Returns (rho, sigma, report).
     """
     if not (1.0 < alpha < 2.0):
         raise SequenceDomainError("alpha must lie in (1, 2)")
     if K is not None and not (0.0 < K < 1.0):
         raise SequenceDomainError("K must lie in (0, 1)")
+    if K is not None and conditions is not None:
+        raise SequenceDomainError("a fixed K takes no conditions")
     for name, seq in (("a", a), ("aprime", aprime)):
         cert = bruno_check(seq, depth)
         if cert.verdict == "not_bruno":
@@ -598,6 +607,7 @@ def lemma_rho(a: PositiveSequence, aprime: PositiveSequence,
 
     log_eps = taming_epsilon_log(a * (aprime ** 2.0), depth)
     c = b.scaled(log_factor=log_eps)
+    unscaled_rho = b * c * PositiveSequence.exp_power(-1, alpha)
 
     log_a = a.log_values(window + 2)
     log_ap = aprime.log_values(window + 2)
@@ -622,22 +632,28 @@ def lemma_rho(a: PositiveSequence, aprime: PositiveSequence,
         if report is None:
             raise SequenceDomainError("rho fell outside (0, 1) on the window")
     else:
-        K_try, report, cand = 0.5, None, None
-        for halving in range(64):
+        K_try, report = 0.5, None
+        for halving in range(_MAX_HALVINGS):
             cand = attempt(K_try)
-            if cand is not None and cand.passed:
-                report = replace(cand, halvings=halving)
-                break
-            K_try *= 0.5
-        if report is None:
             binding = "rho outside (0,1)"
             if cand is not None:
-                binding = "pair (*)" if not all(cand.pair_star) else "rho < b"
+                verdicts = {"pair (*)": cand.pair_star,
+                            "rho < b": cand.below_b}
+                if cand.passed and conditions is not None:
+                    verdicts = conditions(
+                        unscaled_rho.scaled(log_factor=math.log(K_try)))
+                binding = next((name for name, flags in verdicts.items()
+                                if not all(flags)), None)
+                if binding is None:
+                    report = replace(cand, halvings=halving)
+                    break
+            K_try *= 0.5
+        if report is None:
             raise SequenceDomainError(
-                f"no passing K within 64 halvings; binding condition: {binding}")
+                f"no passing K within {_MAX_HALVINGS} halvings; "
+                f"binding condition: {binding}")
 
-    rho = (b * c * PositiveSequence.exp_power(-1, alpha)).scaled(
-        log_factor=math.log(report.K))
+    rho = unscaled_rho.scaled(log_factor=math.log(report.K))
     _, sigma_vals, _ = _rho_sigma_logs(report.K, *rho_logs)
     sigma = PositiveSequence.tabulated(sigma_vals[:window + 1])
     return rho, sigma, report

@@ -668,10 +668,6 @@ class TruncatedSeries:
             s.set_coefficient(idx, complex(re, im))
         return s
 
-    @staticmethod
-    def from_json(text: str) -> "TruncatedSeries":
-        return TruncatedSeries.from_json_dict(json.loads(text))
-
     def __repr__(self) -> str:
         nz = int(np.count_nonzero(self.coeffs))
         return (f"TruncatedSeries(dim={self.dim}, cap={self.cap}, "

@@ -1,6 +1,6 @@
 """Iteration traces shared by the iteration engines.
 
-Every engine (model iteration, Newton, scale iteration, Lie iteration)
+Every engine (model iteration, Newton, Nash-Moser, Lie iteration)
 records one `StepRecord` per step and wraps them in an `IterationTrace`
 which knows how to serialize itself to CSV and JSON.  The CSV column set
 is fixed so traces from different engines stay machine-comparable:

@@ -240,6 +240,20 @@ def test_lie_circle_rational_frequency_is_input_error(capsys):
     assert "k = 4" in diagnostic["error"]
 
 
+@pytest.mark.parametrize("demo,flag", [
+    ("circle", "--t"), ("mather", "--eps"),
+    ("morse", "--omega"), ("morse", "--strip"), ("morse", "--strip-end"),
+    ("mather", "--omega"), ("mather", "--strip"), ("mather", "--strip-end"),
+])
+def test_lie_refuses_a_flag_its_demo_does_not_read(capsys, demo, flag):
+    code, out, err = run(capsys, "lie", "--demo", demo, flag, "0.3",
+                         "--steps", "1", "--cap", "16")
+    assert code == 1 and out == ""
+    diagnostic = json.loads(err)
+    assert diagnostic["command"] == "lie"
+    assert diagnostic["error"] == f"{flag} does not apply to the {demo} demo"
+
+
 def test_malformed_config_is_machine_readable(capsys):
     code, _, err = run(capsys, "tame", "--a", "bogus:1", "--b", "constant:1")
     assert code == 1

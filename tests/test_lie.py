@@ -1,11 +1,13 @@
 """Tests for the conjugation engine: steps, schedule, certificates."""
 
+import dataclasses
 import math
 
 import numpy as np
 import pytest
 
-from banachscale.demos import morse_problem
+from banachscale import sequences
+from banachscale.demos import circle_problem, morse_problem
 from banachscale.iterate import RadiusSchedule
 from banachscale.lie import (
     ActionProblem,
@@ -254,6 +256,47 @@ def test_non_bruno_j_norms_refused():
 def test_non_strict_b_refused():
     with pytest.raises(LieError, match="strict"):
         rho_schedule(morse_problem(), PositiveSequence.geometric(0.5), 1.0)
+
+
+@pytest.mark.parametrize("problem,cause", [
+    (lambda: dataclasses.replace(
+        morse_problem(), j_norms=PositiveSequence.tabulated([10.0] * 80)),
+     "taming needs a certified summable sequence, got inconclusive"),
+    (lambda: morse_problem(j_const=1e-3),
+     "transform needs a_k >= 1 on the window"),
+], ids=["tabulated-j", "small-j"])
+def test_schedule_refusal_names_its_cause_after_one_taming(
+        monkeypatch, problem, cause):
+    # neither refusal depends on K, so no K is retried
+    calls = []
+    taming = sequences.taming_epsilon_log
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return taming(*args, **kwargs)
+
+    monkeypatch.setattr(sequences, "taming_epsilon_log", counted)
+    with pytest.raises(LieError) as refusal:
+        rho_schedule(problem(), STRICT_B, 1.0)
+    assert str(refusal.value) == cause
+    assert len(calls) == 1
+
+
+@pytest.mark.parametrize("j,kappa,halvings,K", [
+    (0.1, None, 3, 2.0 ** -4),
+    (0.001, None, 16, 2.0 ** -17),
+    (0.001, 1.0, 4, 2.0 ** -5),
+])
+def test_schedule_halves_K_until_every_condition_holds(j, kappa, halvings,
+                                                       K):
+    problem = dataclasses.replace(circle_problem(),
+                                  j_norms=PositiveSequence.constant(j))
+    if kappa is not None:
+        problem = dataclasses.replace(
+            problem, kappa_norms=PositiveSequence.constant(kappa))
+    sched = rho_schedule(problem, STRICT_B, 1.0)
+    assert (sched.report.halvings, sched.report.K) == (halvings, K)
+    assert sched.report.passed
 
 
 # ---- full runs ----

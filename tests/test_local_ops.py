@@ -48,17 +48,16 @@ def zero_field():
 # ---- weight functions ----
 
 def test_weight_value_formula():
-    w = WeightFunction(C=2.0, p=1.0, q=0.5, k=2)
     t, s = 1.5, 0.6
-    expected = 2.0 * 0.6 * 1.5 ** -0.5 * 0.9 ** 2
-    assert w.value(t, s) == pytest.approx(expected, rel=1e-15)
+    assert WeightFunction(k=2).value(t, s) == pytest.approx(0.9 ** 2,
+                                                            rel=1e-15)
+    assert WeightFunction(k=1).value(t, s) == t - s
+    assert WeightFunction(k=0).value(t, s) == 1.0
 
 
 def test_weight_rejects_bad_parameters():
     with pytest.raises(OperatorError):
-        WeightFunction(C=0.0)
-    with pytest.raises(OperatorError):
-        WeightFunction(p=-1.0)
+        WeightFunction(k=-1)
     with pytest.raises(OperatorError):
         WeightFunction().value(0.5, 0.7)
 

@@ -487,6 +487,32 @@ def test_lemma_rho_rejects_bad_inputs():
         lemma_rho(a, a, PS.geometric(2.0), 0, 0)   # b not below 1
     with pytest.raises(SequenceDomainError):
         lemma_rho(PS.exp_power(1, 2.0), a, b, 0, 0)  # a not summable
+    with pytest.raises(SequenceDomainError, match="fixed K"):
+        lemma_rho(a, a, b, 0, 0, K=0.5, conditions=lambda rho: {})
+
+
+def test_lemma_rho_search_checks_the_callers_conditions():
+    # log rho_0 = log K + log eps - 3 here, so asking for
+    # log rho_0 <= log eps - 5.5 first holds at K = 2^-4
+    a = PS.constant(1.0)
+    b = PS.exp_power(-1, 1.5)
+    _, _, free = lemma_rho(a, a, b, 0, 0)
+    seen = []
+
+    def small_rho0(rho):
+        seen.append(rho.log(0))
+        return {"rho_0 small": (rho.log(0) <= free.log_eps - 5.5,)}
+
+    rho, _, rep = lemma_rho(a, a, b, 0, 0, conditions=small_rho0)
+    assert (free.halvings, free.K) == (0, 0.5)
+    assert (rep.halvings, rep.K) == (3, 2.0 ** -4)
+    assert rep.passed and len(seen) == 4
+    assert seen[-1] == rho.log(0)
+    with pytest.raises(SequenceDomainError,
+                       match="64 halvings; binding condition: never"):
+        lemma_rho(a, a, b, 0, 0,
+                  conditions=lambda rho: {"holds": (True,),
+                                          "never": (True, False)})
 
 
 # ---- serialization ----
