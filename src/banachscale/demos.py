@@ -3,7 +3,8 @@
 Each builder returns an `ActionProblem` wired for `run_lie`, and each
 demo function runs it end to end and packs the outcome into a
 `DemoReport`: the trace, the final residual, and problem-specific
-details (vanishing orders, membership thresholds, divisor margins).
+details (vanishing orders, membership thresholds, the frequency
+correction).
 
 * `morse` normalizes f = z^2 + r by the full division (r / 2z) d/dz;
   the cutoff defect is zero, so remainder orders double each step.
@@ -11,8 +12,11 @@ details (vanishing orders, membership thresholds, divisor margins).
   field cancels the remainder band [k + 2^(n+1), k + 2^(n+2)) exactly
   and the engine's cutoff branch carries the rest.
 * `circle` conjugates a perturbed rotation number on shrinking strips;
-  mean extraction feeds the frequency correction and every mode the
-  step touches is gated by a Diophantine lower bound.
+  mean extraction feeds the frequency correction, and a step refuses
+  once its band reaches a mode below the Diophantine bound C / k.
+
+`morse` and `mather` share one certified run: tuned schedule, entry
+check, `run_lie`, `certify`.  `circle` runs on geometric strips, uncertified.
 """
 
 from __future__ import annotations
@@ -23,8 +27,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .iterate import RadiusSchedule
-from .lie import (ActionProblem, LieCertificate, LieError, LieSchedule,
-                  LocalityExponents, certify, rho_schedule, run_lie)
+from .lie import (ActionProblem, LieCertificate, LieError, LocalityExponents,
+                  certify, rho_schedule, run_lie)
 from .local_ops import (LocalOperator, WeightFunction, certify_vector_field,
                         multiplication_operator)
 from .sequences import PositiveSequence
@@ -39,6 +43,7 @@ GOLDEN_MEAN = (1.0 + math.sqrt(5.0)) / 2.0
 GOLDEN_C = 1.0 / (1.0 + GOLDEN_MEAN)
 
 _STRICT_B = PositiveSequence.exp_power(-1, 1.5)
+_FLOOR = 1e-12      # mather's membership floor, relative to the seed
 
 
 @dataclass(frozen=True)
@@ -62,16 +67,26 @@ class DemoReport:
         return self.trace.status == "converged"
 
 
-def _entry_check(r0: TruncatedSeries, t: float, schedule: LieSchedule) -> float:
+def _certified_run(problem: ActionProblem, r0: TruncatedSeries, t: float,
+                   steps: int):
+    """Tune the schedule at t, refuse an r0 above its entry threshold,
+    run, and certify.  Returns (trace, conjugacy, certificate, details)
+    with the details both certified demos report."""
+    schedule = rho_schedule(problem, _STRICT_B, t)
     if r0.ref_radius < t:
         raise LieError("r0 must be certified at the starting radius")
-    norm = r0.majorant_norm(t)
+    norm0 = r0.majorant_norm(t)
     threshold = schedule.report.threshold
-    if norm > threshold:
+    if norm0 > threshold:
         raise LieError(
-            f"initial remainder norm {norm:g} exceeds the schedule entry "
+            f"initial remainder norm {norm0:g} exceeds the schedule entry "
             f"threshold {threshold:g}; shrink the perturbation or the radius")
-    return norm
+    trace, conjugacy = run_lie(problem, schedule, r0, steps)
+    cert = certify(trace, problem, schedule.rho, schedule.sigma, schedule.b)
+    details = {"threshold": threshold, "r0_norm": norm0,
+               "conjugacy_defect": trace.metadata["conjugacy_coeff_defect"],
+               "verdict": cert.verdict}
+    return trace, conjugacy, cert, details
 
 
 def _observed_orders(r0: TruncatedSeries, trace: IterationTrace) -> list[int]:
@@ -118,21 +133,12 @@ def morse(eps: float = 1e-3, t: float = 1.0, steps: int = 5, *,
     as 2 (o_n - 1) from o_0 = 3: the sequence 3, 4, 6, 10, 18, ...
     """
     problem = morse_problem(cap=cap)
-    schedule = rho_schedule(problem, _STRICT_B, t)
     if r0 is None:
         r0 = TruncatedSeries.monomial(3, eps, cap=cap, ref_radius=t)
-    norm0 = _entry_check(r0, t, schedule)
-    trace, conjugacy = run_lie(problem, schedule, r0, steps)
-    cert = certify(trace, problem, schedule.rho, schedule.sigma, schedule.b)
-    details = {
-        "threshold": schedule.report.threshold,
-        "r0_norm": norm0,
-        "orders": _observed_orders(r0, trace),
-        "conjugacy_defect": trace.metadata["conjugacy_coeff_defect"],
-        "normalization_defect": _normalization_defect(
-            conjugacy, problem.f, t, trace.metadata["limit_radius"]),
-        "verdict": cert.verdict,
-    }
+    trace, conjugacy, cert, details = _certified_run(problem, r0, t, steps)
+    details["orders"] = _observed_orders(r0, trace)
+    details["normalization_defect"] = _normalization_defect(
+        conjugacy, problem.f, t, trace.metadata["limit_radius"])
     return DemoReport("morse", trace, trace.metadata["versality_defect"],
                       details, cert)
 
@@ -151,18 +157,24 @@ def _normalization_defect(conjugacy, f: TruncatedSeries, t: float,
 
 # ---- finitely determined base point ----
 
-def mather_problem(f: TruncatedSeries, *, floor_scale: float = 1e-12,
+def _stage_window(k: int, cap: int, n: int) -> tuple[int, int]:
+    """Stage n's band [k + 2^(n+1), k + 2^(n+2)), clipped to cap + 1."""
+    return min(k + 2 ** (n + 1), cap + 1), min(k + 2 ** (n + 2), cap + 1)
+
+
+def mather_problem(f: TruncatedSeries, *,
                    j_const: float = 10.0) -> ActionProblem:
     """Base point f = c z^k + o(z^k) with windowed division by f'.
 
-    The step field at stage n is ([r]_lo^hi) / f' d/dz with the window
-    lo = k + 2^(n+1), hi = k + 2^(n+2) taken on the numerator, so
-    u(f) reproduces the banded coefficients of r exactly through the
-    cap and the engine's cutoff branch keeps only [r]_hi plus division
-    roundoff.  M at stage n is the order >= lo ideal; membership is
-    measured above a noise floor frozen at the seed's coefficient
-    scale, because division dust is ulp-sized relative to the
-    coefficients that were cancelled, not to the ones that remain.
+    The step field at stage n is ([r]_lo^hi) / f' d/dz with the stage
+    window [lo, hi) = [k + 2^(n+1), k + 2^(n+2)) taken on the
+    numerator, so u(f) reproduces the banded coefficients of r exactly
+    through the cap and the engine's cutoff branch keeps only [r]_hi
+    plus division roundoff.  M at stage n is the order >= lo ideal;
+    membership is measured above a noise floor of 1e-12 times the
+    largest coefficient of the first series it sees (the seed), because
+    division dust is ulp-sized relative to the coefficients that were
+    cancelled, not to the ones that remain.
     """
     if f.basis != "taylor" or f.dim != 1:
         raise LieError("the base point must be a univariate taylor series")
@@ -200,11 +212,10 @@ def mather_problem(f: TruncatedSeries, *, floor_scale: float = 1e-12,
     def floor_for(g):
         if "value" not in scale:
             scale["value"] = float(np.max(np.abs(g.coeffs)))
-        return floor_scale * scale["value"]
+        return _FLOOR * scale["value"]
 
     def qi(n, tau, r):
-        lo = min(k + 2 ** (n + 1), cap + 1)
-        hi = min(k + 2 ** (n + 2), cap + 1)
+        lo, hi = _stage_window(k, cap, n)
         wb = np.zeros(cap + 1, dtype=complex)
         wb[lo:hi] = r.coeffs[lo:hi]
         full = np.convolve(wb[k - 1:], rec_c)[:cap + 1]
@@ -212,10 +223,8 @@ def mather_problem(f: TruncatedSeries, *, floor_scale: float = 1e-12,
         return certify_vector_field(a, name=f"window [{lo},{hi}) over f'")
 
     def m_member(n, g):
-        if g.is_zero:
-            return True
-        threshold = min(k + 2 ** (n + 1), cap + 1)
-        return g.order(tol=floor_for(g)) >= threshold
+        lo = _stage_window(k, cap, n)[0]
+        return g.is_zero or g.order(tol=floor_for(g)) >= lo
 
     def t_member(n, g):
         return g.is_zero
@@ -243,20 +252,10 @@ def mather(f: TruncatedSeries | None = None,
         r0 = TruncatedSeries.monomial(7, 1e-4, cap=f.cap, ref_radius=1.0)
     problem = mather_problem(f)
     k = f.order(tol=0.0)
-    schedule = rho_schedule(problem, _STRICT_B, t)
-    norm0 = _entry_check(r0, t, schedule)
-    trace, conjugacy = run_lie(problem, schedule, r0, steps)
-    cert = certify(trace, problem, schedule.rho, schedule.sigma, schedule.b)
-    thresholds = [min(k + 2 ** (n + 1), f.cap + 1)
-                  for n in range(len(trace.steps))]
-    details = {
-        "threshold": schedule.report.threshold,
-        "r0_norm": norm0,
-        "k": k,
-        "membership_thresholds": thresholds,
-        "conjugacy_defect": trace.metadata["conjugacy_coeff_defect"],
-        "verdict": cert.verdict,
-    }
+    trace, _, cert, details = _certified_run(problem, r0, t, steps)
+    details["k"] = k
+    details["membership_thresholds"] = [
+        _stage_window(k, f.cap, n)[0] for n in range(len(trace.steps))]
     return DemoReport("mather", trace, trace.metadata["versality_defect"],
                       details, cert)
 
@@ -275,47 +274,51 @@ def _mean_projector(cap: int) -> LocalOperator:
                          kind="projector", name="mean")
 
 
-def circle_problem(omega: float = GOLDEN_MEAN, *, C: float = GOLDEN_C,
-                   nu: float = 1.0, cap: int = 64,
-                   divisor_log: list | None = None) -> ActionProblem:
-    """Perturbed rotation: tau = 2 pi omega as a constant fourier
-    series, step multiplier m = [r]_(1 <= |k| <= 2^n) / mean(tau).
+def _diophantine_C(omega: float) -> float:
+    """The C of the bound dist(k omega, Z) >= C / k: GOLDEN_C, sharp at
+    k = 1, for the golden mean and 0.2 for every other omega."""
+    return GOLDEN_C if omega == GOLDEN_MEAN else 0.2
 
-    Every mode the stage-n window touches must clear the Diophantine
-    bound dist(k omega, Z) >= C / k^nu, or the problem refuses the
-    step: the declared |j| envelope 2^n / (4 C) is exactly what the
-    divisor field r_k / (e^(2 pi i k omega) - 1) costs under it.
+
+def circle_problem(omega: float = GOLDEN_MEAN, *,
+                   cap: int = 64) -> ActionProblem:
+    """Perturbed rotation: tau = 2 pi omega as a constant fourier
+    series, step multiplier m = [r]_(1 <= |k| <= 2^n) / mean(tau), and
+    the mean as projector.
+
+    The modes 1..cap are checked once against the Diophantine bound
+    dist(k omega, Z) >= C / k; the first step whose band reaches a
+    failing mode refuses, naming the first one.  The declared |j|
+    envelope 2^n / (4 C) is exactly what the divisor field
+    r_k / (e^(2 pi i k omega) - 1) costs under the bound.
     """
-    if not (omega > 0.0) or not (C > 0.0) or nu < 0.0:
-        raise LieError("omega and C must be positive, nu nonnegative")
+    if not (omega > 0.0):
+        raise LieError("omega must be positive")
+    C = _diophantine_C(omega)
     f = TruncatedSeries.fourier_mode(0, 2.0 * math.pi * omega, cap=cap,
                                      strip=1.0)
+    # the first mode below the bound; equality (the golden mean at k = 1)
+    # must pass, so leave room for rounding in dist
+    small = None
+    for k in range(1, cap + 1):
+        dist = abs(k * omega - round(k * omega))
+        if dist < C / k and not math.isclose(dist, C / k, rel_tol=1e-9):
+            small = (k, dist)
+            break
 
     def qi(n, tau, r):
         top = min(2 ** n, cap)
-        for k in range(1, top + 1):
-            dist = abs(k * omega - round(k * omega))
-            bound = C / float(k) ** nu
-            # the condition is dist >= bound; equality (the golden mean
-            # at k = 1) must pass, so leave room for rounding in dist
-            if dist < bound and not math.isclose(dist, bound, rel_tol=1e-9):
-                raise LieError(
-                    f"small divisor violation at mode k = {k}: "
-                    f"dist(k omega, Z) = {dist:.6g} < {C:g} / k^{nu:g}")
+        if small is not None and small[0] <= top:
+            raise LieError(
+                f"small divisor violation at mode k = {small[0]}: "
+                f"dist(k omega, Z) = {small[1]:.6g} < {C:g} / k^1")
         mean = tau.coefficient(0)
         if mean == 0:
             raise LieError("the rotation number collapsed to zero")
-        m = TruncatedSeries(1, cap, r.ref_radius, "fourier")
-        for k in range(1, top + 1):
-            m.set_coefficient(k, r.coefficient(k) / mean)
-            m.set_coefficient(-k, r.coefficient(-k) / mean)
-        if divisor_log is not None:
-            # homological solve in the flow convention: v_k = r_k/(i k w)
-            worst = max((max(abs(r.coefficient(k)), abs(r.coefficient(-k)))
-                         / (k * omega) for k in range(1, top + 1)),
-                        default=0.0)
-            divisor_log.append({"n": n, "modes": top,
-                                "divisor_field_coeff": float(worst)})
+        m = r.cutoff(1, top + 1)
+        # Python's complex division, entry by entry: numpy's multiplies
+        # by a reciprocal and rounds differently
+        m.coeffs[:] = [c / mean for c in m.coeffs.tolist()]
         return multiplication_operator(m, name=f"band [1,{top}] over mean")
 
     def m_member(n, g):
@@ -326,19 +329,17 @@ def circle_problem(omega: float = GOLDEN_MEAN, *, C: float = GOLDEN_C,
         c[g.cap] = 0.0
         return not np.any(c)
 
-    pi_op = _mean_projector(cap)
     return ActionProblem(
         f, qi, m_member, t_member,
         j_norms=PositiveSequence.geometric(2.0).scaled(1.0 / (4.0 * C)),
         exponents=LocalityExponents(alpha=0, beta=0, gamma=0, nu=0, xi=0),
-        projector=lambda n: pi_op,
+        projector=_mean_projector(cap),
         pi_norms=PositiveSequence.constant(1.0),
         name="circle")
 
 
 def circle(omega: float = GOLDEN_MEAN, eps: float = 1e-3, steps: int = 8, *,
            strip: float = 0.5, strip_end: float = 0.2,
-           C: float | None = None, nu: float = 1.0,
            f: TruncatedSeries | None = None, cap: int = 64) -> DemoReport:
     """Conjugate the rotation by 2 pi omega perturbed by f (default
     2 eps cos x) across strips shrinking geometrically from `strip`
@@ -350,8 +351,6 @@ def circle(omega: float = GOLDEN_MEAN, eps: float = 1e-3, steps: int = 8, *,
     details is 2 (|f|_strip / sigma)^2 with sigma = sqrt(2 pi omega)/e,
     sharp for a single-mode perturbation.
     """
-    if C is None:
-        C = GOLDEN_C if omega == GOLDEN_MEAN else 0.2
     if f is None:
         f = (TruncatedSeries.fourier_mode(1, eps, cap=cap, strip=strip)
              + TruncatedSeries.fourier_mode(-1, eps, cap=cap, strip=strip))
@@ -361,30 +360,19 @@ def circle(omega: float = GOLDEN_MEAN, eps: float = 1e-3, steps: int = 8, *,
         raise LieError(
             "the perturbation must have zero mean; a mean is a rotation "
             "number shift, fold it into omega")
-    divisor_log: list = []
-    problem = circle_problem(omega, C=C, nu=nu, cap=cap,
-                             divisor_log=divisor_log)
     radii = RadiusSchedule.geometric(0.5, strip, strip_end)
-    trace, conjugacy = run_lie(problem, radii, f, steps)
-    gx = trace.metadata["conjugacy_coeff_defect"]
-    tau_mean = 2.0 * math.pi * omega
-    f_norm = f.majorant_norm(strip)
+    trace, conjugacy = run_lie(circle_problem(omega, cap=cap), radii, f,
+                               steps)
+    # the frequency correction: the mean of the conjugated element (the
+    # image run_lie carried) minus the unperturbed 2 pi omega
+    shift = conjugacy.image[0].coefficient(0) - 2.0 * math.pi * omega
     sigma = math.sqrt(2.0 * math.pi * omega) / math.e
     details = {
         "omega": omega,
-        "C": C,
-        "nu": nu,
-        "lambda_correction": _lambda_correction(conjugacy, tau_mean),
-        "divisor_log": divisor_log,
-        "one_step_envelope": 2.0 * (f_norm / sigma) ** 2,
-        "conjugacy_defect": gx,
+        "C": _diophantine_C(omega),
+        "lambda_correction": float(shift.real),
+        "one_step_envelope": 2.0 * (f.majorant_norm(strip) / sigma) ** 2,
+        "conjugacy_defect": trace.metadata["conjugacy_coeff_defect"],
     }
     return DemoReport("circle", trace, trace.metadata["versality_defect"],
                       details)
-
-
-def _lambda_correction(conjugacy, base_mean: float) -> float:
-    """Frequency correction: the mean of the conjugated element (the
-    image `run_lie` carried) minus the unperturbed 2 pi omega."""
-    gx, _ = conjugacy.image
-    return float((gx.coefficient(0) - base_mean).real)

@@ -111,6 +111,7 @@ class ActionProblem:
 
     quasi_inverse(n, tau, r) returns the step field u_n = j(tau_n)(r_n)
     as a certified derivation valid at the current radius.  projector
+    is the operator pi onto the transversal, the same at every step;
     None means the transversal is {0}, so every delta vanishes and the
     whole remainder goes through the cutoff branch.  m_member and
     t_member are exact membership predicates (order or coefficient
@@ -127,7 +128,7 @@ class ActionProblem:
     t_member: Callable[[int, TruncatedSeries], bool]
     j_norms: PositiveSequence
     exponents: LocalityExponents
-    projector: Callable[[int], LocalOperator] | None = None
+    projector: LocalOperator | None = None
     pi_norms: PositiveSequence | None = None
     kappa_norms: PositiveSequence | None = None
     name: str = "action"
@@ -227,8 +228,8 @@ def lie_step(state: LieState, problem: ActionProblem,
     w_u = guard("u_n(tau_n)", u_op, tau, s, p1)
     w = guard("r_n - u_n(tau_n)", _sub, r.restrict(p1), w_u)
     if problem.projector is not None:
-        pi_op = problem.projector(n)
-        delta_raw = guard("pi(r_n - u_n(tau_n))", pi_op, w, p1, p2)
+        delta_raw = guard("pi(r_n - u_n(tau_n))", problem.projector, w, p1,
+                          p2)
     else:
         delta_raw = TruncatedSeries(w.dim, w.cap, p2, w.basis)
     kappa_val = guard("(iota - pi)(r_n - u_n(tau_n))",
@@ -304,8 +305,6 @@ class LieScheduleReport:
     epsilon: float
     m: int
     threshold: float
-    k: int
-    l: int
 
     @property
     def passed(self) -> bool:
@@ -365,6 +364,8 @@ def rho_schedule(problem: ActionProblem, b: PositiveSequence,
     in `lemma_rho`, evaluated on each candidate rho's own log values; a
     refusal of `lemma_rho` (no passing K, naming the binding condition,
     or an input it cannot tame) becomes a LieError with its message.
+    A small |j| only makes the problem easier: where it pulls the
+    product `lemma_rho` tames below 1, its |j|^2 factor is lifted.
     Absent kappa makes conditions 1 and 2 vacuous in their kappa factor
     and an absent projector makes condition 4 vacuous.  The report
     carries the entry threshold as epsilon * t^m with m = k + l.
@@ -401,6 +402,16 @@ def rho_schedule(problem: ActionProblem, b: PositiveSequence,
         ap_lem = problem.kappa_norms.scaled(factor=8.0)
     else:
         ap_lem = PositiveSequence.constant(1.0)
+    # lemma_rho tames a_lem a'_lem^2 and needs it >= 1 at the indices
+    # 0..2 _WINDOW it reads; a few ulps over -low make the lifted logs
+    # round to >= 0.  A table (no closed-form tail) is left to the
+    # taming's own refusal.
+    tamed = a_lem * ap_lem ** 2.0
+    if tamed.weighted_log_tail(0, _WINDOW) is not None:
+        low = float(np.min(tamed.log_values(2 * _WINDOW)))
+        if low < 0.0:
+            big = float(np.max(np.abs(a_lem.log_values(2 * _WINDOW))))
+            a_lem = a_lem.scaled(log_factor=-low + 4.0 * math.ulp(big - low))
 
     la4, lap, lj = (logs[key][:_WINDOW] for key in ("a4", "ap", "j"))
 
@@ -436,7 +447,7 @@ def rho_schedule(problem: ActionProblem, b: PositiveSequence,
     tm = t ** m
     report = LieScheduleReport(_WINDOW, rep.K, rep.halvings, rep.alpha,
                                conditions, threshold / tm if tm else math.inf,
-                               m, threshold, k, l)
+                               m, threshold)
     return LieSchedule(rho, sigma, radii, b, report)
 
 
@@ -449,14 +460,15 @@ def run_lie(problem: ActionProblem, schedule: LieSchedule | RadiusSchedule,
 
     Returns the trace (row n carries |r_n|, |delta_n|, |u_{n-1}|, the
     envelope b_n and sigma_n when a full schedule is given) and the
-    certified product g = e^(-u_{N-1}) ... e^(-u_0).  The run checks the
-    versality identity g(tau_0 + r_0) = tau_0 + sum delta_i + r_N
-    coefficientwise at the final radius; the reported defect is |r_N|
-    plus the truncation ledger accumulated by the Borel applications.
-    Row n + 1 carries the same identity for g_n ... g_0 as its
-    consistency_defect.  The product's `image` is (g(x_0), remainder
-    bound), carried by the steps from the caller's x_0 = tau_0 + r_0 at
-    radius t, tail included, so nothing needs to apply g to x_0 again.
+    certified product g = e^(-u_{N-1}) ... e^(-u_0).  Row n + 1 checks
+    the versality identity g_n ... g_0 (tau_0 + r_0) = tau_0 + sum
+    delta_i + r_(n+1) coefficientwise as its consistency_defect; the
+    last row's is the run's conjugacy_coeff_defect (0 without steps).
+    The reported defect is |r_N| plus the truncation ledger accumulated
+    by the Borel applications.  The product's `image` is (g(x_0),
+    remainder bound), carried by the steps from the caller's
+    x_0 = tau_0 + r_0 at radius t, tail included, so nothing needs to
+    apply g to x_0 again.
     """
     if isinstance(schedule, LieSchedule):
         radii = schedule.radii
@@ -500,11 +512,12 @@ def run_lie(problem: ActionProblem, schedule: LieSchedule | RadiusSchedule,
                          bound=value_at(b, 0), sigma=value_at(sigma, 0),
                          checks_passed=True))
     fields = []
-    worst_defect = 0.0
+    defect = worst_defect = 0.0
     for i in range(steps):
         state, diag = lie_step(state, problem, radii)
         fields.append(state.u)
-        worst_defect = max(worst_defect, diag["consistency_defect"])
+        defect = diag["consistency_defect"]
+        worst_defect = max(worst_defect, defect)
         trace.add(StepRecord(state.n, radius=state.s,
                              value_norm=state.r_norm,
                              increment_norm=state.delta_norm,
@@ -521,12 +534,11 @@ def run_lie(problem: ActionProblem, schedule: LieSchedule | RadiusSchedule,
         raise LieError(f"conjugacy assembly: {exc}") from None
     gx, g_rem = state.image, state.image_rem
     conjugacy.image = (gx, g_rem)
-    versality = _max_coeff_diff(gx, state.x)
 
     x0_norm = x0.majorant_norm(t)
     trace.metadata.update({
         "versality_defect": state.r_norm + state.slack,
-        "conjugacy_coeff_defect": versality,
+        "conjugacy_coeff_defect": defect,
         "conjugacy_sigma": conjugacy.sigma,
         "conjugacy_remainder": g_rem,
         "consistency_worst": worst_defect,

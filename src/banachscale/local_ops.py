@@ -335,7 +335,6 @@ class ExponentialProduct:
     radii: list
     sigma: float
     bound: float            # sigma / (1 - sigma) when sigma < 1 else inf
-    xs: list
     image: tuple | None = field(default=None, repr=False, compare=False)
 
     def apply(self, g: TruncatedSeries) -> tuple[TruncatedSeries, float]:
@@ -376,4 +375,4 @@ def product_of_exponentials(us: Sequence[LocalOperator],
         xs.append(xn)
     sigma = float(sum(xs))
     bound = sigma / (1.0 - sigma) if sigma < 1.0 else math.inf
-    return ExponentialProduct(list(us), rs, sigma, bound, xs)
+    return ExponentialProduct(list(us), rs, sigma, bound)

@@ -159,9 +159,6 @@ def test_circle_single_mode_one_step():
     envelope = 2.0 * (eps * math.exp(0.5) / sigma) ** 2
     assert rep.trace.steps[1].value_norm <= envelope
     assert rep.details["one_step_envelope"] == pytest.approx(envelope)
-    # the homological solve is v_1 = eps / (i omega)
-    v1 = rep.details["divisor_log"][0]["divisor_field_coeff"]
-    assert v1 == pytest.approx(eps / GOLDEN_MEAN, rel=1e-12)
 
 
 def test_circle_lambda_correction_is_second_order():
@@ -177,6 +174,14 @@ def test_circle_lambda_correction_is_second_order():
 def test_circle_rational_frequency_names_offending_mode():
     with pytest.raises(LieError, match="k = 4"):
         circle(omega=0.75)
+
+
+def test_circle_refuses_at_the_step_that_reaches_a_small_divisor():
+    # omega = 0.3 fails the bound first at k = 10: steps 0..3 use bands
+    # up to 2^3 = 8 and run, step 4's band 16 reaches it
+    assert circle(omega=0.3, steps=4).converged
+    with pytest.raises(LieError, match=r"k = 10:"):
+        circle(omega=0.3, steps=5)
 
 
 def test_circle_rejects_nonzero_mean():

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from banachscale import sequences
-from banachscale.demos import circle_problem, morse_problem
+from banachscale.demos import circle_problem, mather_problem, morse_problem
 from banachscale.iterate import RadiusSchedule
 from banachscale.lie import (
     ActionProblem,
@@ -76,7 +76,7 @@ def test_projector_requires_declared_norms():
     with pytest.raises(LieError, match="pi norms"):
         ActionProblem(base.f, base.quasi_inverse, base.m_member,
                       base.t_member, base.j_norms, base.exponents,
-                      projector=lambda n: even_projector())
+                      projector=even_projector())
 
 
 def test_validation_rejects_field_leaving_m():
@@ -228,7 +228,8 @@ def test_morse_schedule_limit_radius_two_fifths():
 def test_schedule_reports_entry_threshold():
     sched = rho_schedule(morse_problem(), STRICT_B, 1.0)
     rep = sched.report
-    assert rep.k == 4 and rep.l == 1 and rep.m == 5
+    exps = morse_problem().exponents
+    assert exps.k == 4 and exps.l == 1 and rep.m == 5
     assert 0.0 < rep.threshold <= STRICT_B.value(0)
     assert rep.epsilon == pytest.approx(rep.threshold)  # t = 1
     # N2 entry gate with |j| = 10
@@ -262,9 +263,11 @@ def test_non_strict_b_refused():
     (lambda: dataclasses.replace(
         morse_problem(), j_norms=PositiveSequence.tabulated([10.0] * 80)),
      "taming needs a certified summable sequence, got inconclusive"),
-    (lambda: morse_problem(j_const=1e-3),
-     "transform needs a_k >= 1 on the window"),
-], ids=["tabulated-j", "small-j"])
+    (lambda: dataclasses.replace(
+        morse_problem(),
+        j_norms=PositiveSequence.geometric(0.5).scaled(10.0)),
+     "transform needs a nondecreasing on the window"),
+], ids=["tabulated-j", "decreasing-j"])
 def test_schedule_refusal_names_its_cause_after_one_taming(
         monkeypatch, problem, cause):
     # neither refusal depends on K, so no K is retried
@@ -280,6 +283,31 @@ def test_schedule_refusal_names_its_cause_after_one_taming(
         rho_schedule(problem(), STRICT_B, 1.0)
     assert str(refusal.value) == cause
     assert len(calls) == 1
+
+
+@pytest.mark.parametrize("problem,t,halvings,K", [
+    (lambda: morse_problem(j_const=1e-3), 1.0, 0, 0.5),
+    (lambda: mather_problem(TruncatedSeries.monomial(3, 1.0, cap=64,
+                                                     ref_radius=1.0),
+                            j_const=1e-3), 0.8, 1, 0.25),
+], ids=["morse", "mather"])
+def test_schedule_accepts_a_small_j(problem, t, halvings, K):
+    # the product lemma_rho tames falls below 1 at this |j|; the schedule
+    # lifts it to 1 instead of refusing
+    sched = rho_schedule(problem(), STRICT_B, t)
+    assert sched.report.passed
+    assert (sched.report.halvings, sched.report.K) == (halvings, K)
+    assert sched.radii.limit > 0.0
+
+
+def test_small_j_lift_survives_rounding():
+    # a lift of exactly -min log a_lem a'_lem^2 leaves about one |j| in
+    # five a rounding step below 1, refused as "a_k >= 1"
+    f = TruncatedSeries.monomial(3, 1.0, cap=16, ref_radius=1.0)
+    for j in np.geomspace(1e-9, 0.05, 40):
+        for problem, t in ((morse_problem(cap=16, j_const=j), 1.0),
+                           (mather_problem(f, j_const=j), 0.8)):
+            assert rho_schedule(problem, STRICT_B, t).report.passed, j
 
 
 @pytest.mark.parametrize("j,kappa,halvings,K", [
