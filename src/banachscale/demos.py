@@ -71,7 +71,9 @@ def _certified_run(problem: ActionProblem, r0: TruncatedSeries, t: float,
                    steps: int):
     """Tune the schedule at t, refuse an r0 above its entry threshold,
     run, and certify.  Returns (trace, conjugacy, certificate, details)
-    with the details both certified demos report."""
+    with the details both certified demos report.  The trace takes the
+    certificate's verdicts: a row passes when its five inequalities hold
+    (an unchecked row fails), and its failures name the first refusal."""
     schedule = rho_schedule(problem, _STRICT_B, t)
     if r0.ref_radius < t:
         raise LieError("r0 must be certified at the starting radius")
@@ -82,7 +84,19 @@ def _certified_run(problem: ActionProblem, r0: TruncatedSeries, t: float,
             f"initial remainder norm {norm0:g} exceeds the schedule entry "
             f"threshold {threshold:g}; shrink the perturbation or the radius")
     trace, conjugacy = run_lie(problem, schedule, r0, steps)
-    cert = certify(trace, problem, schedule.rho, schedule.sigma, schedule.b)
+    cert = certify(trace, problem, schedule)
+    checked = cert.details["checked_steps"]
+    flags = (cert.n1, cert.n2, cert.master, cert.value_below,
+             cert.increment_below)
+    for n, rec in enumerate(trace.steps):
+        rec.checks_passed = n < checked and all(f[n] for f in flags)
+    trace.certified = cert.verdict == "certified"
+    if cert.first_failure is not None:
+        name, n = cert.first_failure
+        trace.fail(f"{name} fails at row {n}")
+    elif not trace.certified:
+        trace.fail(f"rows from {checked} on are unchecked: the schedule's "
+                   f"sequences end there")
     details = {"threshold": threshold, "r0_norm": norm0,
                "conjugacy_defect": trace.metadata["conjugacy_coeff_defect"],
                "verdict": cert.verdict}
@@ -114,11 +128,8 @@ def morse_problem(cap: int = 64, j_const: float = 10.0) -> ActionProblem:
     def m_member(n, g):
         return g.is_zero or g.order(tol=0.0) >= 3
 
-    def t_member(n, g):
-        return g.is_zero
-
     return ActionProblem(
-        f, qi, m_member, t_member,
+        f, qi, m_member,
         j_norms=PositiveSequence.constant(j_const),
         exponents=LocalityExponents(alpha=0, beta=0, gamma=1, nu=0, xi=0),
         name="morse")
@@ -226,11 +237,8 @@ def mather_problem(f: TruncatedSeries, *,
         lo = _stage_window(k, cap, n)[0]
         return g.is_zero or g.order(tol=floor_for(g)) >= lo
 
-    def t_member(n, g):
-        return g.is_zero
-
     return ActionProblem(
-        f, qi, m_member, t_member,
+        f, qi, m_member,
         j_norms=PositiveSequence.constant(j_const),
         exponents=LocalityExponents(alpha=0, beta=k - 1, gamma=1, nu=0, xi=0),
         kappa_norms=PositiveSequence.constant(1.0),
@@ -324,17 +332,11 @@ def circle_problem(omega: float = GOLDEN_MEAN, *,
     def m_member(n, g):
         return True
 
-    def t_member(n, g):
-        c = g.coeffs.copy()
-        c[g.cap] = 0.0
-        return not np.any(c)
-
     return ActionProblem(
-        f, qi, m_member, t_member,
+        f, qi, m_member,
         j_norms=PositiveSequence.geometric(2.0).scaled(1.0 / (4.0 * C)),
         exponents=LocalityExponents(alpha=0, beta=0, gamma=0, nu=0, xi=0),
         projector=_mean_projector(cap),
-        pi_norms=PositiveSequence.constant(1.0),
         name="circle")
 
 

@@ -11,8 +11,10 @@ carried image of the conjugacy.
 
 `rho_schedule` tunes the contraction sequence rho so the five smallness
 conditions backing the quadratic convergence proof hold on a finite
-window; `certify` replays a finished trace against those inequalities
-and returns verdicts, never exceptions.  `involutive_quasi_inverse`
+window; `certify` replays a finished trace against those inequalities,
+on the schedule the trace ran, and returns verdicts, never exceptions.
+A problem states its transversal only through the projector pi: T is
+the image of pi and |pi| its norm bound.  `involutive_quasi_inverse`
 builds the step map j from a single linear section L and validates its
 defining algebraic identity on randomized inputs.
 """
@@ -67,6 +69,14 @@ def _negated(u: LocalOperator) -> LocalOperator:
                          f"-{u.name}", u.order_raise, u.cert_radius)
 
 
+def _project(pi: LocalOperator | None, w: TruncatedSeries, t: float,
+             s: float) -> TruncatedSeries:
+    """pi(w) from radius t to s; the zero series when pi is None."""
+    if pi is None:
+        return TruncatedSeries(w.dim, w.cap, s, w.basis)
+    return pi(w, t, s)
+
+
 # ---- problem description ----
 
 @dataclass(frozen=True)
@@ -113,29 +123,22 @@ class ActionProblem:
     as a certified derivation valid at the current radius.  projector
     is the operator pi onto the transversal, the same at every step;
     None means the transversal is {0}, so every delta vanishes and the
-    whole remainder goes through the cutoff branch.  m_member and
-    t_member are exact membership predicates (order or coefficient
-    support); they gate the engine at every step, where `lie_step`
-    refuses an r_(n+1) outside M or a delta_(n+1) outside T, while the
-    declared norm sequences |pi|, |j|, |kappa| feed the scheduler and
-    the certificates.
+    whole remainder goes through the cutoff branch.  T is the image of
+    pi, so `lie_step` refuses a delta_(n+1) that pi does not fix exactly,
+    and |pi| is pi's `norm_bound`.  `lie_step` also refuses an r_(n+1)
+    outside M, tested by the exact predicate m_member.  The declared
+    norm sequences |j|, |kappa| feed the scheduler and the certificates.
     """
 
     f: TruncatedSeries
     quasi_inverse: Callable[[int, TruncatedSeries, TruncatedSeries],
                             LocalOperator]
     m_member: Callable[[int, TruncatedSeries], bool]
-    t_member: Callable[[int, TruncatedSeries], bool]
     j_norms: PositiveSequence
     exponents: LocalityExponents
     projector: LocalOperator | None = None
-    pi_norms: PositiveSequence | None = None
     kappa_norms: PositiveSequence | None = None
     name: str = "action"
-
-    def __post_init__(self):
-        if self.projector is not None and self.pi_norms is None:
-            raise LieError("a projector needs declared pi norms")
 
 
 @dataclass
@@ -200,7 +203,8 @@ def lie_step(state: LieState, problem: ActionProblem,
     phi(z) = e^(-z)(1 + z) - 1, psi(z) = e^(-z) - 1.  Uncomputed Borel
     remainders are folded into the tail of r_{n+1} so its recorded norm
     stays an upper bound.  Any domain violation raises LieError naming
-    the failing sub-expression.
+    the failing sub-expression, and so does an r_{n+1} outside M or a
+    delta_{n+1} outside T, the image of pi: pi must fix it exactly.
 
     The last Borel series carries the conjugacy: it applies e^(-u_n)
     to the state's image g_{n-1} ... g_0 (x_0) (to x_n when there is
@@ -227,17 +231,14 @@ def lie_step(state: LieState, problem: ActionProblem,
     u_op = guard("j(tau_n) r_n", problem.quasi_inverse, n, tau, r)
     w_u = guard("u_n(tau_n)", u_op, tau, s, p1)
     w = guard("r_n - u_n(tau_n)", _sub, r.restrict(p1), w_u)
-    if problem.projector is not None:
-        delta_raw = guard("pi(r_n - u_n(tau_n))", problem.projector, w, p1,
-                          p2)
-    else:
-        delta_raw = TruncatedSeries(w.dim, w.cap, p2, w.basis)
+    pi = problem.projector
+    delta_raw = guard("pi(r_n - u_n(tau_n))", _project, pi, w, p1, p2)
     kappa_val = guard("(iota - pi)(r_n - u_n(tau_n))",
                       _sub, w.restrict(p2), delta_raw)
 
     phi_app = guard("phi(u_n) tau_n", borel_apply, PHI, u_op, s, s1, tau)
     psi_app = None
-    if problem.projector is not None:
+    if pi is not None:
         psi_app = guard("psi(u_n) delta_{n+1}",
                         borel_apply, PSI, u_op, p2, s1, delta_raw)
     kap_app = guard("exp(-u_n) kappa_n", borel_apply, EXP_NEG, u_op, p2, s1,
@@ -269,8 +270,9 @@ def lie_step(state: LieState, problem: ActionProblem,
 
     if not (r_next.is_zero or problem.m_member(n + 1, r_next)):
         raise LieError(f"step {n}: r_{{n+1}} left M")
-    if problem.projector is not None and not (
-            delta.is_zero or problem.t_member(n + 1, delta)):
+    # T is the image of pi: delta_{n+1} must be fixed by pi, exactly
+    fixed = guard("pi(delta_{n+1})", _project, pi, delta, s1, s1)
+    if not np.array_equal(fixed.coeffs, delta.coeffs):
         raise LieError(f"step {n}: delta_{{n+1}} left T")
 
     nxt = LieState(n + 1, s1, tau_next, r_next, delta, u_op, slack,
@@ -327,14 +329,14 @@ def _derived_logs(problem: ActionProblem, tau0: float, count: int) -> dict:
         a'''_n = 4 e (1 + |tau_0|) |j_n| a'_n
         a''''_n = 4 |kappa_n|
 
-    Absent operators contribute -inf (their products vanish).
+    |pi_n| is the projector's constant norm_bound.  Absent operators
+    contribute -inf (their products vanish).
     """
     neg_inf = np.full(count, -math.inf)
     log_j = np.asarray(problem.j_norms.log_values(count),
                        dtype=float)[:count]
-    log_pi = (neg_inf if problem.pi_norms is None
-              else np.asarray(problem.pi_norms.log_values(count),
-                              dtype=float)[:count])
+    pi = problem.projector
+    log_pi = neg_inf if pi is None else np.full(count, math.log(pi.norm_bound))
     log_kap = (neg_inf if problem.kappa_norms is None
                else np.asarray(problem.kappa_norms.log_values(count),
                                dtype=float)[:count])
@@ -374,7 +376,7 @@ def rho_schedule(problem: ActionProblem, b: PositiveSequence,
         raise LieError("the starting radius t must be positive")
     if problem.f.ref_radius < t:
         raise LieError("f is not certified at the starting radius")
-    for label, seq in (("pi", problem.pi_norms), ("j", problem.j_norms),
+    for label, seq in (("j", problem.j_norms),
                        ("kappa", problem.kappa_norms)):
         if seq is None:
             continue
@@ -394,7 +396,7 @@ def rho_schedule(problem: ActionProblem, b: PositiveSequence,
     # dominate 2 (a'' + a''') by a scaled power of |j|: the pair check
     # only gets harder and the taming epsilon only smaller.
     ratio = np.exp(logs["appp"] - logs["app"])
-    rmax = 0.0 if problem.pi_norms is None else float(np.max(ratio))
+    rmax = 0.0 if problem.projector is None else float(np.max(ratio))
     a_lem = (problem.j_norms ** 2.0).scaled(
         log_factor=math.log(2.0 * (1.0 + rmax)) + math.log(4.0) + 2.0
         + 2.0 * math.log1p(tau0))
@@ -564,16 +566,18 @@ class LieCertificate:
 
 
 def certify(trace: IterationTrace, problem: ActionProblem,
-            rho: PositiveSequence, sigma: PositiveSequence,
-            b: PositiveSequence) -> LieCertificate:
-    """Replay a finished trace against the convergence inequalities.
+            schedule: LieSchedule) -> LieCertificate:
+    """Replay a finished trace, on the rho, sigma and b of the schedule
+    it ran and the |tau_0| it recorded, against the inequalities below.
 
     Checked per row: N1 |delta_j| <= 1/2^(j+1); N2 |r_n| <=
     sigma_n / (4 e |j_n|); the master inequality |r_{n+1}| <=
     (a''_n + a'''_n) sigma_n^-k |r_n|^2 + rho_n a''''_n sigma_n^-l |r_n|;
-    and the conclusions |r_n| <= b_n, |delta_n| <= b_n.  Failures are
-    verdicts, not exceptions.
+    and the conclusions |r_n| <= b_n, |delta_n| <= b_n.  Rows past the
+    end of a tabulated sequence are not checked, and leave the run
+    uncertified.  Failures are verdicts, not exceptions.
     """
+    rho, sigma, b = schedule.rho, schedule.sigma, schedule.b
     rows = trace.steps
     if not rows:
         raise LieError("empty trace")
@@ -588,8 +592,7 @@ def certify(trace: IterationTrace, problem: ActionProblem,
             break
     grace = 1.0 + 1e-9
     k, l = problem.exponents.k, problem.exponents.l
-    tau0 = problem.f.majorant_norm(rows[0].radius)
-    logs = _derived_logs(problem, tau0, count + 1)
+    logs = _derived_logs(problem, trace.metadata["tau0_norm"], count + 1)
     quad = np.exp(logs["app"]) + np.exp(logs["appp"])
     a4 = np.exp(logs["a4"])
     jn = np.exp(logs["j"])
@@ -612,22 +615,15 @@ def certify(trace: IterationTrace, problem: ActionProblem,
         below_r.append(r[n] <= bv[n] * grace)
         below_d.append(n == 0 or d[n] <= bv[n] * grace)
 
-    first = None
-    for n in range(count):
-        for name, flags in (("N2", n2), ("master", master), ("N1", n1),
-                            ("value<=b", below_r),
-                            ("increment<=b", below_d)):
-            if not flags[n]:
-                first = (name, n)
-                break
-        if first:
-            break
+    named = (("N2", n2), ("master", master), ("N1", n1),
+             ("value<=b", below_r), ("increment<=b", below_d))
+    first = next(((name, n) for n in range(count) for name, flags in named
+                  if not flags[n]), None)
     ok = first is None and count == len(rows)
     return LieCertificate(tuple(n1), tuple(n2), tuple(master),
                           tuple(below_r), tuple(below_d),
                           "certified" if ok else "uncertified", first,
-                          {"checked_steps": count, "rows": len(rows),
-                           "k": k, "l": l})
+                          {"checked_steps": count, "rows": len(rows)})
 
 
 # ---- quasi-inverse from a linear section ----
@@ -674,9 +670,7 @@ def involutive_quasi_inverse(L: Callable[[TruncatedSeries], LocalOperator],
     t = x.ref_radius
 
     def apply_pi(w: TruncatedSeries) -> TruncatedSeries:
-        if pi is None:
-            return TruncatedSeries(w.dim, w.cap, w.ref_radius, w.basis)
-        return pi(w, w.ref_radius, w.ref_radius)
+        return _project(pi, w, w.ref_radius, w.ref_radius)
 
     def kappa0(m: TruncatedSeries) -> TruncatedSeries:
         dm = _sub(m, L(m)(x, t, t))

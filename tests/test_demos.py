@@ -29,6 +29,32 @@ def test_morse_default_run_is_certified():
     assert rep.details["conjugacy_defect"] <= 1e-8
 
 
+def test_certified_rows_carry_the_certificate():
+    rep = morse()
+    assert rep.trace.certified and rep.trace.failures == []
+    assert all(rec.checks_passed for rec in rep.trace.steps)
+    # rows past the schedule's sequences are unchecked, so they fail
+    rep = morse(steps=70)
+    assert rep.converged and rep.certificate.details["checked_steps"] == 41
+    assert [rec.checks_passed for rec in rep.trace.steps] == (
+        [True] * 41 + [False] * 30)
+    assert not rep.trace.certified
+    assert rep.trace.failures == [
+        "rows from 41 on are unchecked: the schedule's sequences end there"]
+
+
+def test_refused_run_exports_its_failing_row():
+    # converges, but the master inequality fails at rounding dust
+    rep = mather(f=monomial(3, 1.0), r0=monomial(7, 5.25e-5))
+    assert rep.converged
+    assert rep.certificate.first_failure == ("master", 4)
+    assert [rec.checks_passed for rec in rep.trace.steps] == (
+        [True] * 4 + [False])
+    assert not rep.trace.certified
+    assert rep.trace.failures == ["master fails at row 4"]
+    assert '"certified": false' in rep.trace.to_json()
+
+
 def test_morse_orders_double():
     rep = morse()
     orders = rep.details["orders"]
@@ -142,6 +168,21 @@ def test_circle_default_run():
         if a > 0.0:
             assert b <= 0.5 * a
     assert all(rec.checks_passed for rec in rep.trace.steps)
+
+
+def test_circle_bits_are_pinned():
+    # float.hex of the default run at cap 64; a change of rounding in
+    # any step (say, numpy's array division of the band by the mean)
+    # moves these bits
+    rep = circle()
+    assert rep.residual.hex() == "0x1.30fe268657736p-66"
+    assert rep.details["lambda_correction"].hex() == "-0x1.a677720000000p-24"
+    assert [rec.value_norm.hex() for rec in rep.trace.steps] == [
+        "0x1.b033cfc062ba2p-9", "0x1.3e5a0aaecbcaep-22",
+        "0x1.02fda639343cbp-36", "0x1.21ee1354e653dp-63",
+        "0x1.160b4fbfa5d60p-116", "0x1.560da1e61823cp-212",
+        "0x1.0398bd65d1820p-274", "0x1.9784fc73c6cdep-482",
+        "0x1.23f6c2cde6096p-769"]
 
 
 def test_circle_zero_perturbation_is_identity():

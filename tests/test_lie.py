@@ -71,12 +71,20 @@ def test_exponents_k_and_l():
         LocalityExponents(alpha=-1)
 
 
-def test_projector_requires_declared_norms():
-    base = morse_problem()
-    with pytest.raises(LieError, match="pi norms"):
-        ActionProblem(base.f, base.quasi_inverse, base.m_member,
-                      base.t_member, base.j_norms, base.exponents,
-                      projector=even_projector())
+def test_step_refuses_delta_that_pi_does_not_fix():
+    # T is the image of pi: a projector that doubles the mean is not
+    # idempotent, so the first nonzero delta (step 1) leaves T
+    def action(g, t, s):
+        out = TruncatedSeries(g.dim, g.cap, min(s, g.ref_radius), "fourier")
+        out.set_coefficient(0, 2.0 * g.coefficient(0))
+        return out
+    double = LocalOperator(action, WeightFunction(k=0), 2.0,
+                           kind="projector", name="twice the mean")
+    problem = dataclasses.replace(circle_problem(), projector=double)
+    f = (TruncatedSeries.fourier_mode(1, 1e-3, cap=64, strip=0.5)
+         + TruncatedSeries.fourier_mode(-1, 1e-3, cap=64, strip=0.5))
+    with pytest.raises(LieError, match=r"step 1: delta_\{n\+1\} left T"):
+        run_lie(problem, RadiusSchedule.geometric(0.5, 0.5, 0.2), f, 8)
 
 
 def test_validation_rejects_field_leaving_m():
@@ -86,8 +94,8 @@ def test_validation_rejects_field_leaving_m():
         # constant coefficient: u(f) = c f' has order 1, outside M
         return certify_vector_field(poly([0.05]), name="bad")
 
-    problem = ActionProblem(base.f, bad_qi, base.m_member, base.t_member,
-                            base.j_norms, base.exponents)
+    problem = ActionProblem(base.f, bad_qi, base.m_member, base.j_norms,
+                            base.exponents)
     # |u| = 0.05 keeps every Borel series of the step 1 -> 0.75 inside
     # its disc: the narrowest window, (0.875, 0.75), is 0.125 wide
     radii = RadiusSchedule.geometric(0.5, 1.0, 0.5)
@@ -247,7 +255,6 @@ def test_schedule_scales_with_radius():
 def test_non_bruno_j_norms_refused():
     base = morse_problem()
     bad = ActionProblem(base.f, base.quasi_inverse, base.m_member,
-                        base.t_member,
                         j_norms=PositiveSequence.exp_power(1, 2.0),
                         exponents=base.exponents)
     with pytest.raises(LieError, match="non-summable"):
@@ -381,7 +388,7 @@ def test_certify_morse_run_all_pass():
     problem = morse_problem()
     sched = rho_schedule(problem, STRICT_B, 1.0)
     trace, _ = run_lie(problem, sched, poly([0, 0, 0, 1e-3]), steps=8)
-    cert = certify(trace, problem, sched.rho, sched.sigma, sched.b)
+    cert = certify(trace, problem, sched)
     assert cert.verdict == "certified"
     assert cert.first_failure is None
     assert all(cert.n1) and all(cert.n2) and all(cert.master)
@@ -393,7 +400,7 @@ def test_certify_zero_run_trivial():
     problem = morse_problem()
     sched = rho_schedule(problem, STRICT_B, 1.0)
     trace, _ = run_lie(problem, sched, poly([]), steps=3)
-    cert = certify(trace, problem, sched.rho, sched.sigma, sched.b)
+    cert = certify(trace, problem, sched)
     assert cert.verdict == "certified"
 
 
@@ -401,7 +408,7 @@ def test_certify_oversized_r0_fails_n2_at_zero():
     problem = morse_problem()
     sched = rho_schedule(problem, STRICT_B, 1.0)
     trace, _ = run_lie(problem, sched, poly([0, 0, 0, 0.02]), steps=2)
-    cert = certify(trace, problem, sched.rho, sched.sigma, sched.b)
+    cert = certify(trace, problem, sched)
     assert cert.verdict == "uncertified"
     assert cert.first_failure == ("N2", 0)
     assert not cert.n2[0]
@@ -416,7 +423,7 @@ def test_randomized_entry_threshold_certifies():
         raw = poly([0, 0, 0, *rng.uniform(-1.0, 1.0, 4)])
         r0 = raw.scale(0.9 * thr / raw.majorant_norm(1.0))
         trace, _ = run_lie(problem, sched, r0, steps=6)
-        cert = certify(trace, problem, sched.rho, sched.sigma, sched.b)
+        cert = certify(trace, problem, sched)
         assert cert.verdict == "certified"
 
 
