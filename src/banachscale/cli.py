@@ -16,6 +16,7 @@ produce byte-identical trace files.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import subprocess
@@ -179,17 +180,18 @@ def _cmd_rho(args) -> int:
     a = parse_sequence(args.a)
     aprime = parse_sequence(args.aprime)
     b = parse_sequence(args.b)
+    window, depth = _span(args.window), _span(args.depth)
     # lemma_rho tames a a'^2 through the tail bound of its transform, and
     # a table has none whatever the span (a certified divergent input
     # stays an input error, raised by lemma_rho)
-    if ((a * aprime ** 2.0).weighted_log_tail(0, args.depth) is None
+    if ((a * aprime ** 2.0).weighted_log_tail(0, depth) is None
             and not (a.divergence_witness() or aprime.divergence_witness())):
         print("a a'^2 has no closed-form tail bound (tabulated data), "
               "so no taming constant is certified")
         return UNCERTIFIED
     rho, sigma, report = lemma_rho(a, aprime, b, args.k, args.l, K=args.K,
-                                   alpha=args.alpha, window=args.window,
-                                   depth=args.depth)
+                                   alpha=args.alpha, window=window,
+                                   depth=depth)
     print(f"K {fmt17(report.K)} after {report.halvings} halvings, "
           f"alpha {fmt17(report.alpha)}")
     print(f"rho_0 {fmt17(rho.value(0))} sigma_0 {fmt17(sigma.value(0))}")
@@ -302,7 +304,10 @@ def _cmd_verify(args) -> int:
 
 # ---- parser ----
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The `banachscale` parser, built once per process: parsing leaves
+    it unchanged, so every `main` call reuses it."""
     parser = argparse.ArgumentParser(
         prog="banachscale",
         description="certified sequence checks and iteration engines")

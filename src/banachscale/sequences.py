@@ -3,8 +3,10 @@
 A `PositiveSequence` is a symbolic family a_0, a_1, ... of positive reals
 evaluated in log space throughout: the quantities of interest routinely
 reach e^(+-alpha^n) at n ~ 60, far outside float range, while their
-logarithms stay tame.  Window quantities take one `log_values` array per
-node of the family tree, so a depth-N taming costs O(N) evaluations.
+logarithms stay tame.  Window quantities take one `log_values` array and
+one array of closed-form tail bounds per node of the family tree, so a
+depth-N taming walks each node's logs and tails once per window and
+costs O(N) evaluations.
 
 The central summability notion used everywhere downstream: a positive
 monotone sequence is *admissible* when
@@ -205,44 +207,52 @@ class PositiveSequence:
     def weighted_log_tail(self, offset: int, depth: int) -> float | None:
         """Upper bound for sum_{k>depth} |log a_{k+offset}| / 2^(k+1).
 
-        Returns None when the family admits no closed form (tabulated
-        leaves).  Bounds compose subadditively through products, powers
-        and scalings, so every purely symbolic family gets one.
+        Returns None when the family admits no closed form (a tabulated
+        leaf, or an exp_power leaf with alpha >= 2).  Bounds compose
+        subadditively through products, powers and scalings, so every
+        other symbolic family gets one.  This is one offset of
+        `_log_tails`, the walk that window quantities take once.
         """
-        f = self.family
-        N = depth
+        tails = self._log_tails(np.array([offset], dtype=float), depth)
+        return None if tails is None else float(tails[0])
+
+    def _log_tails(self, offsets: np.ndarray, depth: int) -> np.ndarray | None:
+        """weighted_log_tail at each offset, from one walk of the family
+        tree.  Each node applies the same IEEE operations, in the same
+        order, to every offset; exp_power keeps libm's exp per element."""
+        f, p, N = self.family, self.params, depth
         if f == "geometric":
-            c = abs(math.log(self.params["q"]))
+            c = abs(math.log(p["q"]))
             # sum_{k>N} (k+offset)/2^(k+1) = (N+offset+2)/2^(N+1)
-            return c * (N + offset + 2.0) * math.pow(2.0, -(N + 1))
+            return c * (N + offsets + 2.0) * math.pow(2.0, -(N + 1))
         if f == "exp_power":
-            alpha = self.params["alpha"]
+            alpha = p["alpha"]
             if alpha >= 2.0:
                 return None
             # sum_{k>N} alpha^(k+offset)/2^(k+1)
             #   = alpha^offset * (alpha/2)^(N+1) / (2 - alpha)
-            logterm = offset * math.log(alpha) \
+            logterm = offsets * math.log(alpha) \
                 + (N + 1) * math.log(alpha / 2.0) - math.log(2.0 - alpha)
-            return math.exp(logterm)
+            return np.array([math.exp(x) for x in logterm.tolist()])
         if f == "tabulated":
             return None
         if f == "product":
             total = 0.0
-            for s in self.params["factors"]:
-                t = s.weighted_log_tail(offset, depth)
+            for s in p["factors"]:
+                t = s._log_tails(offsets, depth)
                 if t is None:
                     return None
-                total += t
+                total = total + t
             return total
         if f == "power":
-            t = self.params["base"].weighted_log_tail(offset, depth)
-            return None if t is None else abs(self.params["exponent"]) * t
+            t = p["base"]._log_tails(offsets, depth)
+            return None if t is None else abs(p["exponent"]) * t
         if f == "scaled":
-            t = self.params["base"].weighted_log_tail(offset, depth)
+            t = p["base"]._log_tails(offsets, depth)
             if t is None:
                 return None
             # |log(c a_k)| <= |log c| + |log a_k|
-            return t + abs(self.params["log_factor"]) * math.pow(2.0, -(N + 1))
+            return t + abs(p["log_factor"]) * math.pow(2.0, -(N + 1))
         raise AssertionError(f)
 
     def divergence_witness(self) -> bool:
@@ -314,9 +324,10 @@ def bruno_check(a: PositiveSequence, depth: int = 60) -> BrunoCertificate:
     e^(+-alpha^n) leaf with alpha >= 2 contributes a term >= c > 0 for
     every k), 'inconclusive' otherwise (e.g. tabulated data).
     """
-    partial = 0.0
-    for k, lv in enumerate(a.log_values(depth).tolist()):
-        partial += abs(lv) * math.pow(2.0, -(k + 1))
+    logs = a.log_values(depth)
+    # cumsum adds in k order, as a scalar loop would
+    terms = np.abs(logs) * np.ldexp(1.0, -1 - np.arange(len(logs)))
+    partial = float(terms.cumsum()[-1]) if terms.size else 0.0
     # a divergence witness has no closed-form tail either
     tail = a.weighted_log_tail(0, depth)
     verdict = ("not_bruno" if a.divergence_witness() else
@@ -389,10 +400,11 @@ def _transform_logs(a: PositiveSequence, logs: np.ndarray, start: int,
     # float arithmetic, so without padding "true value inside enclosure"
     # could fail by rounding alone.
     pad = 8.0 * sys.float_info.epsilon * (np.abs(log_trunc) + 1.0)
-    tails = [a.weighted_log_tail(start + i, depth) for i in range(len(win))]
-    if None in tails:
+    tails = a._log_tails(np.arange(start, start + len(win), dtype=float),
+                         depth)
+    if tails is None:
         return log_trunc + pad, None
-    return log_trunc + pad, log_trunc - np.array(tails) - pad
+    return log_trunc + pad, log_trunc - tails - pad
 
 
 # ---- tame pairs ----
@@ -584,7 +596,9 @@ def lemma_rho(a: PositiveSequence, aprime: PositiveSequence,
     c = eps * b where eps tames a * aprime^2 on the window, so the two
     conclusions hold index-by-index: the pair (a_n sigma_n^-k,
     rho_n a'_n sigma_n^-l) satisfies (*), and rho_n a'_n sigma_n^-l < b_n.
-    Both are verified in log space on the window.  When K is not given
+    Both are verified in log space on the window.  k and l must be
+    nonnegative: sigma_n < 1, so sigma^-k with k < 0 would pull a_n
+    sigma_n^-k below a_n, and a >= 1 could fail.  When K is not given
     it is auto-tuned from 1/2 by halving (at most 64 times) until both
     verify and so do the caller's `conditions`, which map a candidate
     rho to {name: per-index verdicts}; the search fails naming the
@@ -598,6 +612,8 @@ def lemma_rho(a: PositiveSequence, aprime: PositiveSequence,
         raise SequenceDomainError("K must lie in (0, 1)")
     if K is not None and conditions is not None:
         raise SequenceDomainError("a fixed K takes no conditions")
+    if k < 0 or l < 0:
+        raise SequenceDomainError("k and l must be nonnegative")
     for name, seq in (("a", a), ("aprime", aprime)):
         cert = bruno_check(seq, depth)
         if cert.verdict == "not_bruno":

@@ -155,6 +155,21 @@ def test_rho_tuner(capsys):
     assert "pair (*) holds: True" in out
 
 
+def test_rho_refuses_negative_exponents_and_spans(capsys):
+    # k = -1 makes the pair's a_n sigma_n^-k = sigma_n < 1: not tame
+    base = ["--a", "constant:1.0", "--aprime", "constant:2.0",
+            "--b", "exp_power:-1.7"]
+    for k, l in (("-1", "2"), ("4", "-1")):
+        code, out, err = run(capsys, "rho", *base, "--k", k, "--l", l)
+        assert (code, out) == (1, "")
+        assert json.loads(err)["error"] == "k and l must be nonnegative"
+    for flag in ("--window", "--depth"):
+        code, out, err = run(capsys, "rho", *base, "--k", "4", "--l", "1",
+                             flag, "-1")
+        assert (code, out) == (1, "")
+        assert json.loads(err)["error"] == "a span of -1 terms is negative"
+
+
 # ---- iteration commands ----
 
 def test_newton_square_root(capsys):
@@ -422,3 +437,17 @@ def test_python_dash_m_runs_the_cli(capsys):
     assert proc.returncode == 0, proc.stderr
     code, out, _ = run(capsys, "newton", "--target", "2")
     assert code == 0 and proc.stdout == out
+
+
+def test_parser_is_built_once_and_reusable(capsys):
+    assert build_parser() is build_parser()
+    argv = [*_RHO[:-4], "--k", "3", "--l", "2"]
+    src = Path(__file__).resolve().parents[1] / "src"
+    proc = subprocess.run(
+        [sys.executable, "-m", "banachscale", *argv], capture_output=True,
+        text=True, env={**os.environ, "PYTHONPATH": str(src)}, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    # a usage error leaves nothing behind in the shared parser
+    assert run(capsys, "rho", "--k", "x")[0] == 1
+    code, out, err = run(capsys, *argv)
+    assert (code, out, err) == (0, proc.stdout, "")

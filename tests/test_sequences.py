@@ -52,12 +52,17 @@ _LEAVES = st.one_of(
     st.lists(st.floats(1e-3, 1e3), min_size=1, max_size=25).map(
         PS.tabulated),
 )
-_TREES = st.recursive(_LEAVES, lambda kids: st.one_of(
-    st.tuples(kids, kids).map(lambda t: t[0] * t[1]),
-    st.tuples(kids, st.floats(-3.0, 3.0)).map(lambda t: t[0] ** t[1]),
-    st.tuples(kids, st.floats(-40.0, 40.0)).map(
-        lambda t: t[0].scaled(log_factor=t[1])),
-), max_leaves=6)
+
+
+def _closures(kids):
+    return st.one_of(
+        st.tuples(kids, kids).map(lambda t: t[0] * t[1]),
+        st.tuples(kids, st.floats(-3.0, 3.0)).map(lambda t: t[0] ** t[1]),
+        st.tuples(kids, st.floats(-40.0, 40.0)).map(
+            lambda t: t[0].scaled(log_factor=t[1])))
+
+
+_TREES = st.recursive(_LEAVES, _closures, max_leaves=6)
 
 
 @settings(max_examples=300, deadline=None)
@@ -191,6 +196,67 @@ def test_transform_preconditions():
     assert res.enclosure[0] == 0.0
 
 
+def _reference_tail(a, offset, depth):
+    """weighted_log_tail as one recursion of scalar float arithmetic per
+    offset, kept as the oracle of the walk over all offsets at once."""
+    f, p, N = a.family, a.params, depth
+    if f == "geometric":
+        c = abs(math.log(p["q"]))
+        return c * (N + offset + 2.0) * math.pow(2.0, -(N + 1))
+    if f == "exp_power":
+        alpha = p["alpha"]
+        if alpha >= 2.0:
+            return None
+        logterm = offset * math.log(alpha) \
+            + (N + 1) * math.log(alpha / 2.0) - math.log(2.0 - alpha)
+        return math.exp(logterm)
+    if f == "tabulated":
+        return None
+    if f == "product":
+        total = 0.0
+        for s in p["factors"]:
+            t = _reference_tail(s, offset, depth)
+            if t is None:
+                return None
+            total += t
+        return total
+    if f == "power":
+        t = _reference_tail(p["base"], offset, depth)
+        return None if t is None else abs(p["exponent"]) * t
+    if f == "scaled":
+        t = _reference_tail(p["base"], offset, depth)
+        if t is None:
+            return None
+        return t + abs(p["log_factor"]) * math.pow(2.0, -(N + 1))
+    raise AssertionError(f)
+
+
+# exp_power with alpha >= 2 has no closed-form tail either
+_TAIL_TREES = st.recursive(
+    st.one_of(_LEAVES, st.tuples(st.sampled_from([-1, 1]),
+                                 st.floats(2.0, 3.0)).map(
+        lambda t: PS.exp_power(*t))),
+    _closures, max_leaves=6)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_TAIL_TREES, st.lists(st.integers(0, 300), min_size=1, max_size=8),
+       st.integers(0, 240))
+def test_log_tails_match_the_per_offset_oracle(seq, offsets, depth):
+    # one walk over all offsets gives each offset's scalar recursion bit
+    # for bit, and None exactly where it does: a table anywhere in the
+    # tree, or exp_power with alpha >= 2
+    want = [_reference_tail(seq, n, depth) for n in offsets]
+    got = seq._log_tails(np.array(offsets, dtype=float), depth)
+    if None in want:
+        assert got is None and want == [None] * len(offsets)
+        assert seq.weighted_log_tail(offsets[0], depth) is None
+        return
+    assert [float(v).hex() for v in got] == [w.hex() for w in want]
+    single = seq.weighted_log_tail(offsets[0], depth)
+    assert type(single) is float and single.hex() == want[0].hex()
+
+
 def _reference_transform(a, n, depth):
     """(log_value, log_lower) of bruno_transform as one scalar sum per
     window: the O(depth) evaluations per n that the vectorized helper
@@ -202,7 +268,7 @@ def _reference_transform(a, n, depth):
         raise SequenceDomainError("transform needs a nondecreasing on the window")
     log_trunc = -sum(lv * math.pow(2.0, -(k + 1)) for k, lv in enumerate(logs))
     pad = 8.0 * sys.float_info.epsilon * (abs(log_trunc) + 1.0)
-    tail = a.weighted_log_tail(n, depth)
+    tail = _reference_tail(a, n, depth)
     if tail is None:
         return log_trunc + pad, -math.inf
     return log_trunc + pad, log_trunc - tail - pad
@@ -220,7 +286,7 @@ def _reference_taming(a, depth):
     then one bruno_transform per n (O(depth^2) evaluations)."""
     _reference_partial(a, depth)   # a table that ends by depth fails here
     verdict = ("not_bruno" if a.divergence_witness() else
-               "inconclusive" if a.weighted_log_tail(0, depth) is None
+               "inconclusive" if _reference_tail(a, 0, depth) is None
                else "bruno")
     if verdict != "bruno":
         raise SequenceDomainError(
@@ -307,13 +373,19 @@ def _node_count(seq):
 
 def test_taming_evaluates_each_node_once_per_window(monkeypatch):
     # bruno_check reads indices 0..depth and the transform 0..2 depth, one
-    # walk of the tree each: O(depth) evaluations, not O(depth^2)
+    # walk of the tree each: O(depth) evaluations, not O(depth^2); their
+    # tail bounds, at offset 0 and at the transform's depth + 1 offsets,
+    # are one walk each too
     depth = 240
     a = (PS.geometric(2.0) * PS.exp_power(1, 1.3)) \
         * PS.constant(3.0) ** 2.0
     nodes = _node_count(a)
-    calls = {"log": 0, "entries": 0}
-    log, logs = PS.log, PS._logs
+    calls = {"log": 0, "entries": 0, "tail walks": 0}
+    log, logs, tails = PS.log, PS._logs, PS._log_tails
+
+    def counted_tails(self, offsets, depth):
+        calls["tail walks"] += 1
+        return tails(self, offsets, depth)
 
     def counted_log(self, n):
         calls["log"] += 1
@@ -325,9 +397,11 @@ def test_taming_evaluates_each_node_once_per_window(monkeypatch):
 
     monkeypatch.setattr(PS, "log", counted_log)
     monkeypatch.setattr(PS, "_logs", counted_logs)
+    monkeypatch.setattr(PS, "_log_tails", counted_tails)
     taming_epsilon_log(a, depth)
     assert calls["log"] <= nodes * (2 * depth + 1)
     assert calls["entries"] <= nodes * ((depth + 1) + (2 * depth + 1))
+    assert calls["tail walks"] <= nodes * 2
 
 
 # ---- tame pairs ----
@@ -489,6 +563,13 @@ def test_lemma_rho_rejects_bad_inputs():
         lemma_rho(PS.exp_power(1, 2.0), a, b, 0, 0)  # a not summable
     with pytest.raises(SequenceDomainError, match="fixed K"):
         lemma_rho(a, a, b, 0, 0, K=0.5, conditions=lambda rho: {})
+    # k < 0 would make a_n sigma_n^-k = a_n sigma_n^|k| fall below 1: the
+    # pair below is not tame, so no K may certify it
+    two = PS.constant(2.0)
+    for k, l in ((-1, 2), (2, -1)):
+        with pytest.raises(SequenceDomainError,
+                           match="k and l must be nonnegative"):
+            lemma_rho(a, two, PS.exp_power(-1, 1.7), k, l)
 
 
 def test_lemma_rho_search_checks_the_callers_conditions():

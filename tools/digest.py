@@ -5,6 +5,11 @@ Covered: `lie` per demo at caps 16/64/128 and in edge and error cases,
 README examples but `verify` (stdout, stderr, exit code, engine `--json`
 and `--csv`), each demo's residual and details, and `rho_schedule` at
 five |j|.  Floats go through repr: clean `diff` = byte-identical outputs.
+On fixed geometric, exp_power, product and scaled families, the sequence
+layer prints its floats as `float.hex` instead of a digest:
+`bruno_check` and `taming_epsilon_log` at depths 60 and 240 and
+`bruno_transform` at n = 0..5; `lemma_rho` digests its rho and sigma
+JSON and its report repr.
 """
 
 import dataclasses
@@ -46,6 +51,39 @@ def cli(tree: Path, argv: list[str]) -> None:
                 emit(f"{label} :{name}", path.read_bytes())
 
 
+def hexed(label: str, *xs: float) -> None:
+    print(*(x.hex() for x in xs), label)
+
+
+def sequence_layer() -> None:
+    from banachscale import sequences as sq
+    ps = sq.PositiveSequence
+    grow = {"geometric:2.5": ps.geometric(2.5),
+            "exp_power:1.3": ps.exp_power(1, 1.3),
+            "geometric:1.5*exp_power:1.7^2": (ps.geometric(1.5)
+                                              * ps.exp_power(1, 1.7) ** 2.0),
+            "(exp_power:1.2^0.5)*3": (ps.exp_power(1, 1.2) ** 0.5).scaled(3.0)}
+    for name, a in grow.items():
+        for depth in (60, 240):
+            cert = sq.bruno_check(a, depth)
+            hexed(f"bruno_check {name} depth={depth}",
+                  cert.partial_sum, cert.tail_bound)
+            hexed(f"taming_epsilon_log {name} depth={depth}",
+                  sq.taming_epsilon_log(a, depth))
+        for n in range(6):
+            res = sq.bruno_transform(a, n)
+            hexed(f"bruno_transform {name} n={n}",
+                  res.log_value, res.log_lower)
+    strict = ps.exp_power(-1, 1.5)
+    for name, a in grow.items():
+        for ap_name, aprime, k, l in (("constant:2", ps.constant(2.0), 4, 1),
+                                      ("geometric:1.5", ps.geometric(1.5),
+                                       2, 3)):
+            rho, sigma, report = sq.lemma_rho(a, aprime, strict, k, l)
+            emit(f"lemma_rho {name} aprime={ap_name} k={k} l={l}",
+                 (rho.to_json(), sigma.to_json(), repr(report)))
+
+
 def main(tree: Path) -> None:
     runs = [f"{d} --cap {c}" for d in DEMOS for c in CAPS] + list(LIE_EXTRA)
     for run in runs:
@@ -58,6 +96,7 @@ def main(tree: Path) -> None:
     from banachscale import demos, lie
     from banachscale.sequences import PositiveSequence
     from banachscale.series import TruncatedSeries
+    sequence_layer()
     for demo, cap in [(d, c) for d in DEMOS for c in CAPS]:
         rep = getattr(demos, demo)(cap=cap)
         emit(f"{demo}(cap={cap})", (rep.residual, rep.details))
