@@ -31,7 +31,7 @@ from .iterate import RadiusSchedule
 from .local_ops import (EXP_NEG, PHI, PSI, LocalOperator, OperatorError,
                         borel_apply, product_of_exponentials)
 from .sequences import (PositiveSequence, SequenceDomainError, bruno_check,
-                        lemma_rho, log_one_minus_exp)
+                        lemma_rho)
 from .series import SeriesError, TruncatedSeries, align
 from .trace import IterationTrace, StepRecord
 
@@ -202,9 +202,9 @@ def lie_step(state: LieState, problem: ActionProblem,
     complementary part (iota - pi)(r_n - u_n(tau_n)) and
     phi(z) = e^(-z)(1 + z) - 1, psi(z) = e^(-z) - 1.  Uncomputed Borel
     remainders are folded into the tail of r_{n+1} so its recorded norm
-    stays an upper bound.  Any domain violation raises LieError naming
-    the failing sub-expression, and so does an r_{n+1} outside M or a
-    delta_{n+1} outside T, the image of pi: pi must fix it exactly.
+    stays an upper bound.  Any domain violation (a schedule that ends
+    too) raises LieError naming the failing sub-expression, and so does
+    an r_{n+1} outside M or a delta_{n+1} that pi does not fix exactly.
 
     The last Borel series carries the conjugacy: it applies e^(-u_n)
     to the state's image g_{n-1} ... g_0 (x_0) (to x_n when there is
@@ -213,20 +213,20 @@ def lie_step(state: LieState, problem: ActionProblem,
     largest coefficient gap between tau_{n+1} + r_{n+1} and that image,
     the versality identity checked at every step.
     """
+    def guard(label, fn, *args):
+        try:
+            return fn(*args)
+        except (OperatorError, SeriesError, SequenceDomainError) as exc:
+            raise LieError(f"step {n}, {label}: {exc}") from None
+
     n, s = state.n, state.s
-    s1 = radii.radius(n + 1)
+    s1 = guard("s_{n+1}", radii.radius, n + 1)
     if not (0.0 < s1 < s):
         raise LieError(f"step {n}: radii must fall, got {s:g} -> {s1:g}")
     dec = s - s1
     p1 = s - 0.25 * dec
     p2 = s - 0.5 * dec
     tau, r = state.tau, state.r
-
-    def guard(label, fn, *args):
-        try:
-            return fn(*args)
-        except (OperatorError, SeriesError, SequenceDomainError) as exc:
-            raise LieError(f"step {n}, {label}: {exc}") from None
 
     u_op = guard("j(tau_n) r_n", problem.quasi_inverse, n, tau, r)
     w_u = guard("u_n(tau_n)", u_op, tau, s, p1)
@@ -363,14 +363,16 @@ def rho_schedule(problem: ActionProblem, b: PositiveSequence,
     condition 4 the transversal increments (a'_n sigma_n^(-k/2)
     rho_n^(1/2) <= rho_{n+1}^(1/4)); condition 5 keeps
     rho_n^(1/4) < 1/2^n.  Conditions 2-5 join the one K search, the one
-    in `lemma_rho`, evaluated on each candidate rho's own log values; a
-    refusal of `lemma_rho` (no passing K, naming the binding condition,
-    or an input it cannot tame) becomes a LieError with its message.
+    in `lemma_rho`, evaluated on the log values of each candidate rho
+    and of sigma = rho.gap(); a refusal of `lemma_rho` (no passing K,
+    naming the binding condition, or an input it cannot tame) becomes a
+    LieError with its message.
     A small |j| only makes the problem easier: where it pulls the
     product `lemma_rho` tames below 1, its |j|^2 factor is lifted.
     Absent kappa makes conditions 1 and 2 vacuous in their kappa factor
     and an absent projector makes condition 4 vacuous.  The report
-    carries the entry threshold as epsilon * t^m with m = k + l.
+    carries the entry threshold as epsilon * t^m with m = k + l.  rho,
+    sigma and the radii are closed-form wherever b is.
     """
     if not (t > 0.0):
         raise LieError("the starting radius t must be positive")
@@ -419,8 +421,8 @@ def rho_schedule(problem: ActionProblem, b: PositiveSequence,
 
     def lie_conditions(rho: PositiveSequence) -> dict:
         lr = rho.log_values(_WINDOW)
-        ls = log_one_minus_exp(lr / np.power(2.0, np.arange(_WINDOW + 1)))
-        now, nxt, ls = lr[:-1], lr[1:], ls[:-1]
+        ls = rho.gap().log_values(_WINDOW - 1)      # log sigma_n
+        now, nxt = lr[:-1], lr[1:]
         flags = {
             "linear-branch": la4 - l * ls + now <= 0.5 * nxt,
             "exp-smallness": _LOG4E + lj - ls + 0.5 * now <= 0.25 * nxt,
@@ -461,7 +463,7 @@ def run_lie(problem: ActionProblem, schedule: LieSchedule | RadiusSchedule,
     """Iterate lie_step and assemble the conjugacy.
 
     Returns the trace (row n carries |r_n|, |delta_n|, |u_{n-1}|, the
-    envelope b_n and sigma_n when a full schedule is given) and the
+    envelope b_n and sigma_n where a full schedule has them) and the
     certified product g = e^(-u_{N-1}) ... e^(-u_0).  Row n + 1 checks
     the versality identity g_n ... g_0 (tau_0 + r_0) = tau_0 + sum
     delta_i + r_(n+1) coefficientwise as its consistency_defect; the
@@ -574,8 +576,9 @@ def certify(trace: IterationTrace, problem: ActionProblem,
     sigma_n / (4 e |j_n|); the master inequality |r_{n+1}| <=
     (a''_n + a'''_n) sigma_n^-k |r_n|^2 + rho_n a''''_n sigma_n^-l |r_n|;
     and the conclusions |r_n| <= b_n, |delta_n| <= b_n.  Rows past the
-    end of a tabulated sequence are not checked, and leave the run
-    uncertified.  Failures are verdicts, not exceptions.
+    end of a tabulated b or |j| are not checked (sigma = rho.gap() ends
+    with them), and leave the run uncertified.  Failures are verdicts,
+    not exceptions.
     """
     rho, sigma, b = schedule.rho, schedule.sigma, schedule.b
     rows = trace.steps
@@ -585,7 +588,6 @@ def certify(trace: IterationTrace, problem: ActionProblem,
     for n in range(count):
         try:
             sigma.value(n)
-            rho.value(n)
             problem.j_norms.value(n)
         except SequenceDomainError:
             count = n

@@ -31,7 +31,7 @@ x' = (a_n x^2 + b_n x) / 2.  `taming_epsilon_log` is the log of the
 factor that scales an envelope so that (*) holds against a given
 admissible a on a window; `lemma_rho` builds the
 doubly-exponentially-decaying schedule rho_n = K b_n c_n e^(-alpha^n)
-together with sigma_n = 1 - rho_n^(1/2^n) used by the Lie scheduler.
+together with its gap sigma_n = 1 - rho_n^(1/2^n) for the Lie scheduler.
 """
 
 from __future__ import annotations
@@ -74,8 +74,8 @@ class PositiveSequence:
     """Symbolic positive sequence with log-space evaluation.
 
     Families: geometric q^n, exp_power e^(sign*alpha^n), tabulated,
-    and the closures product, power and (log-)scaled.  `log(n)` is the
-    primary accessor; `value(n)` may over/underflow and is for display.
+    and the closures product, power, (log-)scaled and `gap`.  `log(n)` is
+    the primary accessor; `value(n)` may over/underflow and is for display.
     """
 
     def __init__(self, family: str, **params):
@@ -95,7 +95,7 @@ class PositiveSequence:
             if vals.size == 0 or not np.all(vals > 0):
                 raise SequenceDomainError("tabulated values must be positive")
             self.params = {"values": vals}
-        elif family not in ("product", "power", "scaled"):
+        elif family not in ("product", "power", "scaled", "gap"):
             raise SequenceDomainError(f"unknown family {family!r}")
 
     # -- constructors --
@@ -137,6 +137,10 @@ class PositiveSequence:
             log_factor = math.log(factor)
         return PositiveSequence("scaled", base=self, log_factor=float(log_factor))
 
+    def gap(self) -> "PositiveSequence":
+        """sigma_n = 1 - a_n^(1/2^n); an index with a_n >= 1 is refused."""
+        return PositiveSequence("gap", base=self)
+
     # -- evaluation --
 
     def log(self, n: int) -> float:
@@ -160,6 +164,8 @@ class PositiveSequence:
             return self.params["exponent"] * self.params["base"].log(n)
         if f == "scaled":
             return self.params["log_factor"] + self.params["base"].log(n)
+        if f == "gap":
+            return _gap_logs(np.array([self.params["base"].log(n)]), n).item()
         raise AssertionError(f)
 
     def value(self, n: int) -> float:
@@ -200,6 +206,8 @@ class PositiveSequence:
             return p["exponent"] * p["base"]._logs(start, stop)
         if f == "scaled":
             return p["log_factor"] + p["base"]._logs(start, stop)
+        if f == "gap":
+            return _gap_logs(p["base"]._logs(start, stop), start)
         raise AssertionError(f)
 
     # -- closed-form tail bounds --
@@ -208,7 +216,7 @@ class PositiveSequence:
         """Upper bound for sum_{k>depth} |log a_{k+offset}| / 2^(k+1).
 
         Returns None when the family admits no closed form (a tabulated
-        leaf, or an exp_power leaf with alpha >= 2).  Bounds compose
+        leaf or a gap, or an exp_power leaf with alpha >= 2).  Bounds compose
         subadditively through products, powers and scalings, so every
         other symbolic family gets one.  This is one offset of
         `_log_tails`, the walk that window quantities take once.
@@ -234,7 +242,7 @@ class PositiveSequence:
             logterm = offsets * math.log(alpha) \
                 + (N + 1) * math.log(alpha / 2.0) - math.log(2.0 - alpha)
             return np.array([math.exp(x) for x in logterm.tolist()])
-        if f == "tabulated":
+        if f in ("tabulated", "gap"):
             return None
         if f == "product":
             total = 0.0
@@ -562,27 +570,20 @@ class LemmaRhoReport:
         return None
 
 
-def _rho_sigma_logs(K: float, log_b: np.ndarray, log_c: np.ndarray,
-                    log_e: np.ndarray):
-    """log rho_n = log K + log b_n + log c_n - alpha^n (log_e holds
-    -alpha^n), sigma_n = 1 - rho_n^(1/2^n) and its log, elementwise.
-
-    Returns (log_rho, sigma, log_sigma) or None when some rho_n >= 1.
-    sigma itself can round to 1.0 when rho_n^(1/2^n) underflows; log_sigma
-    uses the stable log(1 - e^x) split so the conclusion checks never see
-    that saturation.
-    """
-    log_rho = math.log(K) + log_b + log_c + log_e
-    x = log_rho / np.power(2.0, np.arange(len(log_rho)))
-    if np.any(x >= 0.0):
-        return None
-    return log_rho, -np.expm1(x), log_one_minus_exp(x)
+def _gap_logs(log_a: np.ndarray, start: int) -> np.ndarray:
+    """log(1 - a_n^(1/2^n)) for n = start.. from log_a = log a_start..;
+    ldexp keeps log a_n / 2^n exact where 2^n overflows."""
+    x = np.ldexp(log_a, -np.arange(start, start + len(log_a)))
+    bad = np.flatnonzero(x >= 0.0)
+    if bad.size:
+        raise SequenceDomainError(f"gap needs a_n < 1, index {start + bad[0]}")
+    return log_one_minus_exp(x)
 
 
 def log_one_minus_exp(x: np.ndarray) -> np.ndarray:
     """log(1 - e^x) for x < 0: log1p below -log 2, log(-expm1) above."""
-    return np.where(x < -math.log(2.0),
-                    np.log1p(-np.exp(x)),
+    return np.where(x < -LOG2,
+                    np.log1p(-np.exp(np.minimum(x, -LOG2))),  # no log1p(-1)
                     np.log(np.maximum(-np.expm1(x), 1e-300)))
 
 
@@ -591,7 +592,7 @@ def lemma_rho(a: PositiveSequence, aprime: PositiveSequence,
               K: float | None = None, alpha: float = 1.5,
               window: int = 40, depth: int = 60,
               conditions: Callable[[PositiveSequence], dict] | None = None):
-    """Construct rho_n = K b_n c_n e^(-alpha^n) and sigma_n = 1 - rho_n^(1/2^n).
+    """Construct rho_n = K b_n c_n e^(-alpha^n) and sigma = rho.gap().
 
     c = eps * b where eps tames a * aprime^2 on the window, so the two
     conclusions hold index-by-index: the pair (a_n sigma_n^-k,
@@ -604,7 +605,7 @@ def lemma_rho(a: PositiveSequence, aprime: PositiveSequence,
     rho to {name: per-index verdicts}; the search fails naming the
     first condition the last candidate broke.  A fixed K is returned
     with its two conclusions whatever they say, and takes no
-    conditions.  Returns (rho, sigma, report).
+    conditions.  Returns (rho, sigma, report), checked on their floats.
     """
     if not (1.0 < alpha < 2.0):
         raise SequenceDomainError("alpha must lie in (1, 2)")
@@ -628,14 +629,14 @@ def lemma_rho(a: PositiveSequence, aprime: PositiveSequence,
     log_a = a.log_values(window + 2)
     log_ap = aprime.log_values(window + 2)
     log_b = b.log_values(window + 2)
-    rho_logs = (log_b[:-1], c.log_values(window + 1),
-                PositiveSequence.exp_power(-1, alpha).log_values(window + 1))
+    unscaled_logs = unscaled_rho.log_values(window + 1)
 
     def attempt(K_try: float) -> LemmaRhoReport | None:
-        logs = _rho_sigma_logs(K_try, *rho_logs)
-        if logs is None:
+        log_rho = math.log(K_try) + unscaled_logs
+        try:
+            log_sigma = _gap_logs(log_rho, 0)
+        except SequenceDomainError:     # some rho_n >= 1
             return None
-        log_rho, _, log_sigma = logs
         log_y = log_rho + log_ap[:-1] - l * log_sigma   # rho a' sigma^-l
         star = (log_a[:window] - k * log_sigma[:window]
                 + 2.0 * log_y[:window] <= log_y[1:window + 1])
@@ -670,6 +671,4 @@ def lemma_rho(a: PositiveSequence, aprime: PositiveSequence,
                 f"binding condition: {binding}")
 
     rho = unscaled_rho.scaled(log_factor=math.log(report.K))
-    _, sigma_vals, _ = _rho_sigma_logs(report.K, *rho_logs)
-    sigma = PositiveSequence.tabulated(sigma_vals[:window + 1])
-    return rho, sigma, report
+    return rho, rho.gap(), report

@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from banachscale.cli import main as cli_main
 from banachscale.demos import (GOLDEN_C, GOLDEN_MEAN, circle, circle_problem,
                                mather, mather_problem, morse, morse_problem)
 from banachscale.lie import LieError, lie_step, LieState, rho_schedule
@@ -29,18 +30,22 @@ def test_morse_default_run_is_certified():
     assert rep.details["conjugacy_defect"] <= 1e-8
 
 
-def test_certified_rows_carry_the_certificate():
+def test_certified_rows_carry_the_certificate(capsys):
     rep = morse()
     assert rep.trace.certified and rep.trace.failures == []
     assert all(rec.checks_passed for rec in rep.trace.steps)
-    # rows past the schedule's sequences are unchecked, so they fail
+    # sigma is rho's gap, closed-form like rho: a run past the schedule's
+    # 40-index window is checked on every row
     rep = morse(steps=70)
-    assert rep.converged and rep.certificate.details["checked_steps"] == 41
-    assert [rec.checks_passed for rec in rep.trace.steps] == (
-        [True] * 41 + [False] * 30)
-    assert not rep.trace.certified
-    assert rep.trace.failures == [
-        "rows from 41 on are unchecked: the schedule's sequences end there"]
+    assert rep.converged and rep.certificate.verdict == "certified"
+    assert rep.certificate.details == {"checked_steps": 71, "rows": 71}
+    assert all(rec.checks_passed for rec in rep.trace.steps)
+    assert rep.trace.certified and rep.trace.failures == []
+    assert mather(steps=50).certificate.details == {"checked_steps": 51,
+                                                    "rows": 51}
+    capsys.readouterr()
+    assert cli_main(["lie", "--demo", "morse", "--steps", "70"]) == 0
+    assert "verdict certified" in capsys.readouterr().out
 
 
 def test_refused_run_exports_its_failing_row():

@@ -396,6 +396,26 @@ def test_certify_morse_run_all_pass():
     assert cert.details["checked_steps"] == 9
 
 
+def test_a_tabulated_envelope_ends_the_schedule():
+    # b has 43 entries, so rho and its gap sigma end at index 43: row 43
+    # of a 43-step run is left unchecked, and a 44th step has no radius
+    b = PositiveSequence.tabulated(
+        [math.exp(-1e-10 * 1.9 ** n) for n in range(43)])
+    problem = morse_problem()
+    sched = rho_schedule(problem, b, 1.0)
+    r0 = poly([0, 0, 0, 1e-3])
+    trace, _ = run_lie(problem, sched, r0, steps=43)
+    assert (trace.steps[42].bound, trace.steps[43].bound) == (b.value(42),
+                                                              None)
+    assert trace.steps[43].sigma is None
+    cert = certify(trace, problem, sched)
+    assert cert.details == {"checked_steps": 43, "rows": 44}
+    assert cert.verdict == "uncertified" and cert.first_failure is None
+    with pytest.raises(LieError, match=r"^step 43, s_\{n\+1\}: tabulated "
+                                       r"sequence has 43 entries, index 43$"):
+        run_lie(problem, sched, r0, steps=50)
+
+
 def test_certify_zero_run_trivial():
     problem = morse_problem()
     sched = rho_schedule(problem, STRICT_B, 1.0)

@@ -54,12 +54,29 @@ _LEAVES = st.one_of(
 )
 
 
+# families kept below 1, whose gaps 1 - a_n^(1/2^n) are defined; gaps
+# are below 1 too, and a table may end the base
+_BELOW_ONE = st.recursive(
+    st.one_of(
+        st.tuples(st.floats(0.05, 1.0), st.floats(-40.0, -1e-3)).map(
+            lambda t: PS.geometric(t[0]).scaled(log_factor=t[1])),
+        st.floats(0.3, 1.95).map(lambda alpha: PS.exp_power(-1, alpha)),
+        st.lists(st.floats(1e-3, 0.999), min_size=1, max_size=25).map(
+            PS.tabulated)),
+    lambda kids: st.one_of(
+        st.tuples(kids, kids).map(lambda t: t[0] * t[1]),
+        st.tuples(kids, st.floats(0.1, 3.0)).map(lambda t: t[0] ** t[1]),
+        kids.map(PS.gap)),
+    max_leaves=4)
+
+
 def _closures(kids):
     return st.one_of(
         st.tuples(kids, kids).map(lambda t: t[0] * t[1]),
         st.tuples(kids, st.floats(-3.0, 3.0)).map(lambda t: t[0] ** t[1]),
         st.tuples(kids, st.floats(-40.0, 40.0)).map(
-            lambda t: t[0].scaled(log_factor=t[1])))
+            lambda t: t[0].scaled(log_factor=t[1])),
+        _BELOW_ONE.map(PS.gap))
 
 
 _TREES = st.recursive(_LEAVES, _closures, max_leaves=6)
@@ -81,6 +98,26 @@ def test_log_values_is_log_bit_for_bit(seq, start, window):
     got = seq.log_values(window, start=start)
     assert got.dtype == np.float64
     assert [float(v).hex() for v in got] == want
+
+
+def test_gap_refuses_a_at_or_above_one_and_scales_exactly():
+    # a_0 = 1, so only the indices from 1 on have a gap
+    gap = PS.geometric(0.5).gap()
+    with pytest.raises(SequenceDomainError, match="gap needs a_n < 1, index 0"):
+        gap.log(0)
+    with pytest.raises(SequenceDomainError, match="gap needs a_n < 1, index 0"):
+        gap.log_values(5)
+    assert gap.log_values(5, start=1).tolist() == [gap.log(n)
+                                                   for n in range(1, 6)]
+    assert gap.weighted_log_tail(0, 10) is None
+    assert not gap.divergence_witness()
+    assert gap.to_json_dict() == {"family": "gap",
+                                  "base": PS.geometric(0.5).to_json_dict()}
+    # log a_n / 2^n stays exact where 2^n overflows a float: for
+    # a_n = e^(-1.5^n), sigma_1200 = 1 - e^(-0.75^1200) ~ 0.75^1200
+    far = PS.exp_power(-1, 1.5).gap()
+    assert far.log(1200) == pytest.approx(1200 * math.log(0.75), rel=1e-12)
+    assert far.log_values(1201, start=1199)[1] == far.log(1200)
 
 
 def test_log_values_short_tables_report_the_first_missing_index():
@@ -210,7 +247,7 @@ def _reference_tail(a, offset, depth):
         logterm = offset * math.log(alpha) \
             + (N + 1) * math.log(alpha / 2.0) - math.log(2.0 - alpha)
         return math.exp(logterm)
-    if f == "tabulated":
+    if f in ("tabulated", "gap"):
         return None
     if f == "product":
         total = 0.0
@@ -513,6 +550,34 @@ def test_lemma_rho_trivial_pair_window_40():
         assert sigma.value(n) == pytest.approx(-math.expm1(log_rho / 2.0 ** n),
                                                rel=1e-12)
         assert sigma.value(n) >= 1.5 ** n / 2.0 ** n
+
+
+def test_lemma_rho_sigma_is_the_gap_of_its_rho():
+    # sigma_n = 1 - rho_n^(1/2^n) of the returned rho, bit for bit, far
+    # past the window; its value agrees with a 50-digit evaluation
+    mpmath = pytest.importorskip("mpmath")
+    rng = np.random.default_rng(20)
+    cases = 0
+    while cases < 8:
+        a = _random_summable_increasing(rng)
+        ap = PS.constant(float(rng.uniform(1.0, 3.0)))
+        b = PS.exp_power(-1, float(rng.uniform(1.2, 1.9)))
+        k, l = int(rng.integers(0, 5)), int(rng.integers(0, 4))
+        try:
+            rho, sigma, _ = lemma_rho(a, ap, b, k, l)
+        except SequenceDomainError:
+            continue
+        cases += 1
+        want = [log_one_minus_exp(np.array([math.ldexp(rho.log(n), -n)]))[0]
+                for n in range(201)]
+        assert [sigma.log(n).hex() for n in range(201)] == [
+            float(w).hex() for w in want]
+        assert sigma.log_values(200).tolist() == [sigma.log(n)
+                                                  for n in range(201)]
+        with mpmath.workdps(50):
+            for n in range(0, 201, 20):
+                exact = 1 - mpmath.exp(mpmath.mpf(rho.log(n)) / 2 ** n)
+                assert abs(sigma.value(n) / exact - 1) < 1e-13
 
 
 def test_lemma_rho_sigma_asymptotics_for_summable_b():

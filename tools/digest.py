@@ -8,8 +8,9 @@ five |j|.  Floats go through repr: clean `diff` = byte-identical outputs.
 On fixed geometric, exp_power, product and scaled families, the sequence
 layer prints its floats as `float.hex` instead of a digest:
 `bruno_check` and `taming_epsilon_log` at depths 60 and 240 and
-`bruno_transform` at n = 0..5; `lemma_rho` digests its rho and sigma
-JSON and its report repr.
+`bruno_transform` at n = 0..5; `lemma_rho` digests its rho JSON and
+its report repr, and prints its sigma at n = 0..60 (`end` past a
+table), so a change of sigma's representation shows as values.
 """
 
 import dataclasses
@@ -79,9 +80,17 @@ def sequence_layer() -> None:
         for ap_name, aprime, k, l in (("constant:2", ps.constant(2.0), 4, 1),
                                       ("geometric:1.5", ps.geometric(1.5),
                                        2, 3)):
+            label = f"lemma_rho {name} aprime={ap_name} k={k} l={l}"
             rho, sigma, report = sq.lemma_rho(a, aprime, strict, k, l)
-            emit(f"lemma_rho {name} aprime={ap_name} k={k} l={l}",
-                 (rho.to_json(), sigma.to_json(), repr(report)))
+            emit(label, (rho.to_json(), repr(report)))
+            print(*(sigma_hex(sigma, n) for n in range(61)), label, "sigma")
+
+
+def sigma_hex(sigma, n: int) -> str:
+    try:
+        return sigma.value(n).hex()
+    except ValueError:      # SequenceDomainError: past the end of a table
+        return "end"
 
 
 def main(tree: Path) -> None:
