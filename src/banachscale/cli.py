@@ -277,7 +277,11 @@ def _cmd_lie(args) -> int:
         if key in report.details:
             val = report.details[key]
             print(f"{key} {fmt17(val) if isinstance(val, float) else val}")
-    certified = report.converged
+    # why a run is uncertified: a certificate's first refusal, or a
+    # radius that stops falling in float (circle has no certificate)
+    for failure in report.trace.failures:
+        print(f"failure {failure}")
+    certified = report.converged and not report.trace.failures
     if report.certificate is not None:
         print(f"verdict {report.certificate.verdict}")
         certified = certified and report.certificate.verdict == "certified"

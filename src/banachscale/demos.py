@@ -11,9 +11,9 @@ correction).
 * `mather` normalizes f = z^k + o(z^k) by windowed division: the step
   field cancels the remainder band [k + 2^(n+1), k + 2^(n+2)) exactly
   and the engine's cutoff branch carries the rest.
-* `circle` conjugates a perturbed rotation number on shrinking strips;
-  mean extraction feeds the frequency correction, and a step refuses
-  once its band reaches a mode below the Diophantine bound C / k.
+* `circle` normalizes a perturbed rotation on shrinking strips: each
+  step divides the band [r]_(1..2^n) by the current mean, and the means
+  add up to a frequency correction with a closed form.
 
 `morse` and `mather` share one certified run: tuned schedule, entry
 check, `run_lie`, `certify`.  `circle` runs on geometric strips, uncertified.
@@ -267,21 +267,10 @@ def mather(f: TruncatedSeries | None = None,
 
 # ---- circle rotations ----
 
-def _mean_projector(cap: int) -> LocalOperator:
-    """Extract the zero mode as a constant series: the transversal
-    direction of constant fields, norm 1 in every strip."""
-    def action(g, t, s):
-        out = TruncatedSeries(g.dim, g.cap, min(s, g.ref_radius), "fourier")
-        out.set_coefficient(0, g.coefficient(0))
-        out.tail = g.tail
-        return out
-    return LocalOperator(action, WeightFunction(k=0), 1.0,
-                         kind="projector", name="mean")
-
-
 def _diophantine_C(omega: float) -> float:
     """The C of the bound dist(k omega, Z) >= C / k: GOLDEN_C, sharp at
-    k = 1, for the golden mean and 0.2 for every other omega."""
+    k = 1, for the golden mean and 0.2 for every other omega.  `circle`
+    reports it in its details; the step never reads it."""
     return GOLDEN_C if omega == GOLDEN_MEAN else 0.2
 
 
@@ -291,50 +280,39 @@ def circle_problem(omega: float = GOLDEN_MEAN, *,
     series, step multiplier m = [r]_(1 <= |k| <= 2^n) / mean(tau), and
     the mean as projector.
 
-    The modes 1..cap are checked once against the Diophantine bound
-    dist(k omega, Z) >= C / k; the first step whose band reaches a
-    failing mode refuses, naming the first one.  The declared |j|
-    envelope 2^n / (4 C) is exactly what the divisor field
-    r_k / (e^(2 pi i k omega) - 1) costs under the bound.
+    A step refuses a mean below pi omega, half its start, so the
+    declared |j| = 1 / (pi omega) bounds the step map r -> m with a
+    factor 2 to spare for rounding.  The step divides by the scalar
+    mean only, never by e^(2 pi i k omega) - 1, so a rational omega
+    runs like any other.
     """
     if not (omega > 0.0):
         raise LieError("omega must be positive")
-    C = _diophantine_C(omega)
     f = TruncatedSeries.fourier_mode(0, 2.0 * math.pi * omega, cap=cap,
                                      strip=1.0)
-    # the first mode below the bound; equality (the golden mean at k = 1)
-    # must pass, so leave room for rounding in dist
-    small = None
-    for k in range(1, cap + 1):
-        dist = abs(k * omega - round(k * omega))
-        if dist < C / k and not math.isclose(dist, C / k, rel_tol=1e-9):
-            small = (k, dist)
-            break
 
     def qi(n, tau, r):
-        top = min(2 ** n, cap)
-        if small is not None and small[0] <= top:
-            raise LieError(
-                f"small divisor violation at mode k = {small[0]}: "
-                f"dist(k omega, Z) = {small[1]:.6g} < {C:g} / k^1")
         mean = tau.coefficient(0)
-        if mean == 0:
-            raise LieError("the rotation number collapsed to zero")
+        if abs(mean) < math.pi * omega:
+            raise LieError(
+                f"the rotation number fell to |mean| = {abs(mean):g}, "
+                f"below pi omega = {math.pi * omega:g}")
+        top = min(2 ** n, cap)
         m = r.cutoff(1, top + 1)
         # Python's complex division, entry by entry: numpy's multiplies
         # by a reciprocal and rounds differently
         m.coeffs[:] = [c / mean for c in m.coeffs.tolist()]
         return multiplication_operator(m, name=f"band [1,{top}] over mean")
 
-    def m_member(n, g):
-        return True
-
+    # the zero mode: the transversal of constant fields, norm 1 everywhere
+    pi = LocalOperator(
+        lambda g, t, s: g.cutoff(0, 1).restrict(min(s, g.ref_radius)),
+        WeightFunction(k=0), 1.0, kind="projector", name="mean")
     return ActionProblem(
-        f, qi, m_member,
-        j_norms=PositiveSequence.geometric(2.0).scaled(1.0 / (4.0 * C)),
+        f, qi, lambda n, g: True,
+        j_norms=PositiveSequence.constant(1.0 / (math.pi * omega)),
         exponents=LocalityExponents(alpha=0, beta=0, gamma=0, nu=0, xi=0),
-        projector=_mean_projector(cap),
-        name="circle")
+        projector=pi, name="circle")
 
 
 def circle(omega: float = GOLDEN_MEAN, eps: float = 1e-3, steps: int = 8, *,
@@ -346,9 +324,10 @@ def circle(omega: float = GOLDEN_MEAN, eps: float = 1e-3, steps: int = 8, *,
 
     f must have zero mean: its mean is not a perturbation but a shift
     of the rotation number, and the run measures that shift itself as
-    the accumulated frequency correction.  The one-step envelope in the
-    details is 2 (|f|_strip / sigma)^2 with sigma = sqrt(2 pi omega)/e,
-    sharp for a single-mode perturbation.
+    the accumulated frequency correction, (sqrt(a^2 - b^2) - a) / 2
+    with a = 2 pi omega, b = 2 eps for the default f.  The one-step
+    envelope in the details is 2 (|f|_strip / sigma)^2 with
+    sigma = sqrt(2 pi omega)/e, sharp for a single-mode perturbation.
     """
     if f is None:
         f = (TruncatedSeries.fourier_mode(1, eps, cap=cap, strip=strip)

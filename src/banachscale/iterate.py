@@ -106,10 +106,14 @@ class RadiusSchedule:
             return p["s0"]      # either formula can round above s0
         if self.kind == "geometric":
             return p["s_inf"] + (p["s0"] - p["s_inf"]) * p["q"] ** n
-        log_s = math.log(p["s0"])
+        return math.exp(self._log_radius(n))
+
+    def _log_radius(self, n: int) -> float:
+        """rho_driven: log s_n = log s0 + sum_(m<n) log rho_m / 2^m."""
+        rho, log_s = self.params["rho"], math.log(self.params["s0"])
         for m in range(n):
-            log_s += p["rho"].log(m) * math.pow(2.0, -m)
-        return math.exp(log_s)
+            log_s += rho.log(m) * math.pow(2.0, -m)
+        return log_s
 
     def midpoint(self, n: int) -> float:
         return 0.5 * (self.radius(n) + self.radius(n + 1))
@@ -123,15 +127,12 @@ class RadiusSchedule:
         lower bound when the family has a closed-form tail)."""
         if self.kind == "geometric":
             return self.params["s_inf"]
-        p = self.params
-        log_s = math.log(p["s0"])
         depth = 60
         try:
-            for m in range(depth + 1):
-                log_s += p["rho"].log(m) * math.pow(2.0, -m)
+            log_s = self._log_radius(depth + 1)
         except SequenceDomainError:
             return 0.0
-        tail = p["rho"].weighted_log_tail(0, depth)
+        tail = self.params["rho"].weighted_log_tail(0, depth)
         if tail is None:
             return 0.0
         return math.exp(log_s - 2.0 * tail)

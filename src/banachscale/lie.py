@@ -44,6 +44,10 @@ class LieError(ValueError):
     """Raised when the conjugation engine leaves its certified domain."""
 
 
+class _RadiusHorizon(LieError):
+    """The next radius rounds to the current one; `run_lie` stops."""
+
+
 # ---- small series helpers ----
 
 def _add(a: TruncatedSeries, b: TruncatedSeries) -> TruncatedSeries:
@@ -203,8 +207,8 @@ def lie_step(state: LieState, problem: ActionProblem,
     phi(z) = e^(-z)(1 + z) - 1, psi(z) = e^(-z) - 1.  Uncomputed Borel
     remainders are folded into the tail of r_{n+1} so its recorded norm
     stays an upper bound.  Any domain violation (a schedule that ends
-    too) raises LieError naming the failing sub-expression, and so does
-    an r_{n+1} outside M or a delta_{n+1} that pi does not fix exactly.
+    too) raises LieError naming the failing sub-expression, and so do
+    a rising radius, an r_{n+1} outside M and a delta_{n+1} off T.
 
     The last Borel series carries the conjugacy: it applies e^(-u_n)
     to the state's image g_{n-1} ... g_0 (x_0) (to x_n when there is
@@ -222,6 +226,9 @@ def lie_step(state: LieState, problem: ActionProblem,
     n, s = state.n, state.s
     s1 = guard("s_{n+1}", radii.radius, n + 1)
     if not (0.0 < s1 < s):
+        if s1 == s:
+            raise _RadiusHorizon(
+                f"step {n}: the radius stops falling in float at {s:g}")
         raise LieError(f"step {n}: radii must fall, got {s:g} -> {s1:g}")
     dec = s - s1
     p1 = s - 0.25 * dec
@@ -472,7 +479,8 @@ def run_lie(problem: ActionProblem, schedule: LieSchedule | RadiusSchedule,
     by the Borel applications.  The product's `image` is (g(x_0),
     remainder bound), carried by the steps from the caller's
     x_0 = tau_0 + r_0 at radius t, tail included, so nothing needs to
-    apply g to x_0 again.
+    apply g to x_0 again.  A step whose next radius rounds to the current
+    one is not run: `failures` names it, and the run stays uncertified.
     """
     if isinstance(schedule, LieSchedule):
         radii = schedule.radii
@@ -518,7 +526,11 @@ def run_lie(problem: ActionProblem, schedule: LieSchedule | RadiusSchedule,
     fields = []
     defect = worst_defect = 0.0
     for i in range(steps):
-        state, diag = lie_step(state, problem, radii)
+        try:
+            state, diag = lie_step(state, problem, radii)
+        except _RadiusHorizon as exc:
+            trace.fail(str(exc))
+            break
         fields.append(state.u)
         defect = diag["consistency_defect"]
         worst_defect = max(worst_defect, defect)
@@ -531,7 +543,7 @@ def run_lie(problem: ActionProblem, schedule: LieSchedule | RadiusSchedule,
                              checks_passed=True,
                              extra=diag))
 
-    rs = [radii.radius(i) for i in range(steps + 1)]
+    rs = [rec.radius for rec in trace.steps]
     try:
         conjugacy = product_of_exponentials([_negated(u) for u in fields], rs)
     except (OperatorError, SeriesError) as exc:
@@ -577,8 +589,8 @@ def certify(trace: IterationTrace, problem: ActionProblem,
     (a''_n + a'''_n) sigma_n^-k |r_n|^2 + rho_n a''''_n sigma_n^-l |r_n|;
     and the conclusions |r_n| <= b_n, |delta_n| <= b_n.  Rows past the
     end of a tabulated b or |j| are not checked (sigma = rho.gap() ends
-    with them), and leave the run uncertified.  Failures are verdicts,
-    not exceptions.
+    with them), and leave the run uncertified, as run failures do.
+    Failures are verdicts, not exceptions.
     """
     rho, sigma, b = schedule.rho, schedule.sigma, schedule.b
     rows = trace.steps
@@ -621,7 +633,7 @@ def certify(trace: IterationTrace, problem: ActionProblem,
              ("value<=b", below_r), ("increment<=b", below_d))
     first = next(((name, n) for n in range(count) for name, flags in named
                   if not flags[n]), None)
-    ok = first is None and count == len(rows)
+    ok = first is None and count == len(rows) and not trace.failures
     return LieCertificate(tuple(n1), tuple(n2), tuple(master),
                           tuple(below_r), tuple(below_d),
                           "certified" if ok else "uncertified", first,

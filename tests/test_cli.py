@@ -246,13 +246,30 @@ def test_lie_circle_certifies_where_the_geometric_start_rounds_up(capsys):
     assert "status converged" in out
 
 
-def test_lie_circle_rational_frequency_is_input_error(capsys):
-    code, _, err = run(capsys, "lie", "--demo", "circle",
-                       "--omega", "0.75")
-    assert code == 1
-    diagnostic = json.loads(err)
-    assert diagnostic["command"] == "lie"
-    assert "k = 4" in diagnostic["error"]
+def test_lie_circle_resonant_frequency_converges(capsys):
+    # 4 * 0.75 is an integer, but no step divides by e^(2 pi i k omega) - 1
+    code, out, err = run(capsys, "lie", "--demo", "circle",
+                         "--omega", "0.75")
+    assert code == 0 and err == ""
+    assert out.splitlines() == [
+        "demo circle status converged",
+        "residual 3.1932509488478484e-20",
+        "lambda_correction -2.1220659984777512e-07"]
+
+
+@pytest.mark.parametrize("demo,steps,last", [
+    ("morse", 121, 120), ("mather", 119, 118), ("circle", 54, 53)])
+def test_lie_radius_that_stops_falling_ends_the_run_uncertified(
+        capsys, demo, steps, last):
+    code, out, err = run(capsys, "lie", "--demo", demo,
+                         "--steps", str(steps))
+    assert code == 2 and err == ""
+    assert "status converged" in out
+    assert (f"failure step {last}: the radius stops falling in float at "
+            in out)
+    code, out, _ = run(capsys, "lie", "--demo", demo,
+                       "--steps", str(last))
+    assert code == 0 and "failure" not in out
 
 
 @pytest.mark.parametrize("demo,flag", [

@@ -217,17 +217,36 @@ def test_circle_lambda_correction_is_second_order():
                                                              rel=1e-4)
 
 
-def test_circle_rational_frequency_names_offending_mode():
-    with pytest.raises(LieError, match="k = 4"):
-        circle(omega=0.75)
+_RESONANT = (0.75, 0.5, 0.3, 0.1)
 
 
-def test_circle_refuses_at_the_step_that_reaches_a_small_divisor():
-    # omega = 0.3 fails the bound first at k = 10: steps 0..3 use bands
-    # up to 2^3 = 8 and run, step 4's band 16 reaches it
-    assert circle(omega=0.3, steps=4).converged
-    with pytest.raises(LieError, match=r"k = 10:"):
-        circle(omega=0.3, steps=5)
+def test_circle_resonant_frequencies_match_the_closed_form():
+    """The step divides by the mean, never by e^(2 pi i k omega) - 1, so
+    a rational omega converges, and lambda is (sqrt(a^2 - b^2) - a) / 2
+    with a = 2 pi omega, b = 2 eps, to a few ulps of a."""
+    mpmath = pytest.importorskip("mpmath")
+    eps = 1e-3
+    for omega in _RESONANT:
+        rep = circle(omega=omega, eps=eps)
+        assert rep.converged, omega
+        assert rep.residual <= 1e-18, omega
+        a = 2.0 * math.pi * omega
+        with mpmath.workdps(50):
+            ma, mb = mpmath.mpf(a), 2 * mpmath.mpf(eps)
+            exact = (mpmath.sqrt(ma * ma - mb * mb) - ma) / 2
+            err = abs(mpmath.mpf(rep.details["lambda_correction"]) - exact)
+        assert err <= 4 * np.spacing(a), (omega, float(err))
+
+
+def test_circle_step_norm_is_bounded_by_the_declared_j():
+    # |u_n| <= |j_n| |r_n| on every row: the step divides the band of
+    # r_n by a mean of modulus at least pi omega
+    for omega in (GOLDEN_MEAN,) + _RESONANT:
+        rep = circle(omega=omega)
+        j = circle_problem(omega).j_norms
+        rows = rep.trace.steps
+        for n, (now, nxt) in enumerate(zip(rows, rows[1:])):
+            assert nxt.aux_norm <= j.value(n) * now.value_norm, (omega, n)
 
 
 def test_circle_rejects_nonzero_mean():
@@ -244,11 +263,18 @@ def test_circle_golden_constants_hold_on_window():
         assert dist * k >= GOLDEN_C * (1.0 - 1e-9)
 
 
-def test_circle_problem_declares_divisor_envelope():
-    problem = circle_problem()
-    # |j_n| = 2^n / (4 C): one doubling per stage
-    assert problem.j_norms.value(0) == pytest.approx(1.0 / (4.0 * GOLDEN_C))
-    assert problem.j_norms.value(3) == pytest.approx(8.0 / (4.0 * GOLDEN_C))
+def test_circle_step_refuses_a_mean_below_pi_omega():
+    omega = 0.3
+    problem = circle_problem(omega)
+    assert problem.j_norms.value(7) == 1.0 / (math.pi * omega)
+    r = TruncatedSeries.fourier_mode(1, 1e-3, cap=64, strip=0.5)
+    for mean in (math.pi * omega, -math.pi * omega, 2.0 * math.pi * omega):
+        tau = TruncatedSeries.fourier_mode(0, mean, cap=64, strip=0.5)
+        problem.quasi_inverse(0, tau, r)
+    below = math.nextafter(math.pi * omega, 0.0)
+    tau = TruncatedSeries.fourier_mode(0, below, cap=64, strip=0.5)
+    with pytest.raises(LieError, match="below pi omega"):
+        problem.quasi_inverse(0, tau, r)
 
 
 # ---- one Borel chain per run ----

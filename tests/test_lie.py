@@ -416,6 +416,57 @@ def test_a_tabulated_envelope_ends_the_schedule():
         run_lie(problem, sched, r0, steps=50)
 
 
+def _listed_radii(values):
+    """A schedule that reads its radii from a list and logs each index
+    it is asked for."""
+    radii = RadiusSchedule.geometric(0.5, values[0], 0.1)
+    calls = []
+
+    def radius(n):
+        calls.append(n)
+        return values[n]
+    radii.radius = radius
+    return radii, calls
+
+
+_COS = (TruncatedSeries.fourier_mode(1, 1e-3, cap=64, strip=0.5)
+        + TruncatedSeries.fourier_mode(-1, 1e-3, cap=64, strip=0.5))
+
+
+def test_a_radius_that_stops_falling_ends_the_run():
+    # step 2 would go 0.3 -> 0.3: the run keeps rows 0..2 and names it;
+    # each radius is asked for once, the conjugacy reads the rows
+    radii, calls = _listed_radii([0.5, 0.4, 0.3, 0.3, 0.2])
+    trace, conjugacy = run_lie(circle_problem(), radii, _COS, 4)
+    assert [rec.radius for rec in trace.steps] == [0.5, 0.4, 0.3]
+    assert trace.failures == [
+        "step 2: the radius stops falling in float at 0.3"]
+    assert calls == [0, 1, 2, 3]
+    assert conjugacy.radii == [0.5, 0.4, 0.3]
+
+
+def test_a_radius_that_rises_is_refused():
+    radii, _ = _listed_radii([0.5, 0.4, 0.45])
+    with pytest.raises(LieError,
+                       match=r"^step 1: radii must fall, got 0.4 -> 0.45$"):
+        run_lie(circle_problem(), radii, _COS, 2)
+
+
+def test_certify_refuses_a_run_that_ended_at_the_float_horizon():
+    # rho_120^(1/2^120) rounds to 1, so s_121 == s_120: step 120 never
+    # runs, every recorded row checks, and the run stays uncertified
+    problem = morse_problem()
+    sched = rho_schedule(problem, STRICT_B, 1.0)
+    trace, _ = run_lie(problem, sched, poly([0, 0, 0, 1e-3]), steps=121)
+    assert len(trace.steps) == 121
+    assert trace.failures == [
+        "step 120: the radius stops falling in float at 4.91417e-24"]
+    cert = certify(trace, problem, sched)
+    assert cert.first_failure is None
+    assert cert.details == {"checked_steps": 121, "rows": 121}
+    assert cert.verdict == "uncertified"
+
+
 def test_certify_zero_run_trivial():
     problem = morse_problem()
     sched = rho_schedule(problem, STRICT_B, 1.0)

@@ -27,7 +27,8 @@ DEMOS = ("morse", "mather", "circle")
 LIE_EXTRA = ("morse --steps 70", "morse --t 0.1", "mather --steps 0",
              "circle --omega 0.3 --steps 5", "mather --eps 1e-3",
              "circle --strip 0.6 --strip-end 0.3", "morse --eps 0.5",
-             "morse --steps -1")
+             "morse --steps -1", "circle --omega 0.75", "morse --steps 121",
+             "circle --steps 54")
 
 
 def emit(label: str, data) -> None:
