@@ -19,9 +19,7 @@ import argparse
 import functools
 import json
 import math
-import subprocess
 import sys
-from pathlib import Path
 
 from . import demos
 from .iterate import RadiusSchedule, nash_moser, newton
@@ -288,24 +286,6 @@ def _cmd_lie(args) -> int:
     return OK if certified else UNCERTIFIED
 
 
-def _cmd_verify(args) -> int:
-    tests = Path(args.tests) if args.tests else None
-    if tests is None:
-        for parent in Path(__file__).resolve().parents:
-            candidate = parent / "tests"
-            if candidate.is_dir():
-                tests = candidate
-                break
-    if tests is None or not tests.is_dir():
-        raise SequenceDomainError(
-            "no tests directory found; pass --tests DIR")
-    cmd = [sys.executable, "-m", "pytest", "-q", str(tests)]
-    if args.expression:
-        cmd += ["-k", args.expression]
-    proc = subprocess.run(cmd)
-    return OK if proc.returncode == 0 else UNCERTIFIED
-
-
 # ---- parser ----
 
 @functools.cache
@@ -398,11 +378,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--cap", type=int, default=64)
     add_trace_outputs(p)
     p.set_defaults(fn=_cmd_lie)
-
-    p = sub.add_parser("verify", help="run the full property suite")
-    p.add_argument("--tests", help="tests directory (default: repo layout)")
-    p.add_argument("--expression", help="pytest -k filter")
-    p.set_defaults(fn=_cmd_verify)
 
     return parser
 

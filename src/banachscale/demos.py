@@ -101,7 +101,7 @@ def _certified_run(problem: ActionProblem, r0: TruncatedSeries, t: float,
 
 
 def _observed_orders(r0: TruncatedSeries, trace: IterationTrace) -> list[int]:
-    orders = [] if r0.is_zero else [r0.order(tol=0.0)]
+    orders = [] if r0.is_zero else [r0.order()]
     for rec in trace.steps[1:]:
         if rec.extra and "r_order" in rec.extra:
             orders.append(rec.extra["r_order"])
@@ -119,11 +119,11 @@ def morse_problem(cap: int = 64, j_const: float = 10.0) -> ActionProblem:
     f = TruncatedSeries.monomial(2, 1.0, cap=cap, ref_radius=1.0)
 
     def qi(n, tau, r):
-        a = r.divide_by_coordinate(0, tol=0.0).scale(0.5)
+        a = r.divide_by_coordinate(0).scale(0.5)
         return certify_vector_field(a, name="half r over z")
 
     def m_member(n, g):
-        return g.is_zero or g.order(tol=0.0) >= 3
+        return g.is_zero or g.order() >= 3
 
     return ActionProblem(
         f, qi, m_member,
@@ -186,13 +186,13 @@ def mather_problem(f: TruncatedSeries, *,
     """
     if f.basis != "taylor" or f.dim != 1:
         raise LieError("the base point must be a univariate taylor series")
-    k = f.order(tol=0.0)
+    k = f.order()
     cap = f.cap
     if k < 2 or k > cap:
         raise LieError("the base point must vanish to finite order >= 2")
     fp = f.derivative(0)
     lead = fp.coefficient(k - 1)
-    if fp.is_zero or fp.order(tol=0.0) != k - 1 or lead == 0:
+    if fp.is_zero or fp.order() != k - 1 or lead == 0:
         raise LieError(
             "f' has vanishing leading coefficient; the unit direction "
             "is not invertible")
@@ -256,7 +256,7 @@ def mather(f: TruncatedSeries | None = None,
     if r0 is None:
         r0 = TruncatedSeries.monomial(7, 1e-4, cap=f.cap, ref_radius=1.0)
     problem = mather_problem(f)
-    k = f.order(tol=0.0)
+    k = f.order()
     trace, _, cert, details = _certified_run(problem, r0, t, steps)
     details["k"] = k
     details["membership_thresholds"] = [

@@ -28,8 +28,8 @@ certificate never exceeds the theorem bound), and covers everything
 uncomputed by the majorant remainder (|f|(x) - computed partial) |g|_t,
 folded into the result's tail exactly when the skipped terms are
 certifiably high-degree and reported separately otherwise.
-Only a derivation or a Taylor operator with order_raise >= 1 can end a
-Borel series exactly.  Any other series (a Fourier multiplier) stops once
+Only a derivation or an operator with order_raise >= 1 can end a Borel
+series exactly.  Any other series (a Fourier multiplier) stops once
 its symbol bound on the uncomputed terms falls below the result's
 rounding; a zero iterate there is underflow unless g or u is zero.
 """
@@ -133,7 +133,7 @@ def certify_vector_field(a: TruncatedSeries, name: str = "vector_field"
     if a.basis != "taylor" or a.dim != 1:
         raise OperatorError("vector fields are univariate taylor series")
     bound = a.majorant_norm(a.ref_radius)
-    raise_by = max(0, a.order(tol=0.0) - 1)
+    raise_by = max(0, a.order() - 1)
 
     def action(f: TruncatedSeries, t: float, s: float) -> TruncatedSeries:
         _check_window(t, s, (f.ref_radius, a.ref_radius))
@@ -158,7 +158,11 @@ def certify_vector_field(a: TruncatedSeries, name: str = "vector_field"
 
 def multiplication_operator(h: TruncatedSeries, name: str = "multiplication"
                             ) -> LocalOperator:
-    """f -> h f, weight 1: |h f|_s <= N(h) |f|_t."""
+    """f -> h f, weight 1: |h f|_s <= N(h) |f|_t.
+
+    A Taylor h raises the order by h's own; a Fourier h raises none,
+    since its modes k and -k multiply into mode 0.
+    """
     bound = h.majorant_norm(h.ref_radius)
 
     def action(f: TruncatedSeries, t: float, s: float) -> TruncatedSeries:
@@ -170,7 +174,7 @@ def multiplication_operator(h: TruncatedSeries, name: str = "multiplication"
 
     return LocalOperator(action, WeightFunction(k=0), bound,
                          kind="multiplication", name=name,
-                         order_raise=h.order(tol=0.0),
+                         order_raise=h.order() if h.basis == "taylor" else 0,
                          cert_radius=h.ref_radius)
 
 
@@ -264,9 +268,8 @@ def borel_apply(symbol: BorelSymbol, u: LocalOperator, t: float, s: float,
     kfact = 1.0
     terms = 0
     exact = False
-    g_order = gt.order(tol=0.0)
-    endless = u.kind != "derivation" and not (
-        gt.basis == "taylor" and u.order_raise >= 1)
+    g_order = gt.order()
+    endless = u.kind != "derivation" and u.order_raise < 1
     for k in range(1, max_terms + 1):
         ref_next = w.ref_radius if w.tail == 0.0 \
             else max(s, s + 0.75 * (w.ref_radius - s))
@@ -308,7 +311,7 @@ def borel_apply(symbol: BorelSymbol, u: LocalOperator, t: float, s: float,
                         - partial * (1.0 - 4.0 * _EPS)) * input_norm
     result = _clamp(acc, s)
     folded = False
-    if remainder > 0.0 and result.basis == "taylor" and u.order_raise >= 1 \
+    if remainder > 0.0 and u.order_raise >= 1 \
             and g_order + (terms + 1) * u.order_raise > result.cap:
         result = result.copy()
         result.tail += remainder

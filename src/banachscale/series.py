@@ -73,11 +73,10 @@ from functools import lru_cache
 import numpy as np
 
 __all__ = ["TruncatedSeries", "SeriesError", "align",
-            "DEFAULT_CAP_1D", "DEFAULT_CAP_ND", "DEFAULT_ORDER_TOL"]
+            "DEFAULT_CAP_1D", "DEFAULT_CAP_ND"]
 
 DEFAULT_CAP_1D = 64
 DEFAULT_CAP_ND = 16
-DEFAULT_ORDER_TOL = 1e-12
 
 
 class SeriesError(ValueError):
@@ -502,14 +501,13 @@ class TruncatedSeries:
         return self._owning(self.dim, new_cap, at, "taylor", coeffs[corner],
                             self.tail / (self.ref_radius - at))
 
-    def divide_by_coordinate(self, axis: int = 0,
-                             tol: float = DEFAULT_ORDER_TOL
+    def divide_by_coordinate(self, axis: int = 0, tol: float = 0.0
                              ) -> "TruncatedSeries":
-        """f / z_axis for f with (numerically) vanishing z_axis = 0 face.
+        """f / z_axis for f with vanishing z_axis = 0 face.
 
-        Face coefficients must be <= tol in modulus; their majorant at
-        ref_radius, divided by ref_radius, is added to the tail as the
-        sub-tolerance residue.
+        Face coefficients must be <= tol in modulus (by default, exactly
+        zero); their majorant at ref_radius, divided by ref_radius, is
+        added to the tail as the sub-tolerance residue.
         """
         if self.basis != "taylor":
             raise SeriesError("coordinate division is a taylor operation")
@@ -560,9 +558,9 @@ class TruncatedSeries:
         return TruncatedSeries(self.dim, self.cap, self.ref_radius, self.basis,
                                coeffs, tail)
 
-    def order(self, tol: float = DEFAULT_ORDER_TOL) -> int:
-        """Smallest degree carrying a coefficient above tol; cap+1 when
-        none is detectable at this cap."""
+    def order(self, tol: float = 0.0) -> int:
+        """Smallest degree carrying a coefficient above tol in modulus (by
+        default, a nonzero one); cap+1 when there is none at this cap."""
         deg = _degrees(self.basis, self.dim, self.cap)
         big = np.abs(self.coeffs) > tol
         if not np.any(big):

@@ -305,10 +305,11 @@ def test_json_traces_are_byte_identical(capsys, tmp_path):
     assert first.read_bytes() == second.read_bytes()
 
 
-def test_verify_scoped_run(capsys, tmp_path):
-    code, *_ = run(capsys, "verify", "--expression", "test_exponents_k_and_l")
-    assert code == 0
-    assert run(capsys, "verify", "--tests", str(tmp_path / "missing"))[0] == 1
+def test_verify_is_not_a_command(capsys):
+    # the test suite is run by pytest, not by the package
+    code, _, err = run(capsys, "verify")
+    assert code == 1
+    assert "invalid choice: 'verify'" in err
 
 
 # ---- non-finite numbers are input errors ----

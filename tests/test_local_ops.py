@@ -150,6 +150,8 @@ def test_multiplication_operator_on_fourier_series():
     u = multiplication_operator(h)
     out = u(g, 1.0, 0.5)
     assert out.coefficient(-1) == pytest.approx(1.0)
+    # modes k and -k meet in mode 0: a band raises no order
+    assert u.order_raise == 0 and out.order() == 1 < g.order() == 2
     assert (norm_at_own_ref(out)
             <= u.norm_bound * g.majorant_norm(1.0) * (1 + 1e-12))
 

@@ -14,8 +14,7 @@ from hypothesis import given, settings, strategies as st
 
 import banachscale
 from banachscale import series as series_module
-from banachscale.series import (DEFAULT_ORDER_TOL, SeriesError,
-                                TruncatedSeries, align)
+from banachscale.series import SeriesError, TruncatedSeries, align
 
 TS = TruncatedSeries
 
@@ -299,6 +298,10 @@ def test_divide_rejects_constant_term():
     f = TS.monomial(0, 1.0, cap=4)
     with pytest.raises(SeriesError):
         f.divide_by_coordinate()
+    f = TS.monomial(2, 1.0, cap=4)
+    f.coeffs[0] = 1e-16         # exact by default: any nonzero is refused
+    with pytest.raises(SeriesError, match="face coefficient 1e-16 > tol 0"):
+        f.divide_by_coordinate()
 
 
 def test_division_estimate_randomized():
@@ -376,6 +379,8 @@ def test_order_rules():
     g = TS.monomial(2, 1.0, cap=8)
     g.coeffs[1] = 1e-15
     assert g.order(tol=1e-12) == 2
+    g.coeffs[0] = 1e-16         # exact by default: any nonzero counts
+    assert g.order() == 0
 
 
 # ---- shift ----
