@@ -29,11 +29,13 @@ Tail bookkeeping rules worth knowing (each documented at the operation):
 * multiply: T_fg = |f|_ref T_g + |g|_ref T_f + overflow of the exact
   product beyond the cap, majorized at ref_radius (the |f|_ref T_g
   cross terms double-count T_f T_g, which keeps the bound safe).  The
-  exact product is a 1-D convolution in one variable; in more variables
-  it sums a_I b_J over the index pairs with |I|, |J| <= cap only, so the
-  cost follows the live entries rather than the (cap+1)^dim cube, and
-  the overflow is summed from the whole product, not from a graded
-  bound.  The cross terms are formed only when a factor has a tail;
+  exact product is a 1-D convolution in one variable.  In more
+  variables it adds a_I b_J into I + J over the live pairs (|I|, |J| <=
+  cap) only, a block of rows I at a time and in row-major (I, J) order,
+  so time follows the live pairs, memory one block of them, and no bit
+  depends on the block size.  The overflow is summed from the whole
+  product, not from a graded bound.  The cross terms are formed only
+  when a factor has a tail;
 * reciprocal: with c = f(0), u = 1 - f/c and theta = |u|_ref < 1, the
   kept coefficients are those of P = 1/(1 - u_poly) through the cap,
   and T_1/f = T_uP / ((1 - theta) |c|), where T_uP is the tail of
@@ -77,6 +79,7 @@ __all__ = ["TruncatedSeries", "SeriesError", "align",
 
 DEFAULT_CAP_1D = 64
 DEFAULT_CAP_ND = 16
+_ROWS = 64              # live rows I per block of a multivariate product
 
 
 class SeriesError(ValueError):
@@ -167,41 +170,38 @@ def _position(basis: str, dim: int, cap: int, index) -> tuple:
 
 @lru_cache(maxsize=16)
 def _pair_table(dim: int, cap: int) -> tuple[np.ndarray, np.ndarray]:
-    """Index pairs of a cap-`cap` Taylor product in `dim` > 1 variables.
-
-    Returns the flat positions of the live entries (|I| <= cap) in the
-    (cap+1)^dim cube and, as int32 for every pair (I, J) of them in
-    row-major order, the flat position of I + J in the (2 cap + 1)^dim
-    cube.  Both arrays are shared and read-only.
+    """Flat positions of the live entries (|I| <= cap) of a Taylor array
+    in `dim` > 1 variables, in row-major order: in the (cap+1)^dim cube
+    and in the (2 cap + 1)^dim cube, where I + J sits at the sum of the
+    positions of I and J.  Both are O(live), shared and read-only.
     """
     live = np.indices((cap + 1,) * dim).reshape(dim, -1)
     live = live[:, live.sum(axis=0) <= cap]
     src = np.ravel_multi_index(tuple(live), (cap + 1,) * dim)
     dst = np.ravel_multi_index(tuple(live), (2 * cap + 1,) * dim)
-    dst = dst.astype(np.int32)
-    pair = (dst[:, None] + dst[None, :]).ravel()
     src.flags.writeable = False
-    pair.flags.writeable = False
-    return src, pair
+    dst.flags.writeable = False
+    return src, dst
 
 
 @lru_cache(maxsize=16)
 def _degree_pairs(dim: int, cap: int) -> tuple:
-    """The pairs of `_pair_table` that build degree d of a reciprocal.
+    """The live pairs that build degree d of a reciprocal.
 
     For each degree d = 1..cap, the flat (cap+1)^dim cube positions of
     I, of J and of I + J over the live pairs with |I| >= 1 and
-    |I| + |J| = d (a flat position is linear in the index, and I + J
-    stays inside the cube).  Shared and read-only.
+    |I| + |J| = d, in row-major (I, J) order, found `_ROWS` rows I at a
+    time rather than from a live x live array.  Shared and read-only.
     """
     src = _pair_table(dim, cap)[0]
     deg = _degrees("taylor", dim, cap).ravel()[src]
-    total = np.add.outer(deg, deg)
-    total[deg == 0] = cap + 1               # I = 0 feeds no degree
-    at = np.flatnonzero(total <= cap)
-    at = at[np.argsort(total.ravel()[at], kind="stable")]
-    cut = np.searchsorted(total.ravel()[at], np.arange(1, cap + 2))
-    i, j = src[at // src.size], src[at % src.size]
+    ij = np.concatenate([np.argwhere(deg[lo:lo + _ROWS, None] + deg <= cap)
+                         + (lo, 0) for lo in range(0, src.size, _ROWS)])
+    ij = ij[deg[ij[:, 0]] > 0]              # I = 0 feeds no degree
+    total = deg[ij].sum(axis=1)
+    order = np.argsort(total, kind="stable")
+    cut = np.searchsorted(total[order], np.arange(1, cap + 2))
+    i, j = src[ij[order].T]
     blocks = tuple((i[lo:hi], j[lo:hi], i[lo:hi] + j[lo:hi])
                    for lo, hi in zip(cut, cut[1:]))
     for a in (a for b in blocks for a in b):
@@ -213,15 +213,18 @@ def _full_product(dim: int, cap: int, a: np.ndarray,
                   b: np.ndarray) -> np.ndarray:
     """The untruncated product of two cap-`cap` coefficient arrays, as a
     cap-2cap array.  One variable (Taylor or Fourier) is a plain 1-D
-    convolution; in more variables every live pair a_I b_J is summed
-    into I + J, so the dense cube's dead corner costs nothing."""
+    convolution.  In more variables each live pair a_I b_J is added into
+    I + J, `_ROWS` rows I at a time, by unbuffered np.add.at, which adds
+    in index order: every cell sums its terms from 0 in row-major (I, J)
+    order, real and imaginary parts apart, whatever the block size."""
     if dim == 1:
         return np.convolve(a, b)
-    src, pair = _pair_table(dim, cap)
-    terms = np.multiply.outer(a.ravel()[src], b.ravel()[src]).ravel()
-    cells = (2 * cap + 1) ** dim
-    full = (np.bincount(pair, terms.real, cells)
-            + 1j * np.bincount(pair, terms.imag, cells))
+    src, dst = _pair_table(dim, cap)
+    a, b = a.ravel()[src], b.ravel()[src]
+    full = np.zeros((2 * cap + 1) ** dim, dtype=complex)
+    for lo in range(0, src.size, _ROWS):     # flat operands: the fast path
+        np.add.at(full, (dst[lo:lo + _ROWS, None] + dst).ravel(),
+                  np.multiply.outer(a[lo:lo + _ROWS], b).ravel())
     return full.reshape((2 * cap + 1,) * dim)
 
 
@@ -367,8 +370,9 @@ class TruncatedSeries:
         """Exact truncated product.
 
         The full product of the stored coefficients comes from
-        `_full_product`: np.convolve in one variable, otherwise a sum of
-        a_I b_J over the live index pairs (|I|, |J| <= cap) into I + J.
+        `_full_product`: np.convolve in one variable, otherwise a_I b_J
+        added into I + J over the live pairs (|I|, |J| <= cap) in
+        row-major (I, J) order, a block of rows at a time.
         Its overflow, sum_{|K| > cap} |c_K| w_K at ref_radius (w = r^|K|,
         or e^(|k| r) on a strip), is folded into the tail exactly,
         together with the |f_poly| T_g + |g_poly| T_f + T_f T_g cross

@@ -85,3 +85,17 @@ def test_mismatch_names_versions_and_moved_lines():
         "$ banachscale lie --demo circle", "  + residual 1.7e-20",
         "@ circle(cap=64)", "  - residual 0x1.30fe268657736p-66",
         "@ circle(cap=64)", "  + residual 0x1.30fe268657737p-66"]
+
+
+def test_report_lines_print_each_verdict_tuple_without_loss():
+    from banachscale.sequences import LemmaRhoReport
+    digest = _digest()
+    assert digest.verdicts((True,) * 3) == "all 3 true"
+    assert digest.verdicts((True, False, True, False)) \
+        == "false at [1, 3] of 4"
+    report = LemmaRhoReport(window=2, K=0.5, alpha=1.5, log_eps=-2.5,
+                            pair_star=(True, True), below_b=(False, True),
+                            halvings=1)
+    assert digest.report_text(report) == (
+        "LemmaRhoReport(window=2, K=0.5, alpha=1.5, log_eps=-2.5, "
+        "pair_star=all 2 true, below_b=false at [0] of 2, halvings=1)")

@@ -6,6 +6,7 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -782,6 +783,75 @@ def test_univariate_multiply_is_np_convolve(basis, cap):
     over = deg > cap
     assert np.array_equal(prod.coeffs, full[~over])
     assert prod.tail == float(np.sum(np.abs(full[over]) * weights[over]))
+
+
+def _row_major_pair_sum(a, b, cap):
+    """The product a b added one pair at a time into I + J from 0, I over
+    the live entries in row-major order and, for each I, J likewise.  The
+    terms a_I b_J come from one np.multiply.outer, as in the kernel: numpy's
+    vectorized complex multiply can round differently from its scalar one."""
+    live = [i for i in np.ndindex(*a.shape) if sum(i) <= cap]
+    terms = np.multiply.outer(np.array([a[i] for i in live]),
+                              np.array([b[j] for j in live]))
+    full = np.zeros((2 * cap + 1,) * a.ndim, dtype=complex)
+    for p, i in enumerate(live):
+        for q, j in enumerate(live):
+            full[tuple(x + y for x, y in zip(i, j))] += terms[p, q]
+    return full
+
+
+@pytest.mark.parametrize("case", ["complex", "tailed", "inf"])
+@pytest.mark.parametrize("cap", range(7))
+@pytest.mark.parametrize("dim", [2, 3])
+def test_multivariate_product_is_the_row_major_pair_sum(dim, cap, case):
+    rng = np.random.default_rng(100 * dim + cap)
+    tail = 0.0 if case == "complex" else 0.02
+    f = _series(rng, "taylor", dim, cap, tail)
+    g = _series(rng, "taylor", dim, cap, tail / 2)
+    if case == "inf":
+        f.set_coefficient((cap,) + (0,) * (dim - 1), math.inf)
+    full = _row_major_pair_sum(f.coeffs, g.coeffs, cap)
+    got = series_module._full_product(dim, cap, f.coeffs, g.coeffs)
+    assert got.tobytes() == full.tobytes()
+    kept = np.where(np.indices(full.shape).sum(axis=0) <= cap, full, 0.0)
+    assert (f.multiply(g).coeffs.tobytes()
+            == kept[(slice(0, cap + 1),) * dim].tobytes())
+
+
+@pytest.mark.parametrize("dim,cap", [(2, 0), (2, 16), (3, 8), (3, 16)])
+def test_pair_table_grows_with_the_live_entries_only(dim, cap):
+    live = math.comb(cap + dim, dim)
+    assert [a.shape for a in series_module._pair_table(dim, cap)] \
+        == [(live,), (live,)]
+
+
+@pytest.mark.parametrize("cap", range(7))
+@pytest.mark.parametrize("dim", [2, 3])
+def test_degree_pairs_are_the_row_major_pairs_of_each_degree(dim, cap):
+    live = [i for i in np.ndindex(*(cap + 1,) * dim) if sum(i) <= cap]
+    flat = [np.ravel_multi_index(i, (cap + 1,) * dim) for i in live]
+    blocks = series_module._degree_pairs(dim, cap)
+    assert len(blocks) == cap
+    for d, block in enumerate(blocks, start=1):
+        pairs = [(p, q) for i, p in zip(live, flat) for j, q in zip(live, flat)
+                 if sum(i) >= 1 and sum(i) + sum(j) == d]
+        want = [[p for p, _ in pairs], [q for _, q in pairs],
+                [p + q for p, q in pairs]]
+        assert [list(a) for a in block] == want
+
+
+def test_a_d3c16_product_allocates_under_4_mb():
+    rng = np.random.default_rng(16)
+    f = _series(rng, "taylor", 3, 16, 0.01)
+    g = _series(rng, "taylor", 3, 16, 0.01)
+    f.multiply(g)                   # warm the shared tables and weights
+    tracemalloc.start()
+    try:
+        f.multiply(g)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 * 2 ** 20
 
 
 def test_package_import_leaves_scipy_unloaded():

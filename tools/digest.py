@@ -21,10 +21,12 @@ each opened by a label line:
   and every row's `value_norm`.  The sequence layer on fixed geometric,
   exp_power, product and scaled families prints `bruno_check` and
   `taming_epsilon_log` at depths 60 and 240, `bruno_transform` at
-  n = 0..5, and `lemma_rho`'s report repr, the SHA-256 of its rho's
-  JSON and its sigma at n = 0..60 (`end` past a table).
-  `rho_schedule` at five |j| prints its report repr (or the `LieError`)
-  and the SHA-256 of rho's logs at n = 0..40.
+  n = 0..5, and `lemma_rho`'s report, the SHA-256 of its rho's JSON
+  and its sigma at n = 0..60 (`end` past a table).  `rho_schedule` at
+  five |j| prints its report (or the `LieError`) and the SHA-256 of
+  rho's logs at n = 0..40.  A report prints as its repr, except that
+  each tuple of per-n verdicts reads `all N true` or
+  `false at [n, ...] of N`.
 """
 
 import contextlib
@@ -80,6 +82,29 @@ def hexed(*xs: float) -> str:
     return " ".join(float.hex(x) for x in xs)
 
 
+def verdicts(flags: tuple) -> str:
+    """A tuple of per-n verdicts as `all N true` or `false at [n, ...] of
+    N`, which loses nothing."""
+    bad = [n for n, ok in enumerate(flags) if not ok]
+    n = len(flags)
+    return f"false at {bad} of {n}" if bad else f"all {n} true"
+
+
+def report_text(report) -> str:
+    """A report dataclass as its repr, its verdict tuples (also those in
+    a dict of conditions) printed by `verdicts`."""
+    def text(v):
+        if isinstance(v, dict):
+            return "{" + ", ".join(f"{k!r}: {text(x)}"
+                                   for k, x in v.items()) + "}"
+        if isinstance(v, tuple) and all(isinstance(x, bool) for x in v):
+            return verdicts(v)
+        return repr(v)
+    return (f"{type(report).__name__}("
+            + ", ".join(f"{f.name}={text(getattr(report, f.name))}"
+                        for f in dataclasses.fields(report)) + ")")
+
+
 def sigma_hex(sigma, n: int) -> str:
     try:
         return sigma.value(n).hex()
@@ -114,7 +139,7 @@ def sequence_layer() -> list[str]:
                                        2, 3)):
             label = f"lemma_rho aprime={ap_name} k={k} l={l}"
             rho, sigma, report = sq.lemma_rho(a, aprime, strict, k, l)
-            lines += [f"{label} report {report!r}",
+            lines += [f"{label} report {report_text(report)}",
                       f"{label} rho sha256 {sha(rho.to_json().encode())}",
                       f"{label} sigma "
                       + " ".join(sigma_hex(sigma, n) for n in range(61))]
@@ -154,7 +179,7 @@ def schedules() -> list[str]:
             except lie.LieError as exc:
                 lines.append(f"|j|={j} LieError: {exc}")
                 continue
-            lines += [f"|j|={j} report {s.report!r}",
+            lines += [f"|j|={j} report {report_text(s.report)}",
                       f"|j|={j} rho logs sha256 "
                       f"{sha(s.rho.log_values(41).tobytes())}"]
     return lines
