@@ -239,6 +239,8 @@ def borel_apply(symbol: BorelSymbol, u: LocalOperator, t: float, s: float,
     its theoretical share |a_k| x^k |g|_t, so the certified output norm
     never exceeds the theorem bound (up to float honesty); everything
     uncomputed is covered by the remainder (|f|(x) - partial) |g|_t.
+    Only a tailed iterate's radius descent may end the series that way:
+    an action that fails on a tail-free iterate raises its error.
     A series with no exact ending also stops after term k >= 2 once
     (k+1) x^(k+1) / (1-x)^2 |g|_t <= 2^-53 |acc|_s (see the module).
     """
@@ -278,6 +280,8 @@ def borel_apply(symbol: BorelSymbol, u: LocalOperator, t: float, s: float,
         try:
             w = u.action(w, w.ref_radius, ref_next)
         except (OperatorError, SeriesError):
+            if w.tail == 0.0:
+                raise       # a malformed application, not radius descent
             break
         kfact *= k
         if w.is_zero:

@@ -151,7 +151,12 @@ class PositiveSequence:
         if f == "geometric":
             return n * math.log(self.params["q"])
         if f == "exp_power":
-            return self.params["sign"] * self.params["alpha"] ** n
+            alpha = self.params["alpha"]
+            try:
+                return self.params["sign"] * alpha ** n
+            except OverflowError:
+                raise OverflowError(f"exp_power alpha^n overflows a float "
+                                    f"at index {n} (alpha {alpha!r})") from None
         if f == "tabulated":
             vals = self.params["values"]
             if n >= len(vals):
@@ -385,31 +390,49 @@ def bruno_transform(a: PositiveSequence, n: int = 0,
     return BrunoTransformResult(n, depth, value.item(), lower.item(), True)
 
 
+def _window_hits(flags: np.ndarray, width: int) -> np.ndarray:
+    """Whether each run of width consecutive flags holds a True one."""
+    seen = np.concatenate(([0], np.cumsum(flags)))
+    return seen[width:] > seen[:seen.size - width]
+
+
 def _transform_logs(a: PositiveSequence, logs: np.ndarray, start: int,
                     depth: int):
     """(log_value, log_lower) of a^pi_n for each n whose depth + 1 factors
     logs holds, logs[0] being log a_start; log_lower is None without a
     closed-form tail.  The first window with some a_k < 1 or a decrease
-    is refused, a_k < 1 first as in a per-window check."""
+    is refused, a_k < 1 first as in a per-window check.
+
+    The checks cost O(len(logs)): window n is bad when a prefix count of
+    a_k < 1, or of falls, grows across it.  The weighted sums are one
+    reduction that adds each window's terms in k order from 0.0, as one
+    scalar loop would, so every bit matches it: numpy reduces the leading
+    axis of a C-ordered array row by row.  A single window would reduce
+    along its contiguous axis, which numpy sums pairwise, so it takes
+    cumsum, which is sequential.  cumsum starts from the first term, not
+    from 0.0; that can flip only the sign of a zero sum, and adding the
+    pad erases the sign.
+    """
     if depth < 0:
         raise SequenceDomainError("depth must be nonnegative")
-    win = np.lib.stride_tricks.sliding_window_view(logs, depth + 1)
-    below_one = (win < 0.0).any(axis=1)
-    falls = (win[:, 1:] < win[:, :-1]).any(axis=1)
+    n_win = len(logs) - depth
+    below_one = _window_hits(logs < 0.0, depth + 1)
+    falls = _window_hits(logs[1:] < logs[:-1], depth)
     bad = np.flatnonzero(below_one | falls)
     if bad.size:
         raise SequenceDomainError(
             "transform needs a_k >= 1 on the window" if below_one[bad[0]]
             else "transform needs a nondecreasing on the window")
-    # one window's scalar sum, in k order, taken across all windows at once
-    log_trunc = -sum((win[:, k] * math.pow(2.0, -(k + 1))
-                      for k in range(depth + 1)), np.zeros(len(win)))
+    # row k holds log a_{start+n+k} for every window n, times 2^-(k+1)
+    terms = np.lib.stride_tricks.sliding_window_view(logs, n_win) \
+        * np.ldexp(1.0, -1 - np.arange(depth + 1))[:, None]
+    log_trunc = -(np.add.reduce(terms, axis=0, initial=0.0) if n_win > 1
+                  else np.cumsum(terms[:, 0])[-1:])
     # Pad both endpoints outward by a few ulps: the summation itself is
     # float arithmetic, so without padding "true value inside enclosure"
     # could fail by rounding alone.
     pad = 8.0 * sys.float_info.epsilon * (np.abs(log_trunc) + 1.0)
-    tails = a._log_tails(np.arange(start, start + len(win), dtype=float),
-                         depth)
+    tails = a._log_tails(np.arange(start, start + n_win, dtype=float), depth)
     if tails is None:
         return log_trunc + pad, None
     return log_trunc + pad, log_trunc - tails - pad

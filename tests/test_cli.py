@@ -49,6 +49,17 @@ def test_bruno_transform_geometric_three(capsys):
     assert value == pytest.approx(1.0 / 3.0, abs=1e-10)
 
 
+def test_bruno_transform_overflow_names_the_index_and_alpha(capsys):
+    # e^(1.5^n) has no float log past n = 1750
+    code, out, err = run(capsys, "bruno", "transform", "--family",
+                         "exp_power", "--alpha", "1.5", "--n", "2000")
+    assert code == 1 and out == ""
+    assert json.loads(err) == {
+        "command": "bruno",
+        "error": "exp_power alpha^n overflows a float at index 2000 "
+                 "(alpha 1.5)"}
+
+
 def test_tame_exit_codes(capsys):
     code, out, _ = run(capsys, "tame", "--a", "exp_power:1.2",
                        "--b", "exp_power:-1.5", "--scale-b", "0.1")

@@ -19,7 +19,7 @@ from banachscale.local_ops import (
     multiplication_operator,
     product_of_exponentials,
 )
-from banachscale.series import TruncatedSeries, align
+from banachscale.series import SeriesError, TruncatedSeries, align
 
 
 def poly(coeffs, *, cap=32, ref=1.0, tail=0.0):
@@ -348,6 +348,15 @@ def test_borel_rejects_radius_beyond_certificates():
     u2 = certify_vector_field(poly([0.01], cap=4, ref=0.6))
     with pytest.raises(OperatorError):
         exp(u2, 0.7, 0.5, poly([1.0], cap=8))
+
+
+def test_borel_raises_a_malformed_application_instead_of_stopping():
+    # a Taylor multiplier cannot act on a Fourier mode; the tail-free
+    # first iterate must surface that, not return terms 0 and a remainder
+    u = multiplication_operator(TruncatedSeries.monomial(1, 1e-3, cap=8))
+    g = TruncatedSeries.fourier_mode(1, 1.0, cap=8)
+    with pytest.raises(SeriesError, match="mixed dimensions or bases"):
+        borel_apply(EXP, u, 1.0, 0.5, g)
 
 
 def test_borel_generic_route_exponentiates_multiplication():

@@ -137,7 +137,8 @@ def test_log_values_short_tables_report_the_first_missing_index():
         PS.exp_power(1, 1.5).log_values(2000)
     with pytest.raises(OverflowError) as want:
         PS.exp_power(1, 1.5).log(1751)
-    assert str(caught.value) == str(want.value)
+    assert str(caught.value) == str(want.value) \
+        == "exp_power alpha^n overflows a float at index 1751 (alpha 1.5)"
     with pytest.raises(SequenceDomainError, match="index must be nonnegative"):
         PS.geometric(2.0).log_values(3, start=-1)
 
@@ -353,18 +354,38 @@ def test_transform_and_taming_match_the_per_window_oracle():
         e = PS.exp_power(1, float(rng.uniform(1.1, 1.8)))
         ap = PS.constant(float(rng.uniform(1.0, 4.0)))
         seqs += [g, e, g * ap ** 2.0, e * PS.geometric(1.5) ** 2.0]
-    for depth in (40, 60, 240):
-        for a in seqs[:4] if depth == 240 else seqs:
-            want = _reference_taming(a, depth)
-            got = taming_epsilon_log(a, depth)
-            assert bruno_check(a, depth).partial_sum.hex() \
-                == _reference_partial(a, depth).hex()
-            assert type(got) is float
-            assert got.hex() == want.hex()
-    for a in seqs:
-        for n in range(6):
-            res = bruno_transform(a, n, 60)
-            want = _reference_transform(a, n, 60)
+    # logs of +0.0 throughout, and of -0.0
+    flat = [PS.constant(1.0), PS.constant(1.0) ** -1.0]
+    # log a = 1 + n log q - alpha^n first falls from index 2 depth - 1 to
+    # 2 depth, so only the taming's last window n = depth is refused
+    last = [((PS.geometric(1.5) * PS.exp_power(-1, 1.1))
+             .scaled(log_factor=1.0), 8),
+            ((PS.geometric(2.0) * PS.exp_power(-1, 1.2))
+             .scaled(log_factor=1.0), 4)]
+    for a, depth in last:
+        assert _outcome(bruno_transform, a, depth - 1, depth).rigorous
+        assert _outcome(bruno_transform, a, depth, depth) == (
+            SequenceDomainError,
+            "transform needs a nondecreasing on the window")
+    # depths 0 and 1 give the taming one and two windows
+    cases = [(a, depth) for depth in (0, 1, 40, 60, 240)
+             for a in (seqs[:4] if depth == 240 else seqs + flat)] + last
+    for a, depth in cases:
+        want = _outcome(_reference_taming, a, depth)
+        got = _outcome(taming_epsilon_log, a, depth)
+        if (a, depth) in last:
+            assert got == want == (
+                SequenceDomainError,
+                "transform needs a nondecreasing on the window")
+            continue
+        assert type(want) is type(got) is float
+        assert got.hex() == want.hex()
+        assert bruno_check(a, depth).partial_sum.hex() \
+            == _reference_partial(a, depth).hex()
+    for a in seqs + flat:
+        for n, depth in ((n, d) for n in range(6) for d in (0, 1, 60)):
+            res = bruno_transform(a, n, depth)
+            want = _reference_transform(a, n, depth)
             assert (res.log_value.hex(), res.log_lower.hex()) \
                 == tuple(v.hex() for v in want)
 
