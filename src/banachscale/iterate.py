@@ -161,7 +161,8 @@ def newton(f: Callable, df_inverse: Callable, x0, y, m: float, M: float,
     With declared bounds m >= |j| and M >= |D^2 f| on the working ball
     the loop certifies the quadratic estimate |x_{n+1} - x_n| <=
     C |x_n - x_{n-1}|^2 for C = m M / 2 together with the entry
-    condition |x_1 - x_0| < 1/C.
+    condition |x_1 - x_0| < 1/C.  Both compare the computed floats
+    exactly: a ratio one ulp over C fails.
 
     A singular derivative inverse (ZeroDivisionError, SeriesError or
     OperatorError from `f` or `df_inverse`) aborts the run with an
@@ -196,7 +197,7 @@ def newton(f: Callable, df_inverse: Callable, x0, y, m: float, M: float,
         ok = not diverged
         if not stopping and d_prev is not None and d_prev > 0.0:
             ratio = d / (d_prev * d_prev)
-            ok = ratio <= C + 1e-9
+            ok = ratio <= C
         bound = None if d_prev is None else C * d_prev * d_prev
         trace.add(StepRecord(n=n, value_norm=abs(x_next), increment_norm=d,
                              bound=bound, sigma=C, checks_passed=ok,
@@ -275,6 +276,7 @@ def nash_moser(f: Callable[[TruncatedSeries], TruncatedSeries],
       model (lower enclosure end, so the gate itself is rigorous), and
     * every measured increment obeys |x_{n+1} - x_n| <= a_n |x_n - x_{n-1}|^2.
 
+    Both comparisons are exact: no margin is added to either side.
     An oversized first increment sets status "uncertified" but the run
     continues.  Divergence is declared after 3 consecutive increment
     growths.  The final residual |f(x_N) - y| at the limit radius is
@@ -327,8 +329,8 @@ def nash_moser(f: Callable[[TruncatedSeries], TruncatedSeries],
         bound = None
         env = None
         if d_prev is not None:
-            ok = d <= a_n * d_prev ** 2 * (1.0 + 1e-9) + 1e-300
             bound = a_n * d_prev ** 2
+            ok = d <= bound
             if log_env is not None:
                 log_env += math.log(a_n) * math.pow(2.0, -n)
                 scaled = math.pow(2.0, n) * log_env

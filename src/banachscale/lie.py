@@ -38,6 +38,7 @@ from .trace import IterationTrace, StepRecord
 _LOG2 = math.log(2.0)
 _LOG4E = math.log(4.0) + 1.0
 _WINDOW = 40        # rho_schedule checks its conditions at n = 0..39
+_QI_TOL = 1e-12     # involutive_quasi_inverse's relative sample defect
 
 
 class LieError(ValueError):
@@ -590,7 +591,8 @@ def certify(trace: IterationTrace, problem: ActionProblem,
     and the conclusions |r_n| <= b_n, |delta_n| <= b_n.  Rows past the
     end of a tabulated b or |j| are not checked (sigma = rho.gap() ends
     with them), and leave the run uncertified, as run failures do.
-    Failures are verdicts, not exceptions.
+    Each inequality compares the recorded norm with its right side
+    exactly.  Failures are verdicts, not exceptions.
     """
     rho, sigma, b = schedule.rho, schedule.sigma, schedule.b
     rows = trace.steps
@@ -604,7 +606,6 @@ def certify(trace: IterationTrace, problem: ActionProblem,
         except SequenceDomainError:
             count = n
             break
-    grace = 1.0 + 1e-9
     k, l = problem.exponents.k, problem.exponents.l
     logs = _derived_logs(problem, trace.metadata["tau0_norm"], count + 1)
     quad = np.exp(logs["app"]) + np.exp(logs["appp"])
@@ -618,16 +619,16 @@ def certify(trace: IterationTrace, problem: ActionProblem,
 
     n1, n2, master, below_r, below_d = [], [], [], [], []
     for n in range(count):
-        n1.append(n == 0 or d[n] <= 0.5 ** (n + 1) * grace)
-        n2.append(r[n] <= sig[n] / (4.0 * math.e * jn[n]) * grace)
+        n1.append(n == 0 or d[n] <= 0.5 ** (n + 1))
+        n2.append(r[n] <= sig[n] / (4.0 * math.e * jn[n]))
         if n == 0:
             master.append(True)
         else:
             rhs = (quad[n - 1] * sig[n - 1] ** (-k) * r[n - 1] ** 2
                    + rh[n - 1] * a4[n - 1] * sig[n - 1] ** (-l) * r[n - 1])
-            master.append(r[n] <= rhs * grace + 1e-300)
-        below_r.append(r[n] <= bv[n] * grace)
-        below_d.append(n == 0 or d[n] <= bv[n] * grace)
+            master.append(r[n] <= rhs)
+        below_r.append(r[n] <= bv[n])
+        below_d.append(n == 0 or d[n] <= bv[n])
 
     named = (("N2", n2), ("master", master), ("N1", n1),
              ("value<=b", below_r), ("increment<=b", below_d))
@@ -664,8 +665,7 @@ def _random_poly(rng: np.random.Generator, like: TruncatedSeries,
 def involutive_quasi_inverse(L: Callable[[TruncatedSeries], LocalOperator],
                              pi: LocalOperator | None, x: TruncatedSeries, *,
                              samples: int = 8, max_degree: int = 8,
-                             seed: int = 0,
-                             tol: float = 1e-12) -> InvolutiveQuasiInverse:
+                             seed: int = 0) -> InvolutiveQuasiInverse:
     """Build the step map j from one linear section L: M -> fields.
 
     With the action defect D(m) = m - L(m)(x) and kappa0 = (iota - pi) D,
@@ -676,10 +676,11 @@ def involutive_quasi_inverse(L: Callable[[TruncatedSeries], LocalOperator],
 
     which is validated on randomized polynomial inputs of degree <=
     max_degree, together with the hypothesis that the fields L(m) map
-    the transversal into itself.  A failed sample makes the constructor
-    refuse with a witness.  All validation applications stay at the
-    reference radius of x, so L and pi must accept equal input and
-    output radii on polynomial data.
+    the transversal into itself.  A sample fails when its coefficient
+    defect exceeds _QI_TOL = 1e-12 times 1 plus the sample's norms, and
+    the constructor then refuses with a witness.  All validation
+    applications stay at the reference radius of x, so L and pi must
+    accept equal input and output radii on polynomial data.
     """
     t = x.ref_radius
 
@@ -703,7 +704,7 @@ def involutive_quasi_inverse(L: Callable[[TruncatedSeries], LocalOperator],
         delta = apply_pi(_random_poly(rng, x, max_degree))
         tangent = L(_random_poly(rng, x, max_degree))(delta, t, t)
         scale = 1.0 + tangent.majorant_norm(t)
-        if _max_coeff_diff(apply_pi(tangent), tangent) > tol * scale:
+        if _max_coeff_diff(apply_pi(tangent), tangent) > _QI_TOL * scale:
             raise LieError(
                 f"fields do not preserve the transversal (sample {i})")
         m2 = L(r)(delta, t, t)
@@ -716,7 +717,7 @@ def involutive_quasi_inverse(L: Callable[[TruncatedSeries], LocalOperator],
                                  TruncatedSeries(moded.dim, moded.cap,
                                                  moded.ref_radius,
                                                  moded.basis))
-        if defect > tol * scale:
+        if defect > _QI_TOL * scale:
             raise LieError(f"quasi-inverse identity fails on sample {i}: "
                            f"defect {defect:g}")
         worst = max(worst, defect)

@@ -116,7 +116,7 @@ def _check_window(t: float, s: float, caps: Sequence[float]) -> None:
     if not (0.0 < s <= t):
         raise OperatorError(f"need 0 < s <= t, got ({t}, {s})")
     for r in caps:
-        if t > r * (1.0 + 4.0 * _EPS):
+        if t > r:
             raise OperatorError(f"radius {t} beyond certified radius {r}")
 
 
@@ -236,9 +236,10 @@ def borel_apply(symbol: BorelSymbol, u: LocalOperator, t: float, s: float,
     are formed exactly at radius t while tail-free; once tails force
     radius drops, the loop descends toward s by quarter steps.  A term
     enters the output only while its measured contribution stays inside
-    its theoretical share |a_k| x^k |g|_t, so the certified output norm
-    never exceeds the theorem bound (up to float honesty); everything
-    uncomputed is covered by the remainder (|f|(x) - partial) |g|_t.
+    its theoretical share |a_k| x^k |g|_t (both tests compare exactly),
+    so the certified output norm never exceeds the theorem bound (up to
+    float honesty); everything uncomputed is covered by the remainder
+    (|f|(x) - partial) |g|_t.
     Only a tailed iterate's radius descent may end the series that way:
     an action that fails on a tail-free iterate raises its error.
     A series with no exact ending also stops after term k >= 2 once
@@ -292,7 +293,7 @@ def borel_apply(symbol: BorelSymbol, u: LocalOperator, t: float, s: float,
         ck = symbol.coeff(k)
         share = abs(ck) * x ** k * input_norm
         contrib = abs(ck) / kfact * w.majorant_norm(s)
-        if contrib > share * (1.0 + 1e-9) + 1e-300:
+        if contrib > share:
             break           # tail bookkeeping left the theoretical budget
         if ck != 0.0:
             # caps can zigzag: tailed derivatives lower them, tail-free

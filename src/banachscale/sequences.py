@@ -517,8 +517,9 @@ def model_iteration(a: PositiveSequence, b: PositiveSequence | None,
 
     b may be None for the pure-quadratic model (the envelope bound is
     then not checked).  When (a, b) is tame and x0 <= b_0, the envelope
-    x_n <= b_n is recorded per step; a violation marks the trace
-    uncertified but the run continues.
+    x_n <= b_n is recorded per step, comparing log x_n with log b_n
+    exactly; a violation marks the trace uncertified but the run
+    continues.
     """
     if x0 < 0:
         raise SequenceDomainError("x0 must be nonnegative")
@@ -533,7 +534,7 @@ def model_iteration(a: PositiveSequence, b: PositiveSequence | None,
     bounded = True
     for n in range(steps + 1):
         log_b = b.log(n) if b is not None else None
-        ok = True if log_b is None else (log_x <= log_b + 1e-12)
+        ok = True if log_b is None else (log_x <= log_b)
         bounded = bounded and ok
         b_lin = None
         if log_b is not None:

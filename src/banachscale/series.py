@@ -46,8 +46,9 @@ Tail bookkeeping rules worth knowing (each documented at the operation):
   the monomialwise Cauchy bound n s^(n-1) (r - s) <= r^n gives
   T' = T / (r - s), and the cap drops by one because the new top
   coefficient depends on an unknown coefficient of f;
-* divide_by_coordinate adds (sub-tolerance residue)/ref_radius to the
-  tail and likewise drops the cap by one when a tail is present;
+* divide_by_coordinate refuses a nonzero z_axis = 0 face, divides the
+  tail by ref_radius and likewise drops the cap by one when a tail is
+  present;
 * align(f, g) brings two series to common ground before mixed
   arithmetic: both move to the smaller reference radius (tails rescale
   by their decay factor), then to a common cap.  The tail-free side is
@@ -505,28 +506,19 @@ class TruncatedSeries:
         return self._owning(self.dim, new_cap, at, "taylor", coeffs[corner],
                             self.tail / (self.ref_radius - at))
 
-    def divide_by_coordinate(self, axis: int = 0, tol: float = 0.0
-                             ) -> "TruncatedSeries":
-        """f / z_axis for f with vanishing z_axis = 0 face.
-
-        Face coefficients must be <= tol in modulus (by default, exactly
-        zero); their majorant at ref_radius, divided by ref_radius, is
-        added to the tail as the sub-tolerance residue.
-        """
+    def divide_by_coordinate(self, axis: int = 0) -> "TruncatedSeries":
+        """f / z_axis for f whose z_axis = 0 face is exactly zero; a
+        nonzero face coefficient is refused."""
         if self.basis != "taylor":
             raise SeriesError("coordinate division is a taylor operation")
         if not (0 <= axis < self.dim):
             raise SeriesError("axis out of range")
         face = np.take(self.coeffs, 0, axis=axis)
-        face_abs = np.abs(face)
-        if np.any(face_abs > tol):
-            raise SeriesError(
-                f"not divisible: face coefficient {face_abs.max():g} > tol {tol:g}")
-        # the face is a cap-`cap` array in the remaining dim - 1 variables
-        residue = _weighted_sum(face, _weights(self.basis, self.dim - 1,
-                                               self.cap, self.ref_radius))
+        if np.any(face):
+            raise SeriesError(f"not divisible: face coefficient "
+                              f"{np.abs(face).max():g} is nonzero")
         coeffs = self._shifted_down(axis)
-        new_tail = (self.tail + residue) / self.ref_radius
+        new_tail = self.tail / self.ref_radius
         if self.tail > 0.0:
             if self.cap == 0:
                 raise SeriesError("cap too small to divide a tailed series")

@@ -115,6 +115,13 @@ def test_model_seed_above_envelope_is_uncertified(capsys):
                        "--x0", "0.1")
     assert code == 2
     assert "bounded by b: False" in out
+    # so does x0 1e-13 (relative) above b_0 = 1e-3/e: the envelope check
+    # compares log x_0 with log b_0 exactly
+    code, out, _ = run(capsys, "model", "--a", "exp_power:1.1",
+                       "--b", "exp_power:-1.5", "--scale-b", "1e-3",
+                       "--x0", "0.0003678794411714791", "--steps", "20")
+    assert code == 2
+    assert "bounded by b: False" in out
 
 
 def test_model_tabulated_defaults_to_its_own_table(capsys):

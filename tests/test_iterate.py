@@ -121,7 +121,25 @@ def test_newton_square_root_of_two():
     C = trace.metadata["C"]
     for rec in trace.steps:
         if rec.extra.get("ratio") is not None:
-            assert rec.extra["ratio"] <= C + 1e-9
+            assert rec.extra["ratio"] <= C
+
+
+def test_newton_ratio_just_above_c_is_refused():
+    # the run does not depend on m, so C = m M / 2 can be set 5e-10 below
+    # the largest ratio it observes; the exact check refuses that step
+    def run(m):
+        return newton(lambda x: x * x, lambda x: 1.0 / (2.0 * x), 1.5, 2.0,
+                      m=m, M=2.0, steps=10)
+    ratios = [rec.extra["ratio"] for rec in run(1.0 / 2.6).steps
+              if rec.extra.get("ratio") is not None]
+    worst = max(ratios)
+    assert run(worst).certified
+    trace = run(worst - 5e-10)
+    assert trace.metadata["C"] == worst - 5e-10
+    assert not trace.certified
+    n = 1 + ratios.index(worst)
+    assert not trace.steps[n].checks_passed
+    assert trace.failures == [f"quadratic ratio exceeds C at n={n}"]
 
 
 def test_newton_linear_is_one_step():
@@ -160,7 +178,7 @@ def test_newton_quadratic_map_ratios():
     C = 0.5 * m * 2.0
     for rec in trace.steps:
         if rec.extra.get("ratio") is not None:
-            assert rec.extra["ratio"] <= C + 1e-9
+            assert rec.extra["ratio"] <= C
     root = trace.metadata["final"]
     assert root + root * root == pytest.approx(0.1, abs=1e-14)
 
@@ -188,7 +206,7 @@ def test_newton_randomized_cubics_respect_ratio_bound():
         for rec in trace.steps:
             assert rec.value_norm <= r
             if rec.extra.get("ratio") is not None:
-                assert rec.extra["ratio"] <= C + 1e-9
+                assert rec.extra["ratio"] <= C
 
 
 # ---- Nash-Moser on falling radii ----
@@ -266,6 +284,30 @@ def test_nash_moser_trace_satisfies_quadratic_model():
         assert deltas[i] <= env * (1 + 1e-9)
         assert trace.steps[i].extra["envelope"] == pytest.approx(env,
                                                                  rel=1e-12)
+
+
+def test_nash_moser_ratio_just_above_a_n_is_refused():
+    # with exponents 0 the model is a_n = M = 4 j_const d2f_const, and the
+    # iterates do not depend on it: set M 5e-10 (relative) below the
+    # largest ratio |x_(n+1) - x_n| / |x_n - x_(n-1)|^2 the run observes
+    f, j = nm_problem()
+    sched = RadiusSchedule.geometric(0.5, 1.0, 0.5)
+    y = poly([0.0, 0.01], cap=64)
+    x0 = TruncatedSeries.zero(1, 64, 1.0)
+
+    def run(j_const):
+        return nash_moser(f, j, (0, 0, 0, 0), sched, x0, y, steps=8,
+                          j_const=j_const, d2f_const=1.0)
+    d = [rec.increment_norm for rec in run(2.0).steps]
+    ratios = [d[i] / d[i - 1] ** 2 for i in range(1, len(d))]
+    worst = max(ratios)
+    trace = run(0.25 * worst * (1.0 - 5e-10))
+    assert trace.metadata["bruno_gate"] > d[0]      # the entry gate holds
+    n = 1 + ratios.index(worst)
+    assert [rec.checks_passed for rec in trace.steps] \
+        == [i != n for i in range(len(d))]
+    assert trace.failures == [f"quadratic estimate violated at n={n}"]
+    assert not trace.certified
 
 
 def test_nash_moser_zero_target_stays_zero():

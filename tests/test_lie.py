@@ -485,6 +485,37 @@ def test_certify_oversized_r0_fails_n2_at_zero():
     assert not cert.n2[0]
 
 
+def _n2_bound(problem, sched, n):
+    """sigma_n / (4 e |j_n|), with |j_n| read as `certify` reads it."""
+    jn = float(np.exp(problem.j_norms.log_values(n + 1))[n])
+    return sched.sigma.value(n) / (4.0 * math.e * jn)
+
+
+@pytest.mark.parametrize("b, field, bound, name", [
+    # b_n = e^(-1.5^n / 10) stays above 2^-(n+1), so only N1 sees this row
+    (STRICT_B ** 0.1, "increment_norm", lambda p, s, n: 0.5 ** (n + 1), "N1"),
+    (STRICT_B, "increment_norm", lambda p, s, n: s.b.value(n), "increment<=b"),
+    (STRICT_B, "value_norm", lambda p, s, n: s.b.value(n), "value<=b"),
+    (STRICT_B, "value_norm", _n2_bound, "N2"),
+])
+def test_certify_refuses_a_row_one_ulp_over_its_bound(b, field, bound, name):
+    problem = morse_problem()
+    sched = rho_schedule(problem, b, 1.0)
+    trace, _ = run_lie(problem, sched, poly([0, 0, 0, 1e-3]), steps=4)
+    assert certify(trace, problem, sched).verdict == "certified"
+    n, row = 2, trace.steps[2]
+    at = bound(problem, sched, n)
+    for value, holds in ((at, True), (math.nextafter(at, math.inf), False)):
+        trace.steps[n] = dataclasses.replace(row, **{field: value})
+        cert = certify(trace, problem, sched)
+        flags = {"N1": cert.n1, "N2": cert.n2, "value<=b": cert.value_below,
+                 "increment<=b": cert.increment_below}
+        assert flags[name][n] == holds
+    assert cert.verdict == "uncertified"
+    if field == "increment_norm":       # |r_n| feeds N2 and master first
+        assert cert.first_failure == (name, n)
+
+
 def test_randomized_entry_threshold_certifies():
     problem = morse_problem()
     sched = rho_schedule(problem, STRICT_B, 1.0)

@@ -11,6 +11,7 @@ from banachscale.local_ops import (
     EXP_NEG,
     PHI,
     PSI,
+    LocalOperator,
     OperatorError,
     WeightFunction,
     borel_apply,
@@ -348,6 +349,25 @@ def test_borel_rejects_radius_beyond_certificates():
     u2 = certify_vector_field(poly([0.01], cap=4, ref=0.6))
     with pytest.raises(OperatorError):
         exp(u2, 0.7, 0.5, poly([1.0], cap=8))
+    # the radius is compared exactly: one ulp beyond is refused
+    u3 = certify_vector_field(poly([0.01], cap=4))
+    exp(u3, 1.0, 0.5, poly([1.0], cap=8))
+    with pytest.raises(OperatorError, match="beyond certified radius 1.0"):
+        exp(u3, math.nextafter(1.0, 2.0), 0.5, poly([1.0], cap=8))
+
+
+def test_a_term_just_over_its_budget_is_not_computed():
+    # u declares |u| = 1/4 but multiplies by e/4 (1 + 5e-10), so its first
+    # term overshoots the share |a_1| x |g|_t = e/4 by 5e-10 (relative):
+    # the series keeps no term and the remainder covers all of it
+    over = 0.25 * math.e * (1.0 + 5e-10)
+    u = LocalOperator(lambda f, t, s: f.scale(over), WeightFunction(k=0),
+                      0.25, kind="multiplication")
+    app = borel_apply(EXP, u, 1.0, 0.5, poly([1.0], cap=8))
+    assert app.x == 0.25 * math.e
+    assert app.terms == 0
+    assert app.series.coefficient(0) == 1.0
+    assert app.remainder == pytest.approx(app.bound - 1.0, rel=1e-15)
 
 
 def test_borel_raises_a_malformed_application_instead_of_stopping():
