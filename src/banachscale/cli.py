@@ -27,7 +27,7 @@ from .local_ops import multiplication_operator
 from .sequences import (PositiveSequence, SequenceDomainError, bruno_check,
                         bruno_transform, lemma_rho, model_iteration,
                         tame_check)
-from .series import TruncatedSeries
+from .series import DEFAULT_CAP_1D, TruncatedSeries
 from .trace import fmt17
 
 
@@ -146,15 +146,14 @@ def _cmd_tame(args) -> int:
     window = _span(args.window, a, b)
     report = tame_check(_scaled(a, args.scale_a), _scaled(b, args.scale_b),
                         window=window)
-    star = all(report.star_holds)
     print(f"a >= 1: {report.a_ge_one}")
     print(f"b <= 1: {report.b_le_one}")
     print(f"b -> 0: {report.b_vanishing}")
-    print(f"a_n b_n^2 <= b_n+1 on window {report.window}: {star}")
+    print(f"a_n b_n^2 <= b_n+1 on window {report.window}: "
+          f"{all(report.star_holds)}")
     if report.first_violation is not None:
         print(f"first violation at n = {report.first_violation}")
-    ok = star and report.a_ge_one and report.b_le_one and report.b_vanishing
-    return OK if ok else UNCERTIFIED
+    return OK if report.tame else UNCERTIFIED
 
 
 def _cmd_model(args) -> int:
@@ -357,7 +356,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--coeff", type=_finite, default=0.01,
                    help="coefficient of the linear target y = c z")
     p.add_argument("--steps", type=int, default=8)
-    p.add_argument("--cap", type=int, default=64)
+    p.add_argument("--cap", type=int, default=DEFAULT_CAP_1D)
     add_trace_outputs(p)
     p.set_defaults(fn=_cmd_nashmoser)
 
@@ -375,7 +374,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="starting strip width (circle 0.5)")
     p.add_argument("--strip-end", type=_finite, dest="strip_end",
                    help="limit strip width (circle 0.2)")
-    p.add_argument("--cap", type=int, default=64)
+    p.add_argument("--cap", type=int, default=DEFAULT_CAP_1D)
     add_trace_outputs(p)
     p.set_defaults(fn=_cmd_lie)
 

@@ -32,7 +32,7 @@ from .lie import (ActionProblem, LieCertificate, LieError, LocalityExponents,
 from .local_ops import (LocalOperator, WeightFunction, certify_vector_field,
                         multiplication_operator)
 from .sequences import PositiveSequence
-from .series import SeriesError, TruncatedSeries, align
+from .series import DEFAULT_CAP_1D, SeriesError, TruncatedSeries, align
 from .trace import IterationTrace
 
 GOLDEN_MEAN = (1.0 + math.sqrt(5.0)) / 2.0
@@ -71,10 +71,11 @@ def _certified_run(problem: ActionProblem, r0: TruncatedSeries, t: float,
                    steps: int):
     """Tune the schedule at t, refuse an r0 above its entry threshold,
     run, and certify.  Returns (trace, conjugacy, certificate, details)
-    with the details both certified demos report.  The trace takes the
-    certificate's verdicts: a row passes when its five inequalities hold,
-    and its failures name the first refusal.  The schedule, b and |j|
-    are closed-form, so `certify` checks every row."""
+    with the details both certified demos report.  Each row the
+    certificate checked takes its b_n, sigma_n and verdict from it: a row
+    passes when its five inequalities hold, and the trace's failures
+    name the first refusal.  The schedule, b, |j| and |kappa| are
+    closed-form, so `certify` checks every row."""
     schedule = rho_schedule(problem, _STRICT_B, t)
     if r0.ref_radius < t:
         raise LieError("r0 must be certified at the starting radius")
@@ -84,12 +85,12 @@ def _certified_run(problem: ActionProblem, r0: TruncatedSeries, t: float,
         raise LieError(
             f"initial remainder norm {norm0:g} exceeds the schedule entry "
             f"threshold {threshold:g}; shrink the perturbation or the radius")
-    trace, conjugacy = run_lie(problem, schedule, r0, steps)
+    trace, conjugacy = run_lie(problem, schedule.radii, r0, steps)
     cert = certify(trace, problem, schedule)
-    flags = (cert.n1, cert.n2, cert.master, cert.value_below,
-             cert.increment_below)
-    for n, rec in enumerate(trace.steps):
-        rec.checks_passed = all(f[n] for f in flags)
+    for rec, b_n, sigma_n, *flags in zip(
+            trace.steps, cert.b, cert.sigma, cert.n1, cert.n2, cert.master,
+            cert.value_below, cert.increment_below):
+        rec.bound, rec.sigma, rec.checks_passed = b_n, sigma_n, all(flags)
     trace.certified = cert.verdict == "certified"
     if cert.first_failure is not None:
         name, n = cert.first_failure
@@ -110,7 +111,8 @@ def _observed_orders(r0: TruncatedSeries, trace: IterationTrace) -> list[int]:
 
 # ---- quadratic base point ----
 
-def morse_problem(cap: int = 64, j_const: float = 10.0) -> ActionProblem:
+def morse_problem(cap: int = DEFAULT_CAP_1D,
+                  j_const: float = 10.0) -> ActionProblem:
     """Quadratic base point z^2 with step field (r / 2z) d/dz.
 
     Division by the derivative is exact on order >= 3, so the cutoff
@@ -133,7 +135,8 @@ def morse_problem(cap: int = 64, j_const: float = 10.0) -> ActionProblem:
 
 
 def morse(eps: float = 1e-3, t: float = 1.0, steps: int = 5, *,
-          r0: TruncatedSeries | None = None, cap: int = 64) -> DemoReport:
+          r0: TruncatedSeries | None = None,
+          cap: int = DEFAULT_CAP_1D) -> DemoReport:
     """Normalize z^2 + eps z^3 (or a caller-supplied r0) at radius t.
 
     The run uses the tuned contraction schedule; the report carries the
@@ -244,7 +247,7 @@ def mather_problem(f: TruncatedSeries, *,
 
 def mather(f: TruncatedSeries | None = None,
            r0: TruncatedSeries | None = None, *, t: float = 0.8,
-           steps: int = 4, cap: int = 64) -> DemoReport:
+           steps: int = 4, cap: int = DEFAULT_CAP_1D) -> DemoReport:
     """Normalize z^3 + 1e-4 z^7 (or caller-supplied f, r0) at radius t.
 
     The report's details carry the per-stage membership thresholds the
@@ -275,7 +278,7 @@ def _diophantine_C(omega: float) -> float:
 
 
 def circle_problem(omega: float = GOLDEN_MEAN, *,
-                   cap: int = 64) -> ActionProblem:
+                   cap: int = DEFAULT_CAP_1D) -> ActionProblem:
     """Perturbed rotation: tau = 2 pi omega as a constant fourier
     series, step multiplier m = [r]_(1 <= |k| <= 2^n) / mean(tau), and
     the mean as projector.
@@ -317,7 +320,8 @@ def circle_problem(omega: float = GOLDEN_MEAN, *,
 
 def circle(omega: float = GOLDEN_MEAN, eps: float = 1e-3, steps: int = 8, *,
            strip: float = 0.5, strip_end: float = 0.2,
-           f: TruncatedSeries | None = None, cap: int = 64) -> DemoReport:
+           f: TruncatedSeries | None = None,
+           cap: int = DEFAULT_CAP_1D) -> DemoReport:
     """Conjugate the rotation by 2 pi omega perturbed by f (default
     2 eps cos x) across strips shrinking geometrically from `strip`
     to `strip_end`.

@@ -330,7 +330,8 @@ class LieSchedule(NamedTuple):
 
 
 def _derived_logs(problem: ActionProblem, tau0: float, count: int) -> dict:
-    """Log values of the four derived constant sequences on the window:
+    """Log values of the four derived constant sequences at n = 0..count-1,
+    the only indices of |j| and |kappa| read:
 
         a'_n   = |pi_n| (1 + |j_n|) (2 + |tau_0|) (1 + |tau_0|)
         a''_n  = 4 e^2 (1 + |tau_0|)^2 |j_n|^2
@@ -341,13 +342,12 @@ def _derived_logs(problem: ActionProblem, tau0: float, count: int) -> dict:
     contribute -inf (their products vanish).
     """
     neg_inf = np.full(count, -math.inf)
-    log_j = np.asarray(problem.j_norms.log_values(count),
-                       dtype=float)[:count]
+    log_j = np.asarray(problem.j_norms.log_values(count - 1), dtype=float)
     pi = problem.projector
     log_pi = neg_inf if pi is None else np.full(count, math.log(pi.norm_bound))
     log_kap = (neg_inf if problem.kappa_norms is None
-               else np.asarray(problem.kappa_norms.log_values(count),
-                               dtype=float)[:count])
+               else np.asarray(problem.kappa_norms.log_values(count - 1),
+                               dtype=float))
     log_ap = (log_pi + np.logaddexp(0.0, log_j)
               + math.log(2.0 + tau0) + math.log1p(tau0))
     log_app = math.log(4.0) + 2.0 + 2.0 * math.log1p(tau0) + 2.0 * log_j
@@ -465,16 +465,18 @@ def rho_schedule(problem: ActionProblem, b: PositiveSequence,
 
 # ---- full run and post-hoc certificate ----
 
-def run_lie(problem: ActionProblem, schedule: LieSchedule | RadiusSchedule,
+def run_lie(problem: ActionProblem, radii: RadiusSchedule,
             r0: TruncatedSeries, steps: int) -> tuple[IterationTrace,
                                                       "object"]:
-    """Iterate lie_step and assemble the conjugacy.
+    """Iterate lie_step on the radii and assemble the conjugacy.
 
-    Returns the trace (row n carries |r_n|, |delta_n|, |u_{n-1}|, the
-    envelope b_n and sigma_n where a full schedule has them) and the
-    certified product g = e^(-u_{N-1}) ... e^(-u_0).  Row n + 1 checks
-    the versality identity g_n ... g_0 (tau_0 + r_0) = tau_0 + sum
-    delta_i + r_(n+1) coefficientwise as its consistency_defect; the
+    Returns the trace and the certified product g = e^(-u_{N-1}) ...
+    e^(-u_0).  Row n records what the run measured: s_n, |r_n|,
+    |delta_n|, |u_{n-1}| and the step's diagnostics; b_n, sigma_n and
+    checks_passed keep StepRecord's defaults until a certificate writes
+    them (`demos._certified_run` does, from `certify`).  Row n + 1
+    checks the versality identity g_n ... g_0 (tau_0 + r_0) = tau_0 +
+    sum delta_i + r_(n+1) coefficientwise as its consistency_defect; the
     last row's is the run's conjugacy_coeff_defect (0 without steps).
     The reported defect is |r_N| plus the truncation ledger accumulated
     by the Borel applications.  The product's `image` is (g(x_0),
@@ -483,21 +485,6 @@ def run_lie(problem: ActionProblem, schedule: LieSchedule | RadiusSchedule,
     apply g to x_0 again.  A step whose next radius rounds to the current
     one is not run: `failures` names it, and the run stays uncertified.
     """
-    if isinstance(schedule, LieSchedule):
-        radii = schedule.radii
-        b, sigma = schedule.b, schedule.sigma
-    else:
-        radii, b, sigma = schedule, None, None
-
-    def value_at(seq, n):
-        """seq_n, or None without a schedule or past the end of a table."""
-        if seq is None:
-            return None
-        try:
-            return seq.value(n)
-        except SequenceDomainError:
-            return None
-
     t = radii.radius(0)
     if problem.f.ref_radius < t or r0.ref_radius < t:
         raise LieError("f and r_0 must be certified at the starting radius")
@@ -521,9 +508,7 @@ def run_lie(problem: ActionProblem, schedule: LieSchedule | RadiusSchedule,
     })
     state = LieState(0, t, tau, r, slack=slack0, image=x0)
     trace.add(StepRecord(0, radius=t, value_norm=state.r_norm,
-                         increment_norm=0.0, aux_norm=0.0,
-                         bound=value_at(b, 0), sigma=value_at(sigma, 0),
-                         checks_passed=True))
+                         increment_norm=0.0, aux_norm=0.0))
     fields = []
     defect = worst_defect = 0.0
     for i in range(steps):
@@ -538,11 +523,7 @@ def run_lie(problem: ActionProblem, schedule: LieSchedule | RadiusSchedule,
         trace.add(StepRecord(state.n, radius=state.s,
                              value_norm=state.r_norm,
                              increment_norm=state.delta_norm,
-                             aux_norm=state.u_norm,
-                             bound=value_at(b, state.n),
-                             sigma=value_at(sigma, state.n),
-                             checks_passed=True,
-                             extra=diag))
+                             aux_norm=state.u_norm, extra=diag))
 
     rs = [rec.radius for rec in trace.steps]
     try:
@@ -578,6 +559,8 @@ class LieCertificate:
     verdict: str
     first_failure: tuple | None
     details: dict
+    b: tuple            # b_n and sigma_n of each checked row
+    sigma: tuple
 
 
 def certify(trace: IterationTrace, problem: ActionProblem,
@@ -589,10 +572,13 @@ def certify(trace: IterationTrace, problem: ActionProblem,
     sigma_n / (4 e |j_n|); the master inequality |r_{n+1}| <=
     (a''_n + a'''_n) sigma_n^-k |r_n|^2 + rho_n a''''_n sigma_n^-l |r_n|;
     and the conclusions |r_n| <= b_n, |delta_n| <= b_n.  Rows past the
-    end of a tabulated b or |j| are not checked (sigma = rho.gap() ends
-    with them), and leave the run uncertified, as run failures do.
-    Each inequality compares the recorded norm with its right side
-    exactly.  Failures are verdicts, not exceptions.
+    end of a tabulated b, |j| or |kappa| are not checked (sigma =
+    rho.gap() ends with b), and leave the run uncertified, as run
+    failures do; each sequence is read on the checked rows only.  The
+    certificate carries each checked row's b_n and sigma_n, the
+    operands a certified run writes into its rows.  Each inequality
+    compares the recorded norm with its right side exactly.  Failures
+    are verdicts, not exceptions.
     """
     rho, sigma, b = schedule.rho, schedule.sigma, schedule.b
     rows = trace.steps
@@ -603,11 +589,13 @@ def certify(trace: IterationTrace, problem: ActionProblem,
         try:
             sigma.value(n)
             problem.j_norms.value(n)
+            if problem.kappa_norms is not None:
+                problem.kappa_norms.value(n)
         except SequenceDomainError:
             count = n
             break
     k, l = problem.exponents.k, problem.exponents.l
-    logs = _derived_logs(problem, trace.metadata["tau0_norm"], count + 1)
+    logs = _derived_logs(problem, trace.metadata["tau0_norm"], count)
     quad = np.exp(logs["app"]) + np.exp(logs["appp"])
     a4 = np.exp(logs["a4"])
     jn = np.exp(logs["j"])
@@ -638,7 +626,8 @@ def certify(trace: IterationTrace, problem: ActionProblem,
     return LieCertificate(tuple(n1), tuple(n2), tuple(master),
                           tuple(below_r), tuple(below_d),
                           "certified" if ok else "uncertified", first,
-                          {"checked_steps": count, "rows": len(rows)})
+                          {"checked_steps": count, "rows": len(rows)},
+                          tuple(bv), tuple(sig))
 
 
 # ---- quasi-inverse from a linear section ----

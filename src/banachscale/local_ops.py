@@ -245,11 +245,9 @@ def borel_apply(symbol: BorelSymbol, u: LocalOperator, t: float, s: float,
     A series with no exact ending also stops after term k >= 2 once
     (k+1) x^(k+1) / (1-x)^2 |g|_t <= 2^-53 |acc|_s (see the module).
     """
-    if not (0.0 < s <= t):
-        raise OperatorError(f"need 0 < s <= t, got ({t}, {s})")
+    _check_window(t, s, (u.cert_radius, g.ref_radius))
     if s == t and u.norm_bound > 0.0:
         raise OperatorError("a nonzero operator needs s < t")
-    _check_window(t, s, (u.cert_radius, g.ref_radius))
     lam = u.weight.value(t, s) if s < t else 1.0
     inflate = 1.0 if u.kind == "derivation" else math.e
     x = inflate * u.norm_bound / lam if lam > 0 else math.inf
@@ -275,7 +273,7 @@ def borel_apply(symbol: BorelSymbol, u: LocalOperator, t: float, s: float,
     endless = u.kind != "derivation" and u.order_raise < 1
     for k in range(1, max_terms + 1):
         ref_next = w.ref_radius if w.tail == 0.0 \
-            else max(s, s + 0.75 * (w.ref_radius - s))
+            else s + 0.75 * (w.ref_radius - s)
         if w.tail > 0.0 and not (ref_next < w.ref_radius):
             break
         try:

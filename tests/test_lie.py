@@ -340,7 +340,7 @@ def test_run_morse_residual_and_versality():
     problem = morse_problem()
     sched = rho_schedule(problem, STRICT_B, 1.0)
     r0 = poly([0, 0, 0, 1e-3])
-    trace, conj = run_lie(problem, sched, r0, steps=8)
+    trace, conj = run_lie(problem, sched.radii, r0, steps=8)
     assert len(trace.steps) == 9
     assert trace.status == "converged"
     assert trace.metadata["versality_defect"] <= 1e-8
@@ -354,7 +354,7 @@ def test_run_morse_residual_and_versality():
 def test_run_zero_perturbation_gives_identity():
     problem = morse_problem()
     sched = rho_schedule(problem, STRICT_B, 1.0)
-    trace, conj = run_lie(problem, sched, poly([]), steps=4)
+    trace, conj = run_lie(problem, sched.radii, poly([]), steps=4)
     assert trace.metadata["versality_defect"] == 0.0
     assert trace.metadata["conjugacy_coeff_defect"] == 0.0
     assert conj.sigma == 0.0
@@ -366,15 +366,15 @@ def test_run_rejects_perturbation_outside_m():
     problem = morse_problem()
     sched = rho_schedule(problem, STRICT_B, 1.0)
     with pytest.raises(LieError, match="not in M"):
-        run_lie(problem, sched, poly([0, 0, 1e-3]), steps=2)
+        run_lie(problem, sched.radii, poly([0, 0, 1e-3]), steps=2)
 
 
 def test_run_trace_is_deterministic(tmp_path):
     problem = morse_problem()
     sched = rho_schedule(problem, STRICT_B, 1.0)
     r0 = poly([0, 0, 0, 1e-3])
-    t1, _ = run_lie(problem, sched, r0, steps=5)
-    t2, _ = run_lie(problem, sched, r0, steps=5)
+    t1, _ = run_lie(problem, sched.radii, r0, steps=5)
+    t2, _ = run_lie(problem, sched.radii, r0, steps=5)
     assert t1.to_json() == t2.to_json()
     f1, f2 = tmp_path / "a.csv", tmp_path / "b.csv"
     t1.to_csv(str(f1))
@@ -387,7 +387,7 @@ def test_run_trace_is_deterministic(tmp_path):
 def test_certify_morse_run_all_pass():
     problem = morse_problem()
     sched = rho_schedule(problem, STRICT_B, 1.0)
-    trace, _ = run_lie(problem, sched, poly([0, 0, 0, 1e-3]), steps=8)
+    trace, _ = run_lie(problem, sched.radii, poly([0, 0, 0, 1e-3]), steps=8)
     cert = certify(trace, problem, sched)
     assert cert.verdict == "certified"
     assert cert.first_failure is None
@@ -404,16 +404,45 @@ def test_a_tabulated_envelope_ends_the_schedule():
     problem = morse_problem()
     sched = rho_schedule(problem, b, 1.0)
     r0 = poly([0, 0, 0, 1e-3])
-    trace, _ = run_lie(problem, sched, r0, steps=43)
-    assert (trace.steps[42].bound, trace.steps[43].bound) == (b.value(42),
-                                                              None)
-    assert trace.steps[43].sigma is None
+    trace, _ = run_lie(problem, sched.radii, r0, steps=43)
     cert = certify(trace, problem, sched)
     assert cert.details == {"checked_steps": 43, "rows": 44}
     assert cert.verdict == "uncertified" and cert.first_failure is None
     with pytest.raises(LieError, match=r"^step 43, s_\{n\+1\}: tabulated "
                                        r"sequence has 43 entries, index 43$"):
-        run_lie(problem, sched, r0, steps=50)
+        run_lie(problem, sched.radii, r0, steps=50)
+
+
+@pytest.mark.parametrize("label, make, t, r0, steps", [
+    ("j", morse_problem, 1.0, poly([0, 0, 0, 1e-3]), 5),
+    ("kappa", lambda: mather_problem(TruncatedSeries.monomial(
+        3, 1.0, cap=64, ref_radius=1.0)), 0.8, poly([0] * 7 + [1e-4]), 4),
+], ids=["j", "kappa"])
+def test_a_tabulated_norm_is_read_on_the_checked_rows_only(label, make, t,
+                                                           r0, steps):
+    # a table of the constant's value, of any length: one that covers
+    # every row certifies as the constant does, a shorter one checks as
+    # many rows as it has entries and leaves the run uncertified
+    problem = make()
+    sched = rho_schedule(problem, STRICT_B, t)
+    trace, _ = run_lie(problem, sched.radii, r0, steps)
+    rows = steps + 1
+    key = f"{label}_norms"
+    full = certify(trace, problem, sched)
+    assert full.verdict == "certified"
+    value = getattr(problem, key).value(0)
+    for length in range(1, rows + 3):
+        table = PositiveSequence.tabulated([value] * length)
+        cert = certify(trace, dataclasses.replace(problem, **{key: table}),
+                       sched)
+        if length >= rows:
+            assert cert == full
+        else:
+            assert cert.details == {"checked_steps": length, "rows": rows}
+            assert cert.verdict == "uncertified"
+            assert cert.first_failure is None
+            assert cert.n2 == full.n2[:length]
+            assert cert.b == full.b[:length]
 
 
 def _listed_radii(values):
@@ -457,7 +486,7 @@ def test_certify_refuses_a_run_that_ended_at_the_float_horizon():
     # runs, every recorded row checks, and the run stays uncertified
     problem = morse_problem()
     sched = rho_schedule(problem, STRICT_B, 1.0)
-    trace, _ = run_lie(problem, sched, poly([0, 0, 0, 1e-3]), steps=121)
+    trace, _ = run_lie(problem, sched.radii, poly([0, 0, 0, 1e-3]), steps=121)
     assert len(trace.steps) == 121
     assert trace.failures == [
         "step 120: the radius stops falling in float at 4.91417e-24"]
@@ -470,7 +499,7 @@ def test_certify_refuses_a_run_that_ended_at_the_float_horizon():
 def test_certify_zero_run_trivial():
     problem = morse_problem()
     sched = rho_schedule(problem, STRICT_B, 1.0)
-    trace, _ = run_lie(problem, sched, poly([]), steps=3)
+    trace, _ = run_lie(problem, sched.radii, poly([]), steps=3)
     cert = certify(trace, problem, sched)
     assert cert.verdict == "certified"
 
@@ -478,7 +507,7 @@ def test_certify_zero_run_trivial():
 def test_certify_oversized_r0_fails_n2_at_zero():
     problem = morse_problem()
     sched = rho_schedule(problem, STRICT_B, 1.0)
-    trace, _ = run_lie(problem, sched, poly([0, 0, 0, 0.02]), steps=2)
+    trace, _ = run_lie(problem, sched.radii, poly([0, 0, 0, 0.02]), steps=2)
     cert = certify(trace, problem, sched)
     assert cert.verdict == "uncertified"
     assert cert.first_failure == ("N2", 0)
@@ -501,7 +530,7 @@ def _n2_bound(problem, sched, n):
 def test_certify_refuses_a_row_one_ulp_over_its_bound(b, field, bound, name):
     problem = morse_problem()
     sched = rho_schedule(problem, b, 1.0)
-    trace, _ = run_lie(problem, sched, poly([0, 0, 0, 1e-3]), steps=4)
+    trace, _ = run_lie(problem, sched.radii, poly([0, 0, 0, 1e-3]), steps=4)
     assert certify(trace, problem, sched).verdict == "certified"
     n, row = 2, trace.steps[2]
     at = bound(problem, sched, n)
@@ -524,7 +553,7 @@ def test_randomized_entry_threshold_certifies():
     for _ in range(4):
         raw = poly([0, 0, 0, *rng.uniform(-1.0, 1.0, 4)])
         r0 = raw.scale(0.9 * thr / raw.majorant_norm(1.0))
-        trace, _ = run_lie(problem, sched, r0, steps=6)
+        trace, _ = run_lie(problem, sched.radii, r0, steps=6)
         cert = certify(trace, problem, sched)
         assert cert.verdict == "certified"
 

@@ -103,8 +103,7 @@ ALLOWED = {
     ("local_ops", "WeightFunction.value"): {0.0: "0 < s <= t"},
     ("local_ops", "_check_window"): {0.0: "0 < s <= t"},
     ("local_ops", "borel_apply"): {
-        0.0: "0 < s <= t; a nonzero operator; a tailed iterate; a "
-             "positive remainder",
+        0.0: "a nonzero operator; a tailed iterate; a positive remainder",
         1.0: "lambda = 1 at s = t; no factor e for a derivation; 1 - x "
              "of the rounding stop; the remainder's 1 +- 4 eps",
         4.0: "the remainder |f|(x)(1 + 4 eps) - partial (1 - 4 eps) "

@@ -18,7 +18,8 @@ each opened by a label line:
   `--json` and `--csv` files print as SHA-256.
 * `@ NAME`: library outputs as `float.hex`.  Each demo at caps
   16/64/128 prints its residual, every detail (a non-float as its repr)
-  and every row's `value_norm`.  The sequence layer on fixed geometric,
+  and every row's `value_norm`, then its b_n and sigma_n (`None` when
+  absent) and `checks_passed`.  The sequence layer on fixed geometric,
   exp_power, product and scaled families prints `bruno_check` and
   `taming_epsilon_log` at depths 60 and 240, `bruno_transform` at
   n = 0..5, and `lemma_rho`'s report, the SHA-256 of its rho's JSON
@@ -80,6 +81,10 @@ def cli_run(argv: list[str]) -> list[str]:
 
 def hexed(*xs: float) -> str:
     return " ".join(float.hex(x) for x in xs)
+
+
+def maybe_hex(x: float | None) -> str:
+    return "None" if x is None else float.hex(x)
 
 
 def verdicts(flags: tuple) -> str:
@@ -156,8 +161,11 @@ def demo_outputs() -> list[str]:
                       f"residual {hexed(rep.residual)}"]
             lines += [f"{key} {hexed(v) if isinstance(v, float) else repr(v)}"
                       for key, v in rep.details.items()]
-            lines += [f"row {rec.n} value_norm {hexed(rec.value_norm)}"
-                      for rec in rep.trace.steps]
+            for rec in rep.trace.steps:
+                lines += [f"row {rec.n} value_norm {hexed(rec.value_norm)}",
+                          f"row {rec.n} b_n {maybe_hex(rec.bound)} sigma_n "
+                          f"{maybe_hex(rec.sigma)} checks_passed "
+                          f"{rec.checks_passed}"]
     return lines
 
 
