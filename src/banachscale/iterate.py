@@ -28,8 +28,11 @@ from __future__ import annotations
 import math
 from typing import Callable
 
+import numpy as np
+
 from .local_ops import LocalOperator, OperatorError
-from .sequences import PositiveSequence, SequenceDomainError, bruno_transform
+from .sequences import (PositiveSequence, SequenceDomainError,
+                        bruno_transform, log_rows)
 from .series import SeriesError, TruncatedSeries
 from .trace import IterationTrace, StepRecord
 
@@ -61,6 +64,11 @@ class RadiusSchedule:
     log s_inf = log s0 + sum_n log rho_n / 2^n, so the limit is positive
     exactly when the weighted log sum is finite; that is certified with
     the summability machinery when rho has a closed-form tail bound.
+    Construction walks rho once over n = 0..60 (`log_rows`, bit for bit
+    rho.log(n)) to check rho_n < 1, stopping at a table's end, and keeps
+    the partial sums log s_n as one sequential cumsum.  `radius(n)` and
+    `limit` read them and continue the sum index by index only past
+    them, so every radius has the bits of the plain running sum.
     """
 
     def __init__(self, kind: str, **params):
@@ -74,16 +82,19 @@ class RadiusSchedule:
             rho, s0 = params["rho"], params["s0"]
             if not (s0 > 0):
                 raise IterationError("s0 must be positive")
-            for n in range(61):
-                try:
-                    lr = rho.log(n)
-                except SequenceDomainError:
-                    break
-                if lr >= 0.0:
-                    raise IterationError(f"rho_{n} >= 1; radii must fall")
+            (log_rho,), error = log_rows([rho], 0, 61)
+            bad = np.flatnonzero(log_rho >= 0.0)
+            if bad.size:
+                raise IterationError(f"rho_{bad[0]} >= 1; radii must fall")
+            if not isinstance(error, (SequenceDomainError, type(None))):
+                raise error     # a table's end only ends the check
             if rho.divergence_witness():
                 raise IterationError(
                     "rho is certified non-summable; the limit radius is 0")
+            # log s_n for n = 0..len(log_rho), summed in n order
+            self._log_radii = np.cumsum(np.concatenate((
+                [math.log(s0)],
+                log_rho * np.ldexp(1.0, -np.arange(len(log_rho))))))
         else:
             raise IterationError(f"unknown schedule kind {kind!r}")
         self.kind = kind
@@ -109,9 +120,13 @@ class RadiusSchedule:
         return math.exp(self._log_radius(n))
 
     def _log_radius(self, n: int) -> float:
-        """rho_driven: log s_n = log s0 + sum_(m<n) log rho_m / 2^m."""
-        rho, log_s = self.params["rho"], math.log(self.params["s0"])
-        for m in range(n):
+        """rho_driven: log s_n = log s0 + sum_(m<n) log rho_m / 2^m, read
+        from the sums kept at construction and continued past them."""
+        known = self._log_radii
+        if n < len(known):
+            return float(known[n])
+        rho, log_s = self.params["rho"], float(known[-1])
+        for m in range(len(known) - 1, n):
             log_s += rho.log(m) * math.pow(2.0, -m)
         return log_s
 

@@ -31,7 +31,7 @@ from .iterate import RadiusSchedule
 from .local_ops import (EXP_NEG, PHI, PSI, LocalOperator, OperatorError,
                         borel_apply, product_of_exponentials)
 from .sequences import (PositiveSequence, SequenceDomainError, bruno_check,
-                        lemma_rho)
+                        lemma_rho, log_rows)
 from .series import SeriesError, TruncatedSeries, align
 from .trace import IterationTrace, StepRecord
 
@@ -329,9 +329,10 @@ class LieSchedule(NamedTuple):
     report: LieScheduleReport
 
 
-def _derived_logs(problem: ActionProblem, tau0: float, count: int) -> dict:
-    """Log values of the four derived constant sequences at n = 0..count-1,
-    the only indices of |j| and |kappa| read:
+def _derived_logs(problem: ActionProblem, tau0: float, log_j: np.ndarray,
+                  log_kap: np.ndarray | None) -> dict:
+    """Log values of the four derived constant sequences at the indices
+    of the given log |j_n| and log |kappa_n| (None without kappa):
 
         a'_n   = |pi_n| (1 + |j_n|) (2 + |tau_0|) (1 + |tau_0|)
         a''_n  = 4 e^2 (1 + |tau_0|)^2 |j_n|^2
@@ -341,13 +342,11 @@ def _derived_logs(problem: ActionProblem, tau0: float, count: int) -> dict:
     |pi_n| is the projector's constant norm_bound.  Absent operators
     contribute -inf (their products vanish).
     """
-    neg_inf = np.full(count, -math.inf)
-    log_j = np.asarray(problem.j_norms.log_values(count - 1), dtype=float)
+    neg_inf = np.full(len(log_j), -math.inf)
     pi = problem.projector
-    log_pi = neg_inf if pi is None else np.full(count, math.log(pi.norm_bound))
-    log_kap = (neg_inf if problem.kappa_norms is None
-               else np.asarray(problem.kappa_norms.log_values(count - 1),
-                               dtype=float))
+    log_pi = neg_inf if pi is None else np.full(len(log_j),
+                                                math.log(pi.norm_bound))
+    log_kap = neg_inf if log_kap is None else log_kap
     log_ap = (log_pi + np.logaddexp(0.0, log_j)
               + math.log(2.0 + tau0) + math.log1p(tau0))
     log_app = math.log(4.0) + 2.0 + 2.0 * math.log1p(tau0) + 2.0 * log_j
@@ -401,7 +400,10 @@ def rho_schedule(problem: ActionProblem, b: PositiveSequence,
     exps = problem.exponents
     k, l = exps.k, exps.l
     tau0 = problem.f.restrict(t).majorant_norm(t)
-    logs = _derived_logs(problem, tau0, _WINDOW + 2)
+    kap = problem.kappa_norms
+    logs = _derived_logs(
+        problem, tau0, problem.j_norms.log_values(_WINDOW + 1),
+        None if kap is None else kap.log_values(_WINDOW + 1))
     # lemma_rho needs closed-form inputs for its tail certificates, so
     # dominate 2 (a'' + a''') by a scaled power of |j|: the pair check
     # only gets harder and the taming epsilon only smaller.
@@ -547,6 +549,18 @@ def run_lie(problem: ActionProblem, radii: RadiusSchedule,
     return trace, conjugacy
 
 
+def _values(logs: np.ndarray) -> list[float]:
+    """e^x of each entry by libm, inf where that overflows, as
+    `PositiveSequence.value` gives it."""
+    out = []
+    for lv in logs.tolist():
+        try:
+            out.append(math.exp(lv))
+        except OverflowError:
+            out.append(math.inf)
+    return out
+
+
 @dataclass(frozen=True)
 class LieCertificate:
     """Post-hoc verdicts: every tuple is indexed by the trace row."""
@@ -574,9 +588,9 @@ def certify(trace: IterationTrace, problem: ActionProblem,
     and the conclusions |r_n| <= b_n, |delta_n| <= b_n.  Rows past the
     end of a tabulated b, |j| or |kappa| are not checked (sigma =
     rho.gap() ends with b), and leave the run uncertified, as run
-    failures do; each sequence is read on the checked rows only.  The
-    certificate carries each checked row's b_n and sigma_n, the
-    operands a certified run writes into its rows.  Each inequality
+    failures do; each sequence is read in one walk, on the checked rows
+    only.  The certificate carries each checked row's b_n and sigma_n,
+    the operands a certified run writes into its rows.  Each inequality
     compares the recorded norm with its right side exactly.  Failures
     are verdicts, not exceptions.
     """
@@ -584,26 +598,25 @@ def certify(trace: IterationTrace, problem: ActionProblem,
     rows = trace.steps
     if not rows:
         raise LieError("empty trace")
-    count = len(rows)
-    for n in range(count):
-        try:
-            sigma.value(n)
-            problem.j_norms.value(n)
-            if problem.kappa_norms is not None:
-                problem.kappa_norms.value(n)
-        except SequenceDomainError:
-            count = n
-            break
+    kap = problem.kappa_norms
+    # the checked rows end where sigma, |j| or |kappa| ends
+    (log_sig, log_j, *log_kap), error = log_rows(
+        [sigma, problem.j_norms] + ([] if kap is None else [kap]), 0,
+        len(rows))
+    if not isinstance(error, (SequenceDomainError, type(None))):
+        raise error
+    count = len(log_sig)
     k, l = problem.exponents.k, problem.exponents.l
-    logs = _derived_logs(problem, trace.metadata["tau0_norm"], count)
+    logs = _derived_logs(problem, trace.metadata["tau0_norm"], log_j,
+                         log_kap[0] if log_kap else None)
     quad = np.exp(logs["app"]) + np.exp(logs["appp"])
     a4 = np.exp(logs["a4"])
     jn = np.exp(logs["j"])
     r = [rows[n].value_norm for n in range(count)]
     d = [rows[n].increment_norm for n in range(count)]
-    sig = [sigma.value(n) for n in range(count)]
-    rh = [rho.value(n) for n in range(count)]
-    bv = [b.value(n) for n in range(count)]
+    sig = _values(log_sig)
+    rh = _values(rho.log_values(count - 1))
+    bv = _values(b.log_values(count - 1))
 
     n1, n2, master, below_r, below_d = [], [], [], [], []
     for n in range(count):

@@ -28,6 +28,15 @@ certificate never exceeds the theorem bound), and covers everything
 uncomputed by the majorant remainder (|f|(x) - computed partial) |g|_t,
 folded into the result's tail exactly when the skipped terms are
 certifiably high-degree and reported separately otherwise.
+The loop keeps a tail-free iterate as a bare coefficient array while
+the operator carries an `ArrayStep` for its basis and cap:
+`certify_vector_field` and `multiplication_operator` attach one when
+their series (a or h) is univariate and tail-free.  The step is the
+action at one fixed radius, derivative then `series.truncated_product`,
+without the intermediate series; the first iterate with a tail becomes
+a `TruncatedSeries`, and radius descent runs on series from there.
+Both forms give every bit the series action gives, and the budget
+test, the stops and the accumulation are shared.
 Only a derivation or an operator with order_raise >= 1 can end a Borel
 series exactly.  Any other series (a Fourier multiplier) stops once
 its symbol bound on the uncomputed terms falls below the result's
@@ -39,11 +48,14 @@ from __future__ import annotations
 import math
 import sys
 from dataclasses import dataclass, field
-from typing import Callable, Sequence
+from typing import Callable, NamedTuple, Sequence
 
-from .series import SeriesError, TruncatedSeries, align
+import numpy as np
 
-__all__ = ["WeightFunction", "LocalOperator", "OperatorError",
+from .series import (SeriesError, TruncatedSeries, align, coeff_majorant,
+                     derivative_coeffs, truncated_product)
+
+__all__ = ["WeightFunction", "LocalOperator", "ArrayStep", "OperatorError",
            "certify_vector_field", "multiplication_operator", "BorelSymbol",
            "EXP", "EXP_NEG", "PHI", "PSI", "BorelApplication", "borel_apply",
            "exp", "product_of_exponentials", "ExponentialProduct"]
@@ -71,6 +83,20 @@ class WeightFunction:
         return (t - s) ** self.k
 
 
+class ArrayStep(NamedTuple):
+    """An operator's action on a bare coefficient array at one radius.
+
+    apply(c, r) takes the coefficients c of a tail-free univariate
+    series in `basis` at cap `cap` and returns the coefficients and the
+    tail of the series the operator's action gives on it from radius r
+    to r, bit for bit, for any r up to the operator's cert_radius.
+    """
+
+    basis: str
+    cap: int
+    apply: Callable[[np.ndarray, float], tuple[np.ndarray, float]]
+
+
 class LocalOperator:
     """Action on truncated series plus a certified weighted norm bound.
 
@@ -79,7 +105,9 @@ class LocalOperator:
     order_raise is a certified lower bound on how much one application
     raises the vanishing order of its argument (counted on exactly zero
     coefficients, no tolerance).  cert_radius caps the radii t at which
-    the norm_bound certificate applies.
+    the norm_bound certificate applies.  array_step is None, or the
+    same action on bare tail-free coefficient arrays (`ArrayStep`), which
+    `certify_vector_field` and `multiplication_operator` attach.
     """
 
     def __init__(self, action: Callable, weight: WeightFunction,
@@ -94,6 +122,7 @@ class LocalOperator:
         self.name = name or kind
         self.order_raise = int(order_raise)
         self.cert_radius = float(cert_radius)
+        self.array_step: ArrayStep | None = None
 
     def __call__(self, f: TruncatedSeries, t: float, s: float
                  ) -> TruncatedSeries:
@@ -118,6 +147,16 @@ def _check_window(t: float, s: float, caps: Sequence[float]) -> None:
     for r in caps:
         if t > r:
             raise OperatorError(f"radius {t} beyond certified radius {r}")
+
+
+def _with_array_step(op: LocalOperator, h: TruncatedSeries,
+                     apply: Callable) -> LocalOperator:
+    """op with `apply`, the array form of an action built on the series
+    h, as its array step for h's basis and cap when h is univariate and
+    tail-free; op unchanged otherwise."""
+    if h.dim == 1 and h.tail == 0.0:
+        op.array_step = ArrayStep(h.basis, h.cap, apply)
+    return op
 
 
 def certify_vector_field(a: TruncatedSeries, name: str = "vector_field"
@@ -151,9 +190,16 @@ def certify_vector_field(a: TruncatedSeries, name: str = "vector_field"
         prod = am.multiply(fp)
         return _clamp(prod, s)
 
-    return LocalOperator(action, WeightFunction(k=1), bound,
-                         kind="derivation", name=name, order_raise=raise_by,
-                         cert_radius=a.ref_radius)
+    def array_action(c: np.ndarray, r: float) -> tuple[np.ndarray, float]:
+        # action on a tail-free f of a's cap: align only restricts a,
+        # which keeps its coefficients, and no clamp moves the product
+        return truncated_product("taylor", 1, a.cap, r, a.coeffs,
+                                 derivative_coeffs(c))
+
+    return _with_array_step(
+        LocalOperator(action, WeightFunction(k=1), bound, kind="derivation",
+                      name=name, order_raise=raise_by,
+                      cert_radius=a.ref_radius), a, array_action)
 
 
 def multiplication_operator(h: TruncatedSeries, name: str = "multiplication"
@@ -172,10 +218,14 @@ def multiplication_operator(h: TruncatedSeries, name: str = "multiplication"
         prod = hm.multiply(ft)
         return _clamp(prod, s)
 
-    return LocalOperator(action, WeightFunction(k=0), bound,
-                         kind="multiplication", name=name,
-                         order_raise=h.order() if h.basis == "taylor" else 0,
-                         cert_radius=h.ref_radius)
+    def array_action(c: np.ndarray, r: float) -> tuple[np.ndarray, float]:
+        return truncated_product(h.basis, 1, h.cap, r, h.coeffs, c)
+
+    return _with_array_step(
+        LocalOperator(action, WeightFunction(k=0), bound,
+                      kind="multiplication", name=name,
+                      order_raise=h.order() if h.basis == "taylor" else 0,
+                      cert_radius=h.ref_radius), h, array_action)
 
 
 # ---- Borel calculus ----
@@ -233,8 +283,11 @@ def borel_apply(symbol: BorelSymbol, u: LocalOperator, t: float, s: float,
 
     pre: norm_bound(u) < R * lambda(t, s) (derivations; other kinds need
     the e-inflated margin) and t within both certified radii.  Iterates
-    are formed exactly at radius t while tail-free; once tails force
-    radius drops, the loop descends toward s by quarter steps.  A term
+    are formed exactly at radius t while tail-free, as bare coefficient
+    arrays when u has an array step for g's basis and cap (see the
+    module); the first iterate with a tail becomes a series, and once
+    tails force radius drops, the loop descends toward s by quarter
+    steps.  A term
     enters the output only while its measured contribution stays inside
     its theoretical share |a_k| x^k |g|_t (both tests compare exactly),
     so the certified output norm never exceeds the theorem bound (up to
@@ -264,45 +317,61 @@ def borel_apply(symbol: BorelSymbol, u: LocalOperator, t: float, s: float,
     a0 = symbol.coeff(0)
     if a0 != 0.0:
         acc = acc + gt.scale(a0)
-    w = gt
+    # a tail-free iterate that u's array step fits stays a bare array at
+    # gt's radius r (see the module)
+    step, r, basis, cap = u.array_step, gt.ref_radius, gt.basis, gt.cap
+    bare = gt.tail == 0.0 and gt.dim == 1 and step is not None \
+        and (step.basis, step.cap) == (basis, cap)
+    w = gt.coeffs if bare else gt
     partial = abs(a0)
     kfact = 1.0
     terms = 0
     exact = False
-    g_order = gt.order()
     endless = u.kind != "derivation" and u.order_raise < 1
     for k in range(1, max_terms + 1):
-        ref_next = w.ref_radius if w.tail == 0.0 \
-            else s + 0.75 * (w.ref_radius - s)
-        if w.tail > 0.0 and not (ref_next < w.ref_radius):
-            break
-        try:
-            w = u.action(w, w.ref_radius, ref_next)
-        except (OperatorError, SeriesError):
-            if w.tail == 0.0:
-                raise       # a malformed application, not radius descent
-            break
+        if bare:
+            w, tail = step.apply(w, r)
+            if tail != 0.0:     # _owning refuses a NaN tail, as action does
+                w = TruncatedSeries._owning(1, cap, r, basis, w, tail)
+                bare = False
+        else:
+            ref_next = w.ref_radius if w.tail == 0.0 \
+                else s + 0.75 * (w.ref_radius - s)
+            if w.tail > 0.0 and not (ref_next < w.ref_radius):
+                break
+            try:
+                w = u.action(w, w.ref_radius, ref_next)
+            except (OperatorError, SeriesError):
+                if w.tail == 0.0:
+                    raise   # a malformed application, not radius descent
+                break
         kfact *= k
-        if w.is_zero:
+        if (not np.count_nonzero(w)) if bare else w.is_zero:
             # u^k g = 0 ends the series, unless it is underflow (endless)
             exact = not endless or gt.is_zero or u.is_zero
             terms = k if exact else terms
             break
         ck = symbol.coeff(k)
-        share = abs(ck) * x ** k * input_norm
-        contrib = abs(ck) / kfact * w.majorant_norm(s)
+        part = abs(ck) * x ** k
+        share = part * input_norm
+        contrib = abs(ck) / kfact * (coeff_majorant(basis, 1, cap, w, s)
+                                     if bare else w.majorant_norm(s))
         if contrib > share:
             break           # tail bookkeeping left the theoretical budget
         if ck != 0.0:
-            # caps can zigzag: tailed derivatives lower them, tail-free
-            # iterates jump back; fold whichever side cannot widen
-            acc, wk = align(acc, w)     # acc is this loop's own series
-            acc.coeffs += wk.coeffs * (ck / kfact)  # = acc + wk.scale(..)
-            acc.tail += wk.tail * abs(ck / kfact)   # bit for bit, in place
-        partial += abs(ck) * x ** k
+            if bare:        # acc too is tail-free at r with this cap
+                acc.coeffs += w * (ck / kfact)
+            else:
+                # caps can zigzag: tailed derivatives lower them,
+                # tail-free iterates jump back; fold whichever side
+                # cannot widen
+                acc, wk = align(acc, w)     # acc is this loop's own series
+                acc.coeffs += wk.coeffs * (ck / kfact)  # = acc + wk.scale()
+                acc.tail += wk.tail * abs(ck / kfact)   # bit for bit
+        partial += part
         terms = k
-        if w.tail > 0.0 and contrib <= 1e-18 * (input_norm + 1e-300) \
-                and k >= 2:
+        if not bare and w.tail > 0.0 \
+                and contrib <= 1e-18 * (input_norm + 1e-300) and k >= 2:
             break           # inexact and numerically stagnant
         if endless and k >= 2 and (k + 1) * x ** (k + 1) * input_norm \
                 <= 2.0 ** -53 * (1.0 - x) ** 2 * acc.majorant_norm(s):
@@ -315,7 +384,7 @@ def borel_apply(symbol: BorelSymbol, u: LocalOperator, t: float, s: float,
     result = _clamp(acc, s)
     folded = False
     if remainder > 0.0 and u.order_raise >= 1 \
-            and g_order + (terms + 1) * u.order_raise > result.cap:
+            and gt.order() + (terms + 1) * u.order_raise > result.cap:
         result = result.copy()
         result.tail += remainder
         folded = True

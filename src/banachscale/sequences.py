@@ -6,7 +6,9 @@ reach e^(+-alpha^n) at n ~ 60, far outside float range, while their
 logarithms stay tame.  Window quantities take one `log_values` array and
 one array of closed-form tail bounds per node of the family tree, so a
 depth-N taming walks each node's logs and tails once per window and
-costs O(N) evaluations.
+costs O(N) evaluations.  `log_rows` reads several sequences over the
+same indices the same way, and stops where an index-by-index loop
+would: at the first index one of them refuses.
 
 The central summability notion used everywhere downstream: a positive
 monotone sequence is *admissible* when
@@ -58,6 +60,7 @@ __all__ = [
     "taming_epsilon_log",
     "model_iteration",
     "lemma_rho",
+    "log_rows",
 ]
 
 LOG2 = math.log(2.0)
@@ -184,13 +187,10 @@ class PositiveSequence:
     def log_values(self, window: int, start: int = 0) -> np.ndarray:
         """log a_n for n = start..window, bit for bit log(n), from one walk
         of the family tree; past a table's end it raises what log() does."""
-        try:
-            out = self._logs(start, window + 1) if start >= 0 else np.empty(0)
-        except OverflowError:   # alpha^n overflowed: log() finds the index
-            out = np.empty(0)
-        for n in range(start + len(out), window + 1):
-            self.log(n)
-        return out
+        (logs,), stop = log_rows([self], start, window + 1)
+        if stop is not None:
+            raise stop
+        return logs
 
     def _logs(self, start: int, stop: int) -> np.ndarray:
         """log a_start..log a_(stop-1), cut short where a table ends.  Leaves
@@ -304,6 +304,40 @@ class PositiveSequence:
 
     def __repr__(self) -> str:
         return f"PositiveSequence({self.to_json()})"
+
+
+def log_rows(seqs: list, start: int, stop: int
+             ) -> tuple[list[np.ndarray], Exception | None]:
+    """The log values a loop over n = start..stop-1 reads when it calls
+    s.log(n) for each sequence s in turn, from one walk per sequence.
+
+    Returns (logs, error): logs holds log s_start..log s_(m-1) of each s,
+    bit for bit log(n), where m is the first index some s.log(m)
+    refuses, or stop; error is what that refusal raises (a table's end,
+    a gap's a_m >= 1, an overflowing alpha^m), from the first s in
+    order, or None.  A walk that raises leaves its indices to that loop.
+    """
+    walks = None
+    if 0 <= start <= stop:
+        try:
+            walks = [s._logs(start, stop) for s in seqs]
+        except (SequenceDomainError, OverflowError):
+            pass        # the loop below meets the refusal
+    if walks is None:
+        walks = [np.empty(0)] * len(seqs)
+    m = start + min(map(len, walks))
+    if m >= stop:
+        return walks, None
+    rows, error = [], None
+    for n in range(m, stop):    # past a walk's end: the refusal, if any
+        try:
+            rows.append([s.log(n) for s in seqs])
+        except (SequenceDomainError, OverflowError) as exc:
+            error = exc
+            break
+    late = np.array(rows, dtype=float).reshape(len(rows), len(seqs)).T
+    return [np.concatenate((w[:m - start], col))
+            for w, col in zip(walks, late)], error
 
 
 # ---- summability certificate ----
@@ -523,6 +557,8 @@ def model_iteration(a: PositiveSequence, b: PositiveSequence | None,
     """
     if x0 < 0:
         raise SequenceDomainError("x0 must be nonnegative")
+    if steps < 0:
+        raise SequenceDomainError("steps must be nonnegative")
     trace = IterationTrace(engine="model")
     trace.metadata = {
         "a": a.to_json_dict(),
@@ -530,10 +566,17 @@ def model_iteration(a: PositiveSequence, b: PositiveSequence | None,
         "x0": x0,
         "steps": steps,
     }
+    # the loop below reads b_n, then a_n for n < steps, then b_steps
+    seqs = [a] if b is None else [b, a]
+    logs, error = log_rows(seqs, 0, steps)
+    if error is not None:
+        raise error
+    log_as = logs[-1].tolist()
+    log_bs = None if b is None else logs[0].tolist() + [b.log(steps)]
     log_x = math.log(x0) if x0 > 0 else -math.inf
     bounded = True
     for n in range(steps + 1):
-        log_b = b.log(n) if b is not None else None
+        log_b = log_bs[n] if b is not None else None
         ok = True if log_b is None else (log_x <= log_b)
         bounded = bounded and ok
         b_lin = None
@@ -550,7 +593,7 @@ def model_iteration(a: PositiveSequence, b: PositiveSequence | None,
             trace.fail(f"envelope violated at n={n}")
         if n == steps:
             break
-        log_a = a.log(n)
+        log_a = log_as[n]
         if math.isinf(log_x) and log_x < 0:
             pass  # x = 0 is a fixed point
         else:

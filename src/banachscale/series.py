@@ -55,6 +55,13 @@ Tail bookkeeping rules worth knowing (each documented at the operation):
   widened when it has the smaller cap; otherwise the wider side is
   narrowed, folding its dropped coefficients into its tail.
 
+The array-level functions `truncated_product`, `coeff_majorant` and
+`derivative_coeffs` act on bare coefficient arrays: `multiply`,
+`majorant_norm` and `derivative` call them, and so does a local
+operator's step on a tail-free iterate (see `local_ops`).  One product
+function therefore serves `multiply` and that step, and the two agree
+bit for bit.
+
 Majorants read their weights t^|I| (e^(|k| t) on a strip) from one
 bounded cache keyed by (basis, dim, cap, t), which also holds the
 overflow weights of the cap-2cap product grid, and reduce with
@@ -75,8 +82,9 @@ from functools import lru_cache
 
 import numpy as np
 
-__all__ = ["TruncatedSeries", "SeriesError", "align",
-            "DEFAULT_CAP_1D", "DEFAULT_CAP_ND"]
+__all__ = ["TruncatedSeries", "SeriesError", "align", "truncated_product",
+           "coeff_majorant", "derivative_coeffs",
+           "DEFAULT_CAP_1D", "DEFAULT_CAP_ND"]
 
 DEFAULT_CAP_1D = 64
 DEFAULT_CAP_ND = 16
@@ -229,6 +237,45 @@ def _full_product(dim: int, cap: int, a: np.ndarray,
     return full.reshape((2 * cap + 1,) * dim)
 
 
+# ---- array-level operations: the methods below and local_ops share them ----
+
+def truncated_product(basis: str, dim: int, cap: int, r: float,
+                      a: np.ndarray, b: np.ndarray
+                      ) -> tuple[np.ndarray, float]:
+    """The product of two cap-`cap` coefficient arrays kept through the
+    cap, and the majorant at r of what lies beyond it: the coefficients
+    and the tail `multiply` gives two tail-free series at radius r.  In
+    more variables the kept array's corner (degree > cap) is not yet
+    zeroed; `_owning` does that."""
+    full = _full_product(dim, cap, a, b)
+    tail = _weighted_sum(full[_above(basis, dim, 2 * cap, cap)],
+                         _weights(basis, dim, 2 * cap, r, cap))
+    # a cube window is copied to free `full`
+    return np.ascontiguousarray(full[_window(basis, dim, cap, 2 * cap)]), tail
+
+
+def coeff_majorant(basis: str, dim: int, cap: int, coeffs: np.ndarray,
+                   t: float) -> float:
+    """sum |a_I| w(|I|, t) over a cap-`cap` coefficient array: the
+    majorant of a tail-free series at t."""
+    return _weighted_sum(coeffs, _weights(basis, dim, cap, t))
+
+
+def derivative_coeffs(coeffs: np.ndarray, axis: int = 0) -> np.ndarray:
+    """Taylor coefficients of d/dz_axis of the polynomial `coeffs`, at the
+    same cap: index i + 1 along axis, times i + 1, lands at i, and the
+    top face is +0."""
+    cap = coeffs.shape[axis] - 1
+    lead = (slice(None),) * axis
+    ramp = _degrees("taylor", 1, cap)[1:]   # 1..cap: cached degrees
+    out = np.empty_like(coeffs)
+    np.multiply(coeffs[lead + (slice(1, None),)],
+                ramp.reshape((cap,) + (1,) * (coeffs.ndim - axis - 1)),
+                out=out[lead + (slice(0, -1),)])
+    out[lead + (-1,)] = 0.0
+    return out
+
+
 @lru_cache(maxsize=64)
 def _hilbert_c(dim: int, side: int) -> np.ndarray:
     """C(I) = pi^d / prod_k (1 + i_k) on the coefficient grid."""
@@ -364,16 +411,15 @@ class TruncatedSeries:
 
     def _poly_majorant(self, t: float) -> float:
         """Majorant of the stored coefficients alone, tail excluded."""
-        return _weighted_sum(self.coeffs,
-                             _weights(self.basis, self.dim, self.cap, t))
+        return coeff_majorant(self.basis, self.dim, self.cap, self.coeffs, t)
 
     def multiply(self, other: "TruncatedSeries") -> "TruncatedSeries":
         """Exact truncated product.
 
-        The full product of the stored coefficients comes from
-        `_full_product`: np.convolve in one variable, otherwise a_I b_J
-        added into I + J over the live pairs (|I|, |J| <= cap) in
-        row-major (I, J) order, a block of rows at a time.
+        `truncated_product` forms the full product of the stored
+        coefficients by `_full_product`: np.convolve in one variable,
+        otherwise a_I b_J added into I + J over the live pairs (|I|, |J|
+        <= cap) in row-major (I, J) order, a block of rows at a time.
         Its overflow, sum_{|K| > cap} |c_K| w_K at ref_radius (w = r^|K|,
         or e^(|k| r) on a strip), is folded into the tail exactly,
         together with the |f_poly| T_g + |g_poly| T_f + T_f T_g cross
@@ -385,17 +431,14 @@ class TruncatedSeries:
         tail x tail starts at degree 2 cap + 2.
         """
         self._check_compatible(other)
-        r, cap, basis = self.ref_radius, self.cap, self.basis
-        full = _full_product(self.dim, cap, self.coeffs, other.coeffs)
-        tail = _weighted_sum(full[_above(basis, self.dim, 2 * cap, cap)],
-                             _weights(basis, self.dim, 2 * cap, r, cap))
+        r = self.ref_radius
+        kept, tail = truncated_product(self.basis, self.dim, self.cap, r,
+                                       self.coeffs, other.coeffs)
         if self.tail or other.tail:
             tail = (self._poly_majorant(r) * other.tail
                     + other._poly_majorant(r) * self.tail
                     + self.tail * other.tail) + tail
-        # _owning zeroes the corner; a cube window is copied to free `full`
-        kept = np.ascontiguousarray(full[_window(basis, self.dim, cap, 2 * cap)])
-        return self._owning(self.dim, cap, r, basis, kept, tail)
+        return self._owning(self.dim, self.cap, r, self.basis, kept, tail)
 
     def reciprocal(self) -> "TruncatedSeries":
         """1/f = (1/c) / (1 - u) with c = f(0) and u = 1 - f/c.
@@ -490,10 +533,7 @@ class TruncatedSeries:
             at = self.ref_radius * self.cap / (self.cap + 1)
         if not (0 <= axis < self.dim):
             raise SeriesError("axis out of range")
-        mult_shape = [1] * self.dim
-        mult_shape[axis] = self.cap + 1     # ramp 1..cap+1: cached degrees
-        coeffs = self._shifted_down(axis) * _degrees(
-            "taylor", 1, self.cap + 1)[1:].reshape(mult_shape)
+        coeffs = derivative_coeffs(self.coeffs, axis)
         if self.tail == 0.0:
             return self._owning(self.dim, self.cap, self.ref_radius,
                                 "taylor", coeffs, 0.0)

@@ -13,7 +13,7 @@ from banachscale.iterate import (
     quadratic_model,
 )
 from banachscale.local_ops import multiplication_operator
-from banachscale.sequences import PositiveSequence
+from banachscale.sequences import PositiveSequence, SequenceDomainError
 from banachscale.series import TruncatedSeries
 
 
@@ -93,6 +93,111 @@ def test_rho_driven_rejects_non_summable_and_rho_above_one():
     table = PositiveSequence.tabulated([1.5] + [0.5] * 40)
     with pytest.raises(IterationError, match="rho_0 >= 1"):
         RadiusSchedule.rho_driven(table, 1.0)
+
+
+def _reference_schedule(rho, s0):
+    """Radii s_0..s_70 and the limit of a rho-driven schedule, each summed
+    index by index from log s0, with rho checked below 1 at n = 0..60 one
+    index at a time: a failure is (exception name, message)."""
+    def outcome(fn):
+        try:
+            return fn().hex()
+        except (SequenceDomainError, OverflowError, IterationError) as exc:
+            return type(exc).__name__, str(exc)
+
+    def log_radius(n):
+        log_s = math.log(s0)
+        for m in range(n):
+            log_s += rho.log(m) * math.pow(2.0, -m)
+        return log_s
+
+    def check():
+        for n in range(61):
+            try:
+                lr = rho.log(n)
+            except SequenceDomainError:
+                break
+            if lr >= 0.0:
+                raise IterationError(f"rho_{n} >= 1; radii must fall")
+        if rho.divergence_witness():
+            raise IterationError(
+                "rho is certified non-summable; the limit radius is 0")
+        return 0.0
+
+    def limit():
+        try:
+            log_s = log_radius(61)
+        except SequenceDomainError:
+            return 0.0
+        tail = rho.weighted_log_tail(0, 60)
+        return 0.0 if tail is None else math.exp(log_s - 2.0 * tail)
+
+    built = outcome(check)
+    if built != 0.0.hex():
+        return built
+    return ([outcome(lambda n=n: s0 if n == 0 else math.exp(log_radius(n)))
+             for n in range(71)], outcome(limit))
+
+
+def _schedule_outcome(rho, s0):
+    def outcome(fn):
+        try:
+            return fn().hex()
+        except (SequenceDomainError, OverflowError, IterationError) as exc:
+            return type(exc).__name__, str(exc)
+    try:
+        sched = RadiusSchedule.rho_driven(rho, s0)
+    except (SequenceDomainError, OverflowError, IterationError) as exc:
+        return type(exc).__name__, str(exc)
+    return ([outcome(lambda n=n: sched.radius(n)) for n in range(71)],
+            outcome(lambda: sched.limit))
+
+
+_TABLE = np.random.default_rng(4).uniform(0.05, 0.95, 80)
+_RHOS = {
+    "geometric": PositiveSequence.geometric(0.8).scaled(0.5),
+    "exp_power": PositiveSequence.exp_power(-1, 1.5),
+    "product": (PositiveSequence.exp_power(-1, 1.3)
+                * PositiveSequence.geometric(0.9)),
+    "scaled": PositiveSequence.exp_power(-1, 1.5).scaled(
+        log_factor=-7.25),
+    "power": PositiveSequence.exp_power(-1, 1.2) ** 2.5,
+    "lemma_rho-like": (PositiveSequence.exp_power(-1, 1.5) ** 2.0
+                       * PositiveSequence.exp_power(-1, 1.5)).scaled(
+                           log_factor=-40.0),
+    "tabulated": PositiveSequence.tabulated(_TABLE),
+    "short table": PositiveSequence.tabulated(_TABLE[:30]),
+    "rho_17 >= 1": PositiveSequence.tabulated(
+        np.r_[_TABLE[:17], 1.0, _TABLE[18:]]),
+    "rho_0 >= 1 before an overflow": PositiveSequence.exp_power(
+        -1, 1e6).scaled(math.e ** 2),
+    "overflow at n = 52": PositiveSequence.exp_power(-1, 1e6),
+    "table ends before the overflow": (PositiveSequence.exp_power(-1, 1e6)
+                                       * PositiveSequence.tabulated(
+                                           _TABLE[:40])),
+    "gap refuses n = 30": PositiveSequence.tabulated(
+        np.r_[_TABLE[:30], 2.0, _TABLE[31:]]).gap(),
+    "non-summable": PositiveSequence.exp_power(-1, 2.5),
+}
+
+
+@pytest.mark.parametrize("name", list(_RHOS))
+@pytest.mark.parametrize("s0", [1.0, 0.8, 0.37])
+def test_kept_log_radii_match_the_per_index_sum(name, s0):
+    rho = _RHOS[name]
+    got = _schedule_outcome(rho, s0)
+    assert got == _reference_schedule(rho, s0)
+    if name in ("short table", "table ends before the overflow",
+                "gap refuses n = 30"):
+        radii, limit = got
+        assert limit == 0.0.hex()
+        assert any(isinstance(r, tuple) for r in radii)
+    elif name in ("rho_17 >= 1", "rho_0 >= 1 before an overflow",
+                  "overflow at n = 52", "non-summable"):
+        assert isinstance(got[0], str)     # construction refused
+    else:
+        radii, limit = got
+        assert all(isinstance(r, str) for r in radii + [limit])
 
 
 def test_schedule_json_round_trip_fields():

@@ -11,6 +11,7 @@ from banachscale.local_ops import (
     EXP_NEG,
     PHI,
     PSI,
+    ArrayStep,
     LocalOperator,
     OperatorError,
     WeightFunction,
@@ -735,3 +736,175 @@ def test_taylor_order_raise_still_ends_by_degree(raise_by, terms):
     m = TruncatedSeries.monomial(raise_by, 1e-4, cap=16)
     app = exp(multiplication_operator(m), 1.0, 0.5, poly([1.0, 0.5], cap=16))
     assert app.terms == terms and app.folded and app.remainder == 0.0
+
+
+# ---- the array step: tail-free iterates as bare coefficient arrays ----
+
+def _object_borel_apply(symbol, u, t, s, g):
+    """borel_apply through the operator's series action alone, term by
+    term, with every stop, the remainder and the fold written out apart
+    from the array step."""
+    lam = u.weight.value(t, s) if s < t else 1.0
+    x = (1.0 if u.kind == "derivation" else math.e) * u.norm_bound / lam
+    gt = g if g.ref_radius <= t else g.restrict(t)
+    input_norm = gt.majorant_norm(gt.ref_radius)
+    acc = TruncatedSeries(gt.dim, gt.cap, gt.ref_radius, gt.basis)
+    if symbol.coeff(0) != 0.0:
+        acc = acc + gt.scale(symbol.coeff(0))
+    w, partial, kfact, terms, exact = gt, abs(symbol.coeff(0)), 1.0, 0, False
+    endless = u.kind != "derivation" and u.order_raise < 1
+    for k in range(1, gt.cap + 2):
+        ref_next = w.ref_radius if w.tail == 0.0 \
+            else s + 0.75 * (w.ref_radius - s)
+        if w.tail > 0.0 and not (ref_next < w.ref_radius):
+            break
+        try:
+            w = u.action(w, w.ref_radius, ref_next)
+        except (OperatorError, SeriesError):
+            if w.tail == 0.0:
+                raise
+            break
+        kfact *= k
+        if w.is_zero:
+            exact = not endless or gt.is_zero or u.is_zero
+            terms = k if exact else terms
+            break
+        ck = symbol.coeff(k)
+        contrib = abs(ck) / kfact * w.majorant_norm(s)
+        if contrib > abs(ck) * x ** k * input_norm:
+            break
+        if ck != 0.0:
+            acc, wk = align(acc, w)
+            acc = acc + wk.scale(ck / kfact)
+        partial += abs(ck) * x ** k
+        terms = k
+        if w.tail > 0.0 and contrib <= 1e-18 * (input_norm + 1e-300) \
+                and k >= 2:
+            break
+        if endless and k >= 2 and (k + 1) * x ** (k + 1) * input_norm \
+                <= 2.0 ** -53 * (1.0 - x) ** 2 * acc.majorant_norm(s):
+            break
+    eps = np.finfo(float).eps
+    remainder = 0.0 if exact else max(
+        0.0, symbol.majorant(x) * (1.0 + 4.0 * eps)
+        - partial * (1.0 - 4.0 * eps)) * input_norm
+    result = acc if acc.ref_radius <= s else acc.restrict(s)
+    folded = remainder > 0.0 and u.order_raise >= 1 \
+        and gt.order() + (terms + 1) * u.order_raise > result.cap
+    if folded:
+        result = result.copy()
+        result.tail += remainder
+    return (_bits(result), (0.0 if folded else remainder).hex(), folded,
+            x.hex(), lam.hex(), input_norm.hex(), terms)
+
+
+def _app_bits(app):
+    return (_bits(app.series), app.remainder.hex(), app.folded, app.x.hex(),
+            app.lam.hex(), app.input_norm.hex(), app.terms)
+
+
+def _counted(u):
+    """u with its array step wrapped: (operator, the tail of each step)."""
+    tails, step = [], u.array_step
+
+    def apply(c, r):
+        out = step.apply(c, r)
+        tails.append(out[1])
+        return out
+    counted = LocalOperator(u.action, u.weight, u.norm_bound, u.kind,
+                            u.name, u.order_raise, u.cert_radius)
+    counted.array_step = ArrayStep(step.basis, step.cap, apply)
+    return counted, tails
+
+
+def _field_case(rng, cap):
+    a = poly(rng.uniform(-1.0, 1.0, 3) * [0.05, 0.08, 0.04], cap=cap)
+    g = rand_poly(rng, cap=cap, deg=cap // 3)
+    g.coeffs[: cap // 3 + 1] *= 0.6 ** np.arange(cap // 3 + 1)
+    return certify_vector_field(a), g
+
+
+def _multiplier_case(rng, cap):
+    return (multiplication_operator(_band_multiplier(rng, cap, 2, 0.2)),
+            _fourier_input(rng, cap))
+
+
+@pytest.mark.parametrize("symbol", [EXP, EXP_NEG, PHI, PSI])
+@pytest.mark.parametrize("cap", [16, 64, 128])
+@pytest.mark.parametrize("case", [_field_case, _multiplier_case])
+def test_array_step_matches_the_series_action_bit_for_bit(symbol, cap,
+                                                          case):
+    rng = np.random.default_rng(cap)
+    u, g = case(rng, cap)
+    counted, tails = _counted(u)
+    app = borel_apply(symbol, counted, 1.0, 0.5, g)
+    assert tails and app.terms >= 2
+    assert _app_bits(app) == _app_bits(borel_apply(symbol, u, 1.0, 0.5, g)) \
+        == _object_borel_apply(symbol, u, 1.0, 0.5, g)
+
+
+@pytest.mark.parametrize("symbol", [EXP, EXP_NEG, PHI, PSI])
+@pytest.mark.parametrize("basis", ["taylor", "fourier"])
+def test_an_iterate_that_picks_up_a_tail_leaves_the_array_form(symbol,
+                                                               basis):
+    # g reaches degree cap - 2 and each application raises the top
+    # degree by one: two tail-free array steps, a third whose product
+    # overflows the cap, then radius descent on series
+    cap = 16
+    if basis == "taylor":
+        u = certify_vector_field(poly([0.0, 0.0, 0.1], cap=cap))
+        g = poly(0.5 ** np.arange(cap - 1), cap=cap)
+    else:
+        u = multiplication_operator(
+            TruncatedSeries.fourier_mode(1, 0.05, cap=cap))
+        g = TruncatedSeries(1, cap, 1.0, "fourier")
+        g.coeffs[2:-2] = 0.5 ** np.abs(np.arange(-cap + 2, cap - 1))
+    counted, tails = _counted(u)
+    app = borel_apply(symbol, counted, 1.0, 0.5, g)
+    assert tails[:2] == [0.0, 0.0] and len(tails) == 3 and tails[2] > 0.0
+    assert app.terms > len(tails)
+    assert _app_bits(app) == _object_borel_apply(symbol, u, 1.0, 0.5, g)
+
+
+@pytest.mark.parametrize("symbol", [EXP, EXP_NEG, PHI, PSI])
+def test_inputs_without_an_array_form_take_the_series_path(symbol):
+    rng = np.random.default_rng(5)
+    field, g = _field_case(rng, 64)
+    tailed = g.copy()
+    tailed.tail = 1e-6
+    narrow = certify_vector_field(poly([0.01, 0.05, 0.02], cap=16))
+    cases = [(field, tailed), (narrow, g),
+             (certify_vector_field(poly([0.01, 0.05], cap=64, tail=1e-9)),
+              g)]
+    for u, h in cases:
+        if u.array_step is not None:
+            u, tails = _counted(u)
+        app = borel_apply(symbol, u, 1.0, 0.5, h)
+        assert u.array_step is None or not tails
+        assert _app_bits(app) == _object_borel_apply(symbol, u, 1.0, 0.5, h)
+
+
+@pytest.mark.parametrize("symbol", [EXP, EXP_NEG, PHI, PSI])
+@pytest.mark.parametrize("basis", ["taylor", "fourier"])
+def test_a_zero_input_or_operator_ends_the_array_form_exactly(symbol,
+                                                              basis):
+    rng = np.random.default_rng(9)
+    u, g = (_field_case if basis == "taylor" else _multiplier_case)(rng, 32)
+    zero_g = TruncatedSeries(1, 32, 1.0, basis)
+    zero_h = TruncatedSeries(1, 32, 1.0, basis)
+    zero_u = (certify_vector_field(zero_h) if basis == "taylor"
+              else multiplication_operator(zero_h))
+    for op, h in ((u, zero_g), (zero_u, g)):
+        counted, tails = _counted(op)
+        app = borel_apply(symbol, counted, 1.0, 0.5, h)
+        assert tails == [0.0] and app.remainder == 0.0 and app.terms == 1
+        assert _app_bits(app) == _object_borel_apply(symbol, op, 1.0, 0.5, h)
+
+
+def test_a_taylor_multiplier_on_a_fourier_series_still_raises():
+    u = multiplication_operator(poly([0.1, 0.05], cap=16))
+    g = TruncatedSeries.fourier_mode(1, 0.5, cap=16)
+    assert u.array_step.basis == "taylor"
+    for apply in (borel_apply, _object_borel_apply):
+        with pytest.raises(SeriesError, match="mixed dimensions or bases"):
+            apply(EXP, u, 1.0, 0.5, g)

@@ -19,6 +19,7 @@ from banachscale.sequences import (
     bruno_transform,
     lemma_rho,
     log_one_minus_exp,
+    log_rows,
     model_iteration,
     strictness_check,
     tame_check,
@@ -525,6 +526,67 @@ def test_taming_epsilon_rejects_non_summable():
 
 
 # ---- model iteration ----
+
+def _rows_by_index(seqs, count):
+    """log_rows' answer from a loop over n calling each s.log(n)."""
+    rows = []
+    for n in range(count):
+        try:
+            rows.append([s.log(n) for s in seqs])
+        except (SequenceDomainError, OverflowError) as exc:
+            return rows, (type(exc).__name__, str(exc))
+    return rows, None
+
+
+@pytest.mark.parametrize("seqs,count", [
+    ([PS.geometric(0.5), PS.exp_power(-1, 1.5) ** 2.0], 61),
+    ([PS.exp_power(1, 1.5).scaled(3.0), PS.tabulated([2.0, 3.0, 5.0])], 9),
+    ([PS.tabulated([2.0, 3.0]), PS.tabulated([2.0, 3.0, 5.0])], 9),
+    ([PS.tabulated([2.0, 3.0, 5.0]), PS.tabulated([2.0, 3.0])], 9),
+    ([PS.exp_power(1, 1.5), PS.tabulated([2.0] * 40)], 2000),
+    ([PS.exp_power(1, 1e6) * PS.geometric(2.0)], 61),
+    ([PS.tabulated([0.5] * 5 + [2.0] * 5).gap(), PS.geometric(3.0)], 10),
+    ([PS.exp_power(-1, 1.5).gap()], 0),
+])
+def test_log_rows_match_a_per_index_loop(seqs, count):
+    logs, stop = log_rows(seqs, 0, count)
+    rows, want_stop = _rows_by_index(seqs, count)
+    assert [[v.hex() for v in col.tolist()] for col in logs] == \
+        [[row[i].hex() for row in rows] for i in range(len(seqs))]
+    assert (None if stop is None else (type(stop).__name__, str(stop))) \
+        == want_stop
+
+
+def _b_table(length):
+    return PS.tabulated([0.25 ** (n + 1) for n in range(length)])
+
+
+@pytest.mark.parametrize("a,b,msg", [
+    # a ends first, then b: a_4 is read before b_5
+    (PS.tabulated([1.5] * 4), _b_table(5), "has 4 entries, index 4"),
+    (PS.tabulated([1.5] * 9), _b_table(4), "has 4 entries, index 4"),
+    # both end at n = 5: b_5 is read before a_5
+    (PS.tabulated([1.5] * 5), PS.tabulated([0.5] * 5 + [2.0] * 4).gap(),
+     "gap needs a_n < 1, index 5"),
+    (PS.tabulated([1.5] * 8), _b_table(8), "has 8 entries, index 8"),
+    (PS.tabulated([1.5] * 4), None, "has 4 entries, index 4"),
+])
+def test_model_short_tables_raise_the_first_missing_index(a, b, msg):
+    with pytest.raises(SequenceDomainError, match=msg):
+        model_iteration(a, b, x0=0.01, steps=8)
+
+
+def test_model_reads_exactly_steps_entries_of_a_and_one_more_of_b():
+    trace = model_iteration(PS.tabulated([1.5] * 8), _b_table(9), x0=0.01,
+                            steps=8)
+    assert len(trace.steps) == 9 and trace.certified
+
+
+def test_model_refuses_negative_steps():
+    with pytest.raises(SequenceDomainError, match="steps"):
+        model_iteration(PS.constant(1.0), None, x0=0.5, steps=-1)
+
+
 
 def test_model_pure_quadratic_closed_values():
     trace = model_iteration(PS.constant(1.0), None, x0=0.5, steps=3)
