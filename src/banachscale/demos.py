@@ -183,9 +183,10 @@ def mather_problem(f: TruncatedSeries, *,
     through the cap and the engine's cutoff branch keeps only [r]_hi
     plus division roundoff.  M at stage n is the order >= lo ideal;
     membership is measured above a noise floor of 1e-12 times the
-    largest coefficient of the first series it sees (the seed), because
-    division dust is ulp-sized relative to the coefficients that were
-    cancelled, not to the ones that remain.
+    largest coefficient of the run's seed, the series tested at stage 0,
+    because division dust is ulp-sized relative to the coefficients that
+    were cancelled, not to the ones that remain.  Each run re-reads it,
+    so a problem reused on another seed decides as a fresh one does.
     """
     if f.basis != "taylor" or f.dim != 1:
         raise LieError("the base point must be a univariate taylor series")
@@ -218,12 +219,7 @@ def mather_problem(f: TruncatedSeries, *,
         raise LieError("f' / z^(k-1) is not invertible near the origin")
     rec_c = rec.coeffs / lead
 
-    scale = {}
-
-    def floor_for(g):
-        if "value" not in scale:
-            scale["value"] = float(np.max(np.abs(g.coeffs)))
-        return _FLOOR * scale["value"]
+    scale = {}      # the seed's largest |coefficient|
 
     def qi(n, tau, r):
         lo, hi = _stage_window(k, cap, n)
@@ -234,8 +230,12 @@ def mather_problem(f: TruncatedSeries, *,
         return certify_vector_field(a, name=f"window [{lo},{hi}) over f'")
 
     def m_member(n, g):
+        if g.is_zero:
+            return True
+        if n == 0 or not scale:     # run_lie tests each run's r_0 first
+            scale["value"] = float(np.max(np.abs(g.coeffs)))
         lo = _stage_window(k, cap, n)[0]
-        return g.is_zero or g.order(tol=floor_for(g)) >= lo
+        return g.order(tol=_FLOOR * scale["value"]) >= lo
 
     return ActionProblem(
         f, qi, m_member,

@@ -64,11 +64,12 @@ class RadiusSchedule:
     log s_inf = log s0 + sum_n log rho_n / 2^n, so the limit is positive
     exactly when the weighted log sum is finite; that is certified with
     the summability machinery when rho has a closed-form tail bound.
-    Construction walks rho once over n = 0..60 (`log_rows`, bit for bit
-    rho.log(n)) to check rho_n < 1, stopping at a table's end, and keeps
-    the partial sums log s_n as one sequential cumsum.  `radius(n)` and
-    `limit` read them and continue the sum index by index only past
-    them, so every radius has the bits of the plain running sum.
+    Construction walks rho once over n = 0..60 (`log_rows`) to check
+    rho_n < 1, stopping at a table's end, and keeps the partial sums
+    log s_n as one sequential cumsum.  `radius(n)` and `limit` read them,
+    and past them continue with one more walk of rho and one more
+    sequential cumsum, so every radius has the bits of the plain running
+    sum log s0 + log rho_0 + log rho_1 / 2 + ... in n order.
     """
 
     def __init__(self, kind: str, **params):
@@ -125,10 +126,10 @@ class RadiusSchedule:
         known = self._log_radii
         if n < len(known):
             return float(known[n])
-        rho, log_s = self.params["rho"], float(known[-1])
-        for m in range(len(known) - 1, n):
-            log_s += rho.log(m) * math.pow(2.0, -m)
-        return log_s
+        m = np.arange(len(known) - 1, n)
+        terms = self.params["rho"].log_values(n - 1, start=m[0]) \
+            * np.ldexp(1.0, -m)
+        return float(np.cumsum(np.concatenate((known[-1:], terms)))[-1])
 
     def midpoint(self, n: int) -> float:
         return 0.5 * (self.radius(n) + self.radius(n + 1))

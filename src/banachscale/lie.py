@@ -31,7 +31,7 @@ from .iterate import RadiusSchedule
 from .local_ops import (EXP_NEG, PHI, PSI, LocalOperator, OperatorError,
                         borel_apply, product_of_exponentials)
 from .sequences import (PositiveSequence, SequenceDomainError, bruno_check,
-                        lemma_rho, log_rows)
+                        exp_or_inf, lemma_rho, log_rows)
 from .series import SeriesError, TruncatedSeries, align
 from .trace import IterationTrace, StepRecord
 
@@ -549,18 +549,6 @@ def run_lie(problem: ActionProblem, radii: RadiusSchedule,
     return trace, conjugacy
 
 
-def _values(logs: np.ndarray) -> list[float]:
-    """e^x of each entry by libm, inf where that overflows, as
-    `PositiveSequence.value` gives it."""
-    out = []
-    for lv in logs.tolist():
-        try:
-            out.append(math.exp(lv))
-        except OverflowError:
-            out.append(math.inf)
-    return out
-
-
 @dataclass(frozen=True)
 class LieCertificate:
     """Post-hoc verdicts: every tuple is indexed by the trace row."""
@@ -614,9 +602,8 @@ def certify(trace: IterationTrace, problem: ActionProblem,
     jn = np.exp(logs["j"])
     r = [rows[n].value_norm for n in range(count)]
     d = [rows[n].increment_norm for n in range(count)]
-    sig = _values(log_sig)
-    rh = _values(rho.log_values(count - 1))
-    bv = _values(b.log_values(count - 1))
+    sig, rh, bv = (list(map(exp_or_inf, lv.tolist())) for lv in (
+        log_sig, rho.log_values(count - 1), b.log_values(count - 1)))
 
     n1, n2, master, below_r, below_d = [], [], [], [], []
     for n in range(count):

@@ -3,12 +3,15 @@
 A `PositiveSequence` is a symbolic family a_0, a_1, ... of positive reals
 evaluated in log space throughout: the quantities of interest routinely
 reach e^(+-alpha^n) at n ~ 60, far outside float range, while their
-logarithms stay tame.  Window quantities take one `log_values` array and
-one array of closed-form tail bounds per node of the family tree, so a
-depth-N taming walks each node's logs and tails once per window and
-costs O(N) evaluations.  `log_rows` reads several sequences over the
-same indices the same way, and stops where an index-by-index loop
-would: at the first index one of them refuses.
+logarithms stay tame.  Logs have one evaluator, `_logs`, a walk of the
+family tree over a range of indices that stops at the first index the
+family refuses (a table's end, a gap's a_n >= 1, an overflowing
+alpha^n) and returns that refusal rather than raising it.  `log(n)`,
+`log_values` and `log_rows`, which reads several sequences and stops
+where an index-by-index loop would, all read it.  Window quantities take
+one `log_values` array and one array of closed-form tail bounds per node
+of the tree, so a depth-N taming walks each node once per window and
+costs O(N) evaluations.
 
 The central summability notion used everywhere downstream: a positive
 monotone sequence is *admissible* when
@@ -97,9 +100,14 @@ class PositiveSequence:
             vals = np.asarray(params["values"], dtype=float)
             if vals.size == 0 or not np.all(vals > 0):
                 raise SequenceDomainError("tabulated values must be positive")
+            if not np.all(np.isfinite(vals)):
+                raise SequenceDomainError("tabulated values must be finite")
             self.params = {"values": vals}
         elif family not in ("product", "power", "scaled", "gap"):
             raise SequenceDomainError(f"unknown family {family!r}")
+        for key, v in params.items():
+            if isinstance(v, float) and not math.isfinite(v):
+                raise SequenceDomainError(f"{key} must be finite, got {v!r}")
 
     # -- constructors --
 
@@ -147,73 +155,62 @@ class PositiveSequence:
     # -- evaluation --
 
     def log(self, n: int) -> float:
-        """log a_n, exact up to float rounding."""
-        if n < 0:
-            raise SequenceDomainError("index must be nonnegative")
-        f = self.family
-        if f == "geometric":
-            return n * math.log(self.params["q"])
-        if f == "exp_power":
-            alpha = self.params["alpha"]
-            try:
-                return self.params["sign"] * alpha ** n
-            except OverflowError:
-                raise OverflowError(f"exp_power alpha^n overflows a float "
-                                    f"at index {n} (alpha {alpha!r})") from None
-        if f == "tabulated":
-            vals = self.params["values"]
-            if n >= len(vals):
-                raise SequenceDomainError(
-                    f"tabulated sequence has {len(vals)} entries, index {n}")
-            return math.log(vals[n])
-        if f == "product":
-            return sum(s.log(n) for s in self.params["factors"])
-        if f == "power":
-            return self.params["exponent"] * self.params["base"].log(n)
-        if f == "scaled":
-            return self.params["log_factor"] + self.params["base"].log(n)
-        if f == "gap":
-            return _gap_logs(np.array([self.params["base"].log(n)]), n).item()
-        raise AssertionError(f)
+        """log a_n, exact up to float rounding: `log_values` at one index."""
+        return self.log_values(n, start=n).item()
 
     def value(self, n: int) -> float:
         """a_n as a float; may overflow to inf or underflow to 0."""
-        lv = self.log(n)
-        try:
-            return math.exp(lv)
-        except OverflowError:
-            return math.inf
+        return exp_or_inf(self.log(n))
 
     def log_values(self, window: int, start: int = 0) -> np.ndarray:
-        """log a_n for n = start..window, bit for bit log(n), from one walk
-        of the family tree; past a table's end it raises what log() does."""
-        (logs,), stop = log_rows([self], start, window + 1)
-        if stop is not None:
-            raise stop
+        """log a_n for n = start..window from one walk of the family tree
+        (`log_rows` on this sequence); the first index refused raises."""
+        (logs,), error = log_rows([self], start, window + 1)
+        if error is not None:
+            raise error
         return logs
 
-    def _logs(self, start: int, stop: int) -> np.ndarray:
-        """log a_start..log a_(stop-1), cut short where a table ends.  Leaves
-        keep log()'s libm calls (numpy's pow and log may differ by an ulp)."""
+    def _logs(self, start: int, stop: int
+              ) -> tuple[np.ndarray, Exception | None]:
+        """(logs, error): log a_start..log a_(m-1), where m is the first
+        index the family refuses, or stop, and the exception for m (a
+        table's end, a gap's a_m >= 1, an overflowing alpha^m) or None.
+        A product stops at its shortest factor and takes the error of
+        its first factor that stops there; a gap checks the indices its
+        base returned and passes on the base's error.  Leaves use libm
+        (numpy's pow and log may differ by an ulp).  Needs 0 <= start <=
+        stop; `log_rows` checks that."""
         f, p = self.family, self.params
         if f == "geometric":
-            return np.arange(start, stop) * math.log(p["q"])
+            return np.arange(start, stop) * math.log(p["q"]), None
         if f == "exp_power":
-            return np.array([p["sign"] * p["alpha"] ** n
-                             for n in range(start, stop)])
+            alpha, powers, error = p["alpha"], [], None
+            try:    # keeps each alpha^n computed before an overflow
+                powers.extend(map(alpha.__pow__, range(start, stop)))
+            except OverflowError:
+                error = OverflowError(
+                    f"exp_power alpha^n overflows a float at index "
+                    f"{start + len(powers)} (alpha {alpha!r})")
+            return p["sign"] * np.array(powers), error
         if f == "tabulated":
-            return np.array([math.log(v) for v in p["values"][start:stop]])
+            vals = p["values"]
+            logs = np.array([math.log(v) for v in vals[start:stop]])
+            if start + len(logs) == stop:
+                return logs, None
+            return logs, SequenceDomainError(
+                f"tabulated sequence has {len(vals)} entries, "
+                f"index {start + len(logs)}")
         if f == "product":
-            parts = [s._logs(start, stop) for s in p["factors"]]
-            size = min(map(len, parts))
-            return sum((part[:size] for part in parts), 0.0)
+            parts, error = _shortest([s._logs(start, stop)
+                                      for s in p["factors"]])
+            return sum(parts, 0.0), error
+        logs, error = p["base"]._logs(start, stop)
         if f == "power":
-            return p["exponent"] * p["base"]._logs(start, stop)
+            return p["exponent"] * logs, error
         if f == "scaled":
-            return p["log_factor"] + p["base"]._logs(start, stop)
-        if f == "gap":
-            return _gap_logs(p["base"]._logs(start, stop), start)
-        raise AssertionError(f)
+            return p["log_factor"] + logs, error
+        gap, refusal = _gap_logs(logs, start)       # f == "gap"
+        return gap, error if refusal is None else refusal
 
     # -- closed-form tail bounds --
 
@@ -312,32 +309,35 @@ def log_rows(seqs: list, start: int, stop: int
     s.log(n) for each sequence s in turn, from one walk per sequence.
 
     Returns (logs, error): logs holds log s_start..log s_(m-1) of each s,
-    bit for bit log(n), where m is the first index some s.log(m)
-    refuses, or stop; error is what that refusal raises (a table's end,
-    a gap's a_m >= 1, an overflowing alpha^m), from the first s in
-    order, or None.  A walk that raises leaves its indices to that loop.
+    where m is the first index some s refuses, or stop; error is that
+    refusal (a table's end, a gap's a_m >= 1, an overflowing alpha^m, a
+    negative index), from the first s in order that refuses m, or None.
     """
-    walks = None
-    if 0 <= start <= stop:
-        try:
-            walks = [s._logs(start, stop) for s in seqs]
-        except (SequenceDomainError, OverflowError):
-            pass        # the loop below meets the refusal
-    if walks is None:
-        walks = [np.empty(0)] * len(seqs)
-    m = start + min(map(len, walks))
-    if m >= stop:
-        return walks, None
-    rows, error = [], None
-    for n in range(m, stop):    # past a walk's end: the refusal, if any
-        try:
-            rows.append([s.log(n) for s in seqs])
-        except (SequenceDomainError, OverflowError) as exc:
-            error = exc
-            break
-    late = np.array(rows, dtype=float).reshape(len(rows), len(seqs)).T
-    return [np.concatenate((w[:m - start], col))
-            for w, col in zip(walks, late)], error
+    if start >= stop:
+        return [np.empty(0)] * len(seqs), None
+    if start < 0:
+        return [np.empty(0)] * len(seqs), SequenceDomainError(
+            "index must be nonnegative")
+    return _shortest([s._logs(start, stop) for s in seqs])
+
+
+def _shortest(walks: list) -> tuple[list[np.ndarray], Exception | None]:
+    """Cut (logs, error) walks to the shortest; its error is the first
+    error, in order, of a walk that ends there (None if all are whole)."""
+    logs, errors = zip(*walks)
+    if errors.count(None) == len(errors):   # no refusal: all are whole
+        return list(logs), None
+    sizes = [len(walk) for walk in logs]
+    size = min(sizes)
+    return [walk[:size] for walk in logs], errors[sizes.index(size)]
+
+
+def exp_or_inf(x: float) -> float:
+    """e^x by libm, inf where that overflows."""
+    try:
+        return math.exp(x)
+    except OverflowError:
+        return math.inf
 
 
 # ---- summability certificate ----
@@ -637,14 +637,17 @@ class LemmaRhoReport:
         return None
 
 
-def _gap_logs(log_a: np.ndarray, start: int) -> np.ndarray:
-    """log(1 - a_n^(1/2^n)) for n = start.. from log_a = log a_start..;
+def _gap_logs(log_a: np.ndarray, start: int
+              ) -> tuple[np.ndarray, SequenceDomainError | None]:
+    """(logs, refusal): log(1 - a_n^(1/2^n)) for n = start.. from
+    log_a = log a_start.., up to the first a_n >= 1, which is refused.
     ldexp keeps log a_n / 2^n exact where 2^n overflows."""
     x = np.ldexp(log_a, -np.arange(start, start + len(log_a)))
     bad = np.flatnonzero(x >= 0.0)
-    if bad.size:
-        raise SequenceDomainError(f"gap needs a_n < 1, index {start + bad[0]}")
-    return log_one_minus_exp(x)
+    if not bad.size:
+        return log_one_minus_exp(x), None
+    return log_one_minus_exp(x[:bad[0]]), SequenceDomainError(
+        f"gap needs a_n < 1, index {start + bad[0]}")
 
 
 def log_one_minus_exp(x: np.ndarray) -> np.ndarray:
@@ -700,9 +703,8 @@ def lemma_rho(a: PositiveSequence, aprime: PositiveSequence,
 
     def attempt(K_try: float) -> LemmaRhoReport | None:
         log_rho = math.log(K_try) + unscaled_logs
-        try:
-            log_sigma = _gap_logs(log_rho, 0)
-        except SequenceDomainError:     # some rho_n >= 1
+        log_sigma, refusal = _gap_logs(log_rho, 0)
+        if refusal is not None:     # some rho_n >= 1
             return None
         log_y = log_rho + log_ap[:-1] - l * log_sigma   # rho a' sigma^-l
         star = (log_a[:window] - k * log_sigma[:window]

@@ -6,8 +6,9 @@ import numpy as np
 import pytest
 
 from banachscale.cli import main as cli_main
-from banachscale.demos import (GOLDEN_C, GOLDEN_MEAN, circle, circle_problem,
-                               mather, mather_problem, morse, morse_problem)
+from banachscale.demos import (GOLDEN_C, GOLDEN_MEAN, _certified_run, circle,
+                               circle_problem, mather, mather_problem, morse,
+                               morse_problem)
 from banachscale.lie import LieError, lie_step, LieState, rho_schedule
 from banachscale.sequences import PositiveSequence
 from banachscale.series import TruncatedSeries
@@ -130,6 +131,25 @@ def test_mather_membership_is_exact():
         threshold = min(3 + 2 ** (state.n + 1), 65)
         low = np.abs(state.r.coeffs[:threshold])
         assert np.all(low <= floor)
+
+
+def test_a_reused_mather_problem_runs_as_a_fresh_one():
+    # the membership floor is read from each run's seed, not frozen on the
+    # first series the problem saw: after a run on 1e-12 z^7, a floor of
+    # 1e-24 refused the dust of a 1e-4 seed ("r_{n+1} left M")
+    def outcome(problem, r0):
+        try:
+            return _certified_run(problem, r0, 0.8, 4)[0].to_json()
+        except LieError as exc:
+            return repr(exc)
+
+    f = monomial(3, 1.0)
+    reused = mather_problem(f)
+    outcome(reused, monomial(7, 1e-12))
+    rng = np.random.default_rng(0)
+    for _ in range(8):
+        r0 = monomial(7, rng.uniform(0.5, 1.5) * 1e-4 * rng.choice((-1, 1)))
+        assert outcome(reused, r0) == outcome(mather_problem(f), r0)
 
 
 def test_mather_zero_perturbation_is_identity():

@@ -15,6 +15,7 @@ from banachscale.iterate import (
 from banachscale.local_ops import multiplication_operator
 from banachscale.sequences import PositiveSequence, SequenceDomainError
 from banachscale.series import TruncatedSeries
+from test_sequences import reference_log
 
 
 def poly(coeffs, *, cap=32, ref=1.0, tail=0.0):
@@ -108,13 +109,13 @@ def _reference_schedule(rho, s0):
     def log_radius(n):
         log_s = math.log(s0)
         for m in range(n):
-            log_s += rho.log(m) * math.pow(2.0, -m)
+            log_s += reference_log(rho, m) * math.pow(2.0, -m)
         return log_s
 
     def check():
         for n in range(61):
             try:
-                lr = rho.log(n)
+                lr = reference_log(rho, n)
             except SequenceDomainError:
                 break
             if lr >= 0.0:

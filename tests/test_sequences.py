@@ -46,6 +46,61 @@ def _random_summable_increasing(rng):
 
 # ---- log_values ----
 
+def reference_log(seq, n):
+    """log a_n by a recursion over the family tree at one index, with the
+    messages of each refusal: the oracle for the one walk per node that
+    `log`, `log_values` and `log_rows` read."""
+    if n < 0:
+        raise SequenceDomainError("index must be nonnegative")
+    f, p = seq.family, seq.params
+    if f == "geometric":
+        return n * math.log(p["q"])
+    if f == "exp_power":
+        try:
+            return p["sign"] * p["alpha"] ** n
+        except OverflowError:
+            raise OverflowError(f"exp_power alpha^n overflows a float "
+                                f"at index {n} (alpha {p['alpha']!r})") from None
+    if f == "tabulated":
+        if n >= len(p["values"]):
+            raise SequenceDomainError(
+                f"tabulated sequence has {len(p['values'])} entries, index {n}")
+        return math.log(p["values"][n])
+    if f == "product":
+        return sum(reference_log(s, n) for s in p["factors"])
+    if f == "power":
+        return p["exponent"] * reference_log(p["base"], n)
+    if f == "scaled":
+        return p["log_factor"] + reference_log(p["base"], n)
+    assert f == "gap"
+    x = math.ldexp(reference_log(p["base"], n), -n)
+    if x >= 0.0:
+        raise SequenceDomainError(f"gap needs a_n < 1, index {n}")
+    return float(log_one_minus_exp(np.array([x]))[0])
+
+
+def _reference_logs(seq, start, window):
+    """reference_log at n = start..window as hex, or the first refusal as
+    (exception name, message)."""
+    try:
+        return [reference_log(seq, n).hex() for n in range(start, window + 1)]
+    except (SequenceDomainError, OverflowError) as exc:
+        return type(exc).__name__, str(exc)
+
+
+def _outcome_of(call):
+    """call()'s values as hex (one float or a float64 array), or its
+    refusal as (exception name, message)."""
+    try:
+        got = call()
+    except (SequenceDomainError, OverflowError) as exc:
+        return type(exc).__name__, str(exc)
+    if isinstance(got, float):
+        return [got.hex()]
+    assert got.dtype == np.float64
+    return [v.hex() for v in got.tolist()]
+
+
 _LEAVES = st.one_of(
     st.floats(0.05, 20.0).map(PS.geometric),
     st.tuples(st.sampled_from([-1, 1]), st.floats(0.3, 1.95)).map(
@@ -84,21 +139,14 @@ _TREES = st.recursive(_LEAVES, _closures, max_leaves=6)
 
 
 @settings(max_examples=300, deadline=None)
-@given(_TREES, st.integers(0, 30), st.integers(0, 40))
+@given(_TREES, st.integers(-3, 30), st.integers(-5, 40))
 def test_log_values_is_log_bit_for_bit(seq, start, window):
-    # one walk per node gives what log(n) gives index by index, down to
-    # the sign of zero; past a table's end, the same error as the first
-    # index log(n) cannot evaluate
-    try:
-        want = [seq.log(n).hex() for n in range(start, window + 1)]
-    except SequenceDomainError as exc:
-        with pytest.raises(SequenceDomainError) as caught:
-            seq.log_values(window, start=start)
-        assert str(caught.value) == str(exc)
-        return
-    got = seq.log_values(window, start=start)
-    assert got.dtype == np.float64
-    assert [float(v).hex() for v in got] == want
+    # one walk per node gives what the recursion gives index by index,
+    # down to the sign of zero, and the recursion's first refusal
+    assert _outcome_of(lambda: seq.log_values(window, start=start)) \
+        == _reference_logs(seq, start, window)
+    assert _outcome_of(lambda: seq.log(start)) \
+        == _reference_logs(seq, start, start)
 
 
 def test_gap_refuses_a_at_or_above_one_and_scales_exactly():
@@ -108,7 +156,7 @@ def test_gap_refuses_a_at_or_above_one_and_scales_exactly():
         gap.log(0)
     with pytest.raises(SequenceDomainError, match="gap needs a_n < 1, index 0"):
         gap.log_values(5)
-    assert gap.log_values(5, start=1).tolist() == [gap.log(n)
+    assert gap.log_values(5, start=1).tolist() == [reference_log(gap, n)
                                                    for n in range(1, 6)]
     assert gap.weighted_log_tail(0, 10) is None
     assert not gap.divergence_witness()
@@ -118,7 +166,8 @@ def test_gap_refuses_a_at_or_above_one_and_scales_exactly():
     # a_n = e^(-1.5^n), sigma_1200 = 1 - e^(-0.75^1200) ~ 0.75^1200
     far = PS.exp_power(-1, 1.5).gap()
     assert far.log(1200) == pytest.approx(1200 * math.log(0.75), rel=1e-12)
-    assert far.log_values(1201, start=1199)[1] == far.log(1200)
+    assert far.log_values(1201, start=1199)[1] == far.log(1200) \
+        == reference_log(far, 1200)
 
 
 def test_log_values_short_tables_report_the_first_missing_index():
@@ -137,7 +186,7 @@ def test_log_values_short_tables_report_the_first_missing_index():
     with pytest.raises(OverflowError) as caught:
         PS.exp_power(1, 1.5).log_values(2000)
     with pytest.raises(OverflowError) as want:
-        PS.exp_power(1, 1.5).log(1751)
+        reference_log(PS.exp_power(1, 1.5), 1751)
     assert str(caught.value) == str(want.value) \
         == "exp_power alpha^n overflows a float at index 1751 (alpha 1.5)"
     with pytest.raises(SequenceDomainError, match="index must be nonnegative"):
@@ -300,7 +349,7 @@ def _reference_transform(a, n, depth):
     """(log_value, log_lower) of bruno_transform as one scalar sum per
     window: the O(depth) evaluations per n that the vectorized helper
     replaced, kept as its oracle."""
-    logs = [a.log(n + k) for k in range(depth + 1)]
+    logs = [reference_log(a, n + k) for k in range(depth + 1)]
     if min(logs) < 0.0:
         raise SequenceDomainError("transform needs a_k >= 1 on the window")
     if any(logs[i + 1] < logs[i] for i in range(len(logs) - 1)):
@@ -316,7 +365,7 @@ def _reference_transform(a, n, depth):
 def _reference_partial(a, depth):
     partial = 0.0
     for k in range(depth + 1):
-        partial += abs(a.log(k)) * math.pow(2.0, -(k + 1))
+        partial += abs(reference_log(a, k)) * math.pow(2.0, -(k + 1))
     return partial
 
 
@@ -527,15 +576,32 @@ def test_taming_epsilon_rejects_non_summable():
 
 # ---- model iteration ----
 
-def _rows_by_index(seqs, count):
-    """log_rows' answer from a loop over n calling each s.log(n)."""
+def _rows_by_index(seqs, start, stop):
+    """log_rows' answer from a loop over n calling reference_log on each s."""
     rows = []
-    for n in range(count):
+    for n in range(start, stop):
         try:
-            rows.append([s.log(n) for s in seqs])
+            rows.append([reference_log(s, n) for s in seqs])
         except (SequenceDomainError, OverflowError) as exc:
             return rows, (type(exc).__name__, str(exc))
     return rows, None
+
+
+_TAB2, _TAB3 = PS.tabulated([2.0, 3.0]), PS.tabulated([2.0, 3.0, 5.0])
+_HUGE = PS.exp_power(1, 1e200)      # alpha^n overflows at n = 2
+
+
+def _check_rows(seqs, start, stop):
+    logs, error = log_rows(seqs, start, stop)
+    rows, want_error = _rows_by_index(seqs, start, stop)
+    assert [[v.hex() for v in col.tolist()] for col in logs] == \
+        [[row[i].hex() for row in rows] for i in range(len(seqs))]
+    assert (None if error is None else (type(error).__name__, str(error))) \
+        == want_error
+    # log_values is log_rows on one sequence
+    for seq in seqs:
+        assert _outcome_of(lambda: seq.log_values(stop - 1, start)) \
+            == _reference_logs(seq, start, stop - 1)
 
 
 @pytest.mark.parametrize("seqs,count", [
@@ -549,12 +615,61 @@ def _rows_by_index(seqs, count):
     ([PS.exp_power(-1, 1.5).gap()], 0),
 ])
 def test_log_rows_match_a_per_index_loop(seqs, count):
-    logs, stop = log_rows(seqs, 0, count)
-    rows, want_stop = _rows_by_index(seqs, count)
-    assert [[v.hex() for v in col.tolist()] for col in logs] == \
-        [[row[i].hex() for row in rows] for i in range(len(seqs))]
-    assert (None if stop is None else (type(stop).__name__, str(stop))) \
-        == want_stop
+    _check_rows(seqs, 0, count)
+
+
+_TAB2, _TAB3 = PS.tabulated([2.0, 3.0]), PS.tabulated([2.0, 3.0, 5.0])
+_HUGE = PS.exp_power(1, 1e200)      # alpha^n overflows at n = 2
+
+
+@pytest.mark.parametrize("seqs,start,stop", [
+    # factors refusing at different indices, and at one index, each order
+    pytest.param([_TAB3 * _HUGE], 0, 5, id="tab3*huge"),
+    pytest.param([_HUGE * _TAB3], 0, 5, id="huge*tab3"),
+    pytest.param([_TAB2 * _HUGE], 0, 5, id="tab2*huge"),
+    pytest.param([_HUGE * _TAB2], 0, 5, id="huge*tab2"),
+    pytest.param([(_TAB3 ** 2.0) * (_HUGE.scaled(2.0) * _TAB2)], 1, 5,
+                 id="nested"),
+    # a gap over a refusing base, and one refusing before its base ends
+    pytest.param([PS.tabulated([0.5, 0.25, 0.9]).gap()], 0, 5,
+                 id="gap-of-short-table"),
+    pytest.param([(_HUGE ** -1.0).gap()], 0, 5, id="gap-of-overflow"),
+    pytest.param([PS.tabulated([0.5, 2.0, 0.5]).gap()], 0, 5,
+                 id="gap-refuses-first"),
+    pytest.param([PS.tabulated([0.5, 0.25]).gap()
+                  * PS.tabulated([0.5, 2.0, 0.5]).gap()], 0, 5,
+                 id="gap*gap"),
+    # an overflowing alpha^n inside a product, from a late start
+    pytest.param([(PS.exp_power(-1, 1.5) ** 2.0).scaled(3.0)
+                  * PS.exp_power(1, 1e6)], 40, 61, id="overflow-in-product"),
+    # start > stop, and a negative start over an empty and a full range
+    pytest.param([_TAB3, PS.geometric(2.0)], 5, 3, id="start>stop"),
+    pytest.param([_TAB3], 5, 5, id="start=stop"),
+    pytest.param([_TAB3], -1, -2, id="negative-empty"),
+    pytest.param([_TAB3], -1, -1, id="negative-start=stop"),
+    pytest.param([_TAB3, _HUGE], -1, 3, id="negative-nonempty"),
+])
+def test_log_rows_refusals_match_a_per_index_loop(seqs, start, stop):
+    _check_rows(seqs, start, stop)
+
+
+@pytest.mark.parametrize("build", [
+    lambda: PS.geometric(math.inf),
+    lambda: PS.exp_power(1, math.inf),
+    lambda: PS.geometric(2.0) ** math.nan,
+    lambda: PS.geometric(2.0) ** -math.inf,
+    lambda: PS.geometric(2.0).scaled(log_factor=math.nan),
+    lambda: PS.geometric(2.0).scaled(log_factor=math.inf),
+    lambda: PS.geometric(2.0).scaled(log_factor=-math.inf),
+    lambda: PS.constant(math.inf),
+    lambda: PS.tabulated([2.0, math.inf]),
+], ids=["geometric(inf)", "exp_power(inf)", "power(nan)", "power(-inf)",
+        "log_factor(nan)", "log_factor(inf)", "log_factor(-inf)",
+        "constant(inf)", "tabulated(inf)"])
+def test_non_finite_parameters_are_refused(build):
+    # each one made bruno_check say 'bruno' on a NaN or inf partial sum
+    with pytest.raises(SequenceDomainError, match="must be finite"):
+        build()
 
 
 def _b_table(length):
@@ -655,7 +770,7 @@ def test_lemma_rho_sigma_is_the_gap_of_its_rho():
                 for n in range(201)]
         assert [sigma.log(n).hex() for n in range(201)] == [
             float(w).hex() for w in want]
-        assert sigma.log_values(200).tolist() == [sigma.log(n)
+        assert sigma.log_values(200).tolist() == [reference_log(sigma, n)
                                                   for n in range(201)]
         with mpmath.workdps(50):
             for n in range(0, 201, 20):

@@ -46,7 +46,7 @@ ALLOWED = {
     },
     ("demos", "mather_problem.m_member"): {
         1e-12: "_FLOOR: membership ignores coefficients below 1e-12 times "
-               "the first series' largest (ROADMAP item 1: derive it)",
+               "the run's seed's largest (ROADMAP item 1: derive it)",
     },
     ("demos", "circle_problem.qi"): {
         math.pi: "|mean| >= pi omega, half the start 2 pi omega, so "

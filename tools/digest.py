@@ -23,7 +23,13 @@ each opened by a label line:
   exp_power, product and scaled families prints `bruno_check` and
   `taming_epsilon_log` at depths 60 and 240, `bruno_transform` at
   n = 0..5, and `lemma_rho`'s report, the SHA-256 of its rho's JSON
-  and its sigma at n = 0..60 (`end` past a table).  `rho_schedule` at
+  and its sigma at n = 0..60 (`end` past a table).  Under `@ sequence
+  refusals`, families that refuse an index (factors ending at different
+  indices, in both orders; a gap over a refusing base; an overflowing
+  alpha^n inside a product; start > stop and a negative start) print,
+  for `log_values(window, start)`, the logs `log_rows` reads before the
+  refusal (`empty` when none) and the refusal's type and message
+  (`none` when there is none).  `rho_schedule` at
   five |j| prints its report (or the `LieError`) and the SHA-256 of
   rho's logs at n = 0..40.  A report prints as its repr, except that
   each tuple of per-n verdicts reads `all N true` or
@@ -151,6 +157,44 @@ def sequence_layer() -> list[str]:
     return lines
 
 
+def refusal_text(call) -> str:
+    try:
+        call()
+    except (ValueError, OverflowError) as exc:
+        return f"{type(exc).__name__}: {exc}"
+    return "none"
+
+
+def refusals() -> list[str]:
+    from banachscale import sequences as sq
+    ps = sq.PositiveSequence
+    tab2, tab3 = ps.tabulated([2.0, 3.0]), ps.tabulated([2.0, 3.0, 5.0])
+    huge = ps.exp_power(1, 1e200)       # alpha^n overflows at n = 2
+    scaled = (ps.exp_power(-1, 1.5) ** 2.0).scaled(3.0)
+    cases = (("tab3*tab2", tab3 * tab2, 0, 4),
+             ("tab2*tab3", tab2 * tab3, 0, 4),
+             ("tab2*exp_power:1e200", tab2 * huge, 0, 4),
+             ("exp_power:1e200*tab2", huge * tab2, 0, 4),
+             ("gap(tab:0.5,0.25,0.9)",
+              ps.tabulated([0.5, 0.25, 0.9]).gap(), 0, 4),
+             ("gap(tab:0.5,2,0.5)", ps.tabulated([0.5, 2.0, 0.5]).gap(), 0, 4),
+             ("gap(exp_power:1e200^-1)", (huge ** -1.0).gap(), 0, 4),
+             ("geometric:2*exp_power:1e6",
+              ps.geometric(2.0) * ps.exp_power(1, 1e6), 0, 60),
+             ("((exp_power:-1.5^2)*3)*exp_power:1e6",
+              scaled * ps.exp_power(1, 1e6), 40, 60),
+             ("tab3", tab3, 5, 2), ("tab3", tab3, -1, -3),
+             ("tab3", tab3, -1, 2))
+    lines = ["@ sequence refusals"]
+    for name, seq, start, window in cases:
+        label = f"{name} log_values({window}, start={start})"
+        (logs,), _ = sq.log_rows([seq], start, window + 1)
+        lines += [f"{label} logs {hexed(*logs.tolist()) or 'empty'}",
+                  f"{label} refusal " + refusal_text(
+                      lambda: seq.log_values(window, start=start))]
+    return lines
+
+
 def demo_outputs() -> list[str]:
     from banachscale import demos
     lines = []
@@ -204,7 +248,8 @@ def outputs(tree: Path = ROOT) -> list[str]:
     for line in readme.splitlines():
         if line.startswith("banachscale "):
             lines += cli_run(shlex.split(line, comments=True)[1:])
-    return lines + sequence_layer() + demo_outputs() + schedules()
+    return (lines + sequence_layer() + refusals() + demo_outputs()
+            + schedules())
 
 
 if __name__ == "__main__":
