@@ -27,8 +27,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .iterate import RadiusSchedule
-from .lie import (ActionProblem, LieCertificate, LieError, LocalityExponents,
-                  certify, rho_schedule, run_lie)
+from .lie import (ActionProblem, LieCertificate, LieError, LieSchedule,
+                  LocalityExponents, certify, rho_schedule, run_lie)
 from .local_ops import (LocalOperator, WeightFunction, certify_vector_field,
                         multiplication_operator)
 from .sequences import PositiveSequence
@@ -44,6 +44,8 @@ GOLDEN_C = 1.0 / (1.0 + GOLDEN_MEAN)
 
 _STRICT_B = PositiveSequence.exp_power(-1, 1.5)
 _FLOOR = 1e-12      # mather's membership floor, relative to the seed
+_SCHEDULES: dict = {}   # tuned schedules by problem value, least recent first
+_SCHEDULES_KEPT = 8
 
 
 @dataclass(frozen=True)
@@ -67,6 +69,25 @@ class DemoReport:
         return self.trace.status == "converged"
 
 
+def _tuned_schedule(problem: ActionProblem, t: float) -> LieSchedule:
+    """`rho_schedule(problem, _STRICT_B, t)`, from the memo when an
+    equal problem was tuned lately (see `_certified_run`)."""
+    if not (t > 0.0) or problem.f.ref_radius < t:
+        return rho_schedule(problem, _STRICT_B, t)
+    kap = problem.kappa_norms
+    key = (problem.j_norms.to_json(), None if kap is None else kap.to_json(),
+           problem.exponents,
+           None if problem.projector is None else problem.projector.norm_bound,
+           problem.f.restrict(t).majorant_norm(t), _STRICT_B.to_json(), t)
+    schedule = _SCHEDULES.pop(key, None)
+    if schedule is None:
+        schedule = rho_schedule(problem, _STRICT_B, t)
+        if len(_SCHEDULES) >= _SCHEDULES_KEPT:
+            del _SCHEDULES[next(iter(_SCHEDULES))]
+    _SCHEDULES[key] = schedule      # now the most recent
+    return schedule
+
+
 def _certified_run(problem: ActionProblem, r0: TruncatedSeries, t: float,
                    steps: int):
     """Tune the schedule at t, refuse an r0 above its entry threshold,
@@ -75,8 +96,24 @@ def _certified_run(problem: ActionProblem, r0: TruncatedSeries, t: float,
     certificate checked takes its b_n, sigma_n and verdict from it: a row
     passes when its five inequalities hold, and the trace's failures
     name the first refusal.  The schedule, b, |j| and |kappa| are
-    closed-form, so `certify` checks every row."""
-    schedule = rho_schedule(problem, _STRICT_B, t)
+    closed-form, so `certify` checks every row.
+
+    The schedule is tuned once per problem value: `_tuned_schedule`
+    keeps the last `_SCHEDULES_KEPT` by a key of every value
+    `rho_schedule` reads, namely |j| and |kappa| (their JSON, exact for
+    floats), the locality exponents, the projector's norm bound (None
+    without one), tau_0 = |f|_t, b and t.  The cap is not in it: f
+    enters only through tau_0, so morse at caps 64 and 128 shares one.
+    The memo relies on `rho_schedule` being a function of those values
+    alone, never of r0, and on a schedule being immutable (symbolic
+    sequences, read-only radii).  A t or f that `rho_schedule` refuses
+    before reading them builds no key, and no refusal is kept, so each
+    keeps its type and message.  The memo lives here, not in `lie`,
+    because these demos rebuild equal problems run after run (one per
+    seed), while a caller of `lie.rho_schedule` with one problem pays
+    for it once anyway.
+    """
+    schedule = _tuned_schedule(problem, t)
     if r0.ref_radius < t:
         raise LieError("r0 must be certified at the starting radius")
     norm0 = r0.majorant_norm(t)

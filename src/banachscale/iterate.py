@@ -66,7 +66,8 @@ class RadiusSchedule:
     the summability machinery when rho has a closed-form tail bound.
     Construction walks rho once over n = 0..60 (`log_rows`) to check
     rho_n < 1, stopping at a table's end, and keeps the partial sums
-    log s_n as one sequential cumsum.  `radius(n)` and `limit` read them,
+    log s_n as one sequential cumsum, read-only, since a tuned schedule
+    may be shared (`demos` keeps them).  `radius(n)` and `limit` read them,
     and past them continue with one more walk of rho and one more
     sequential cumsum, so every radius has the bits of the plain running
     sum log s0 + log rho_0 + log rho_1 / 2 + ... in n order.
@@ -96,6 +97,7 @@ class RadiusSchedule:
             self._log_radii = np.cumsum(np.concatenate((
                 [math.log(s0)],
                 log_rho * np.ldexp(1.0, -np.arange(len(log_rho))))))
+            self._log_radii.flags.writeable = False     # may be shared
         else:
             raise IterationError(f"unknown schedule kind {kind!r}")
         self.kind = kind

@@ -32,11 +32,15 @@ The loop keeps a tail-free iterate as a bare coefficient array while
 the operator carries an `ArrayStep` for its basis and cap:
 `certify_vector_field` and `multiplication_operator` attach one when
 their series (a or h) is univariate and tail-free.  The step is the
-action at one fixed radius, derivative then `series.truncated_product`,
-without the intermediate series; the first iterate with a tail becomes
-a `TruncatedSeries`, and radius descent runs on series from there.
-Both forms give every bit the series action gives, and the budget
-test, the stops and the accumulation are shared.
+action at one fixed radius without the intermediate series: a
+multiplier's is `series.truncated_product`, and a vector field's is one
+fused pass, its derivative built reversed into a buffer of the operator
+and handed to the routine np.convolve calls, cut by the same helper
+`truncated_product` uses.  The loop looks the majorant weights at s up
+once per call.  The first iterate with a tail becomes a
+`TruncatedSeries`, and radius descent runs on series from there.  Both
+forms give every bit the series action gives, and the budget test, the
+stops and the accumulation are shared.
 Only a derivation or an operator with order_raise >= 1 can end a Borel
 series exactly.  Any other series (a Fourier multiplier) stops once
 its symbol bound on the uncomputed terms falls below the result's
@@ -52,8 +56,13 @@ from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
-from .series import (SeriesError, TruncatedSeries, align, coeff_majorant,
-                     derivative_coeffs, truncated_product)
+try:    # the routine np.convolve calls, on its second operand reversed
+    from numpy._core.multiarray import correlate as _correlate
+except ImportError:     # numpy < 2
+    from numpy.core.multiarray import correlate as _correlate
+
+from .series import (SeriesError, TruncatedSeries, _kept_and_tail,
+                     _weighted_sum, _weights, align, truncated_product)
 
 __all__ = ["WeightFunction", "LocalOperator", "ArrayStep", "OperatorError",
            "certify_vector_field", "multiplication_operator", "BorelSymbol",
@@ -89,7 +98,10 @@ class ArrayStep(NamedTuple):
     apply(c, r) takes the coefficients c of a tail-free univariate
     series in `basis` at cap `cap` and returns the coefficients and the
     tail of the series the operator's action gives on it from radius r
-    to r, bit for bit, for any r up to the operator's cert_radius.
+    to r, bit for bit, for any r up to the operator's cert_radius.  The
+    coefficients may be a view of a larger array, and a step may reuse
+    a buffer of its operator between calls, so one operator's steps do
+    not run concurrently.
     """
 
     basis: str
@@ -168,6 +180,13 @@ def certify_vector_field(a: TruncatedSeries, name: str = "vector_field"
     arguments differentiate at the worst-case interior point
     max(s, r D/(D+1)), the choice whose propagated tail stays inside the
     N(a) |f|_t / (t - s) budget at every target radius.
+
+    The array step on a tail-free f of a's cap makes one pass: f'
+    reversed into the operator's buffer, np.convolve's own correlate
+    routine on a and that buffer, and the cut of `truncated_product`.
+    Its correlate gets the operands np.convolve would hand it in the
+    series action, so its dot products and every bit agree; trimming
+    zeros, a Toeplitz matmul or an FFT would regroup the sums.
     """
     if a.basis != "taylor" or a.dim != 1:
         raise OperatorError("vector fields are univariate taylor series")
@@ -190,11 +209,19 @@ def certify_vector_field(a: TruncatedSeries, name: str = "vector_field"
         prod = am.multiply(fp)
         return _clamp(prod, s)
 
+    # action on a tail-free f of a's cap: align only restricts a, which
+    # keeps its coefficients, and no clamp moves the product.  f' is
+    # built reversed in `rev`: +0.0 (its top entry), then c_cap cap, ...,
+    # c_1 1.  np.convolve(a, f') would pass correlate f'[::-1] and copy
+    # it to this same contiguous array, so the sums and bits are its own.
+    cap = a.cap
+    ramp = np.arange(cap, 0, -1).astype(complex)   # cap..1
+    rev = np.zeros(cap + 1, dtype=complex)
+
     def array_action(c: np.ndarray, r: float) -> tuple[np.ndarray, float]:
-        # action on a tail-free f of a's cap: align only restricts a,
-        # which keeps its coefficients, and no clamp moves the product
-        return truncated_product("taylor", 1, a.cap, r, a.coeffs,
-                                 derivative_coeffs(c))
+        np.multiply(c[:0:-1], ramp, out=rev[1:])
+        return _kept_and_tail("taylor", 1, cap, r,
+                              _correlate(a.coeffs, rev, 2))
 
     return _with_array_step(
         LocalOperator(action, WeightFunction(k=1), bound, kind="derivation",
@@ -323,6 +350,7 @@ def borel_apply(symbol: BorelSymbol, u: LocalOperator, t: float, s: float,
     bare = gt.tail == 0.0 and gt.dim == 1 and step is not None \
         and (step.basis, step.cap) == (basis, cap)
     w = gt.coeffs if bare else gt
+    ws = _weights(basis, 1, cap, s) if bare else None   # majorant at s
     partial = abs(a0)
     kfact = 1.0
     terms = 0
@@ -354,8 +382,8 @@ def borel_apply(symbol: BorelSymbol, u: LocalOperator, t: float, s: float,
         ck = symbol.coeff(k)
         part = abs(ck) * x ** k
         share = part * input_norm
-        contrib = abs(ck) / kfact * (coeff_majorant(basis, 1, cap, w, s)
-                                     if bare else w.majorant_norm(s))
+        contrib = abs(ck) / kfact * (_weighted_sum(w, ws) if bare
+                                     else w.majorant_norm(s))
         if contrib > share:
             break           # tail bookkeeping left the theoretical budget
         if ck != 0.0:
@@ -374,7 +402,9 @@ def borel_apply(symbol: BorelSymbol, u: LocalOperator, t: float, s: float,
                 and contrib <= 1e-18 * (input_norm + 1e-300) and k >= 2:
             break           # inexact and numerically stagnant
         if endless and k >= 2 and (k + 1) * x ** (k + 1) * input_norm \
-                <= 2.0 ** -53 * (1.0 - x) ** 2 * acc.majorant_norm(s):
+                <= 2.0 ** -53 * (1.0 - x) ** 2 * (
+                    _weighted_sum(acc.coeffs, ws) if bare
+                    else acc.majorant_norm(s)):
             break           # sum_{j>k} j x^j |g|_t is below acc's rounding
     if exact:
         remainder = 0.0

@@ -55,17 +55,19 @@ Tail bookkeeping rules worth knowing (each documented at the operation):
   widened when it has the smaller cap; otherwise the wider side is
   narrowed, folding its dropped coefficients into its tail.
 
-The array-level functions `truncated_product`, `coeff_majorant` and
-`derivative_coeffs` act on bare coefficient arrays: `multiply`,
-`majorant_norm` and `derivative` call them, and so does a local
-operator's step on a tail-free iterate (see `local_ops`).  One product
-function therefore serves `multiply` and that step, and the two agree
-bit for bit.
+The array-level functions `truncated_product` and `derivative_coeffs`
+act on bare coefficient arrays: `multiply` and `derivative` call them,
+and so does a local operator's step on a tail-free iterate (see
+`local_ops`).  `truncated_product` cuts the full product with
+`_kept_and_tail`, which a vector field's step shares, so `multiply` and
+those steps agree bit for bit.
 
 Majorants read their weights t^|I| (e^(|k| t) on a strip) from one
 bounded cache keyed by (basis, dim, cap, t), which also holds the
 overflow weights of the cap-2cap product grid, and reduce with
-np.add.reduce, the reduction np.sum performs: the cache changes no bit.
+np.add.reduce, the reduction np.sum performs (`_weighted_sum`): the
+cache changes no bit.  A Borel loop looks its weights up once and
+passes them to `_weighted_sum` itself.
 
 Ownership: no two series share a coefficient array.  The constructor
 copies its input and refuses NaN coefficients, as `set_coefficient` does;
@@ -83,8 +85,7 @@ from functools import lru_cache
 import numpy as np
 
 __all__ = ["TruncatedSeries", "SeriesError", "align", "truncated_product",
-           "coeff_majorant", "derivative_coeffs",
-           "DEFAULT_CAP_1D", "DEFAULT_CAP_ND"]
+           "derivative_coeffs", "DEFAULT_CAP_1D", "DEFAULT_CAP_ND"]
 
 DEFAULT_CAP_1D = 64
 DEFAULT_CAP_ND = 16
@@ -140,8 +141,12 @@ def _weights(basis: str, dim: int, cap: int, t: float,
 
 
 def _weighted_sum(coeffs: np.ndarray, w: np.ndarray) -> float:
-    """sum |c| w, reduced as np.sum reduces."""
-    return float(np.add.reduce(np.abs(coeffs) * w, axis=None))
+    """sum |c| w, reduced as np.sum reduces: a vector along its one axis
+    (the same bits as the flat reduction, without its axis handling), an
+    nd array flat."""
+    v = np.abs(coeffs) * w
+    return float(np.add.reduce(v) if v.ndim == 1
+                 else np.add.reduce(v, axis=None))
 
 
 def _decay(basis: str, cap: int, r: float, t: float) -> float:
@@ -239,26 +244,35 @@ def _full_product(dim: int, cap: int, a: np.ndarray,
 
 # ---- array-level operations: the methods below and local_ops share them ----
 
+def _kept_and_tail(basis: str, dim: int, cap: int, r: float,
+                   full: np.ndarray) -> tuple[np.ndarray, float]:
+    """A cap-2cap product array kept through the cap, and the majorant
+    at r of what lies beyond it.  One Taylor variable keeps a view of
+    `full`, and its overflow is the slice above the cap: the entries,
+    in the order, that the degree mask gathers.  An overflow of exact
+    zeros weighs 0.0 without the sum, unless a weight overflowed (the
+    top one, r^(2 cap), when any does), where 0 inf gives NaN.  In more
+    variables the kept array's corner (degree > cap) is not yet zeroed;
+    `_owning` does that."""
+    w = _weights(basis, dim, 2 * cap, r, cap)
+    if basis == "taylor" and dim == 1:
+        over = full[cap + 1:]
+        tail = _weighted_sum(over, w) if np.count_nonzero(over) \
+            or (cap and w[-1] == math.inf) else 0.0
+        return full[:cap + 1], tail
+    tail = _weighted_sum(full[_above(basis, dim, 2 * cap, cap)], w)
+    # a Fourier window is a view; a cube window is copied to free `full`
+    return np.ascontiguousarray(full[_window(basis, dim, cap, 2 * cap)]), tail
+
+
 def truncated_product(basis: str, dim: int, cap: int, r: float,
                       a: np.ndarray, b: np.ndarray
                       ) -> tuple[np.ndarray, float]:
     """The product of two cap-`cap` coefficient arrays kept through the
     cap, and the majorant at r of what lies beyond it: the coefficients
-    and the tail `multiply` gives two tail-free series at radius r.  In
-    more variables the kept array's corner (degree > cap) is not yet
-    zeroed; `_owning` does that."""
-    full = _full_product(dim, cap, a, b)
-    tail = _weighted_sum(full[_above(basis, dim, 2 * cap, cap)],
-                         _weights(basis, dim, 2 * cap, r, cap))
-    # a cube window is copied to free `full`
-    return np.ascontiguousarray(full[_window(basis, dim, cap, 2 * cap)]), tail
-
-
-def coeff_majorant(basis: str, dim: int, cap: int, coeffs: np.ndarray,
-                   t: float) -> float:
-    """sum |a_I| w(|I|, t) over a cap-`cap` coefficient array: the
-    majorant of a tail-free series at t."""
-    return _weighted_sum(coeffs, _weights(basis, dim, cap, t))
+    and the tail `multiply` gives two tail-free series at radius r (see
+    `_kept_and_tail`)."""
+    return _kept_and_tail(basis, dim, cap, r, _full_product(dim, cap, a, b))
 
 
 def derivative_coeffs(coeffs: np.ndarray, axis: int = 0) -> np.ndarray:
@@ -411,7 +425,8 @@ class TruncatedSeries:
 
     def _poly_majorant(self, t: float) -> float:
         """Majorant of the stored coefficients alone, tail excluded."""
-        return coeff_majorant(self.basis, self.dim, self.cap, self.coeffs, t)
+        return _weighted_sum(self.coeffs,
+                             _weights(self.basis, self.dim, self.cap, t))
 
     def multiply(self, other: "TruncatedSeries") -> "TruncatedSeries":
         """Exact truncated product.

@@ -1,15 +1,19 @@
 """Tests for the worked problems: quadratic, finitely determined, circle."""
 
+import dataclasses
 import math
 
 import numpy as np
 import pytest
 
+from banachscale import demos
 from banachscale.cli import main as cli_main
 from banachscale.demos import (GOLDEN_C, GOLDEN_MEAN, _certified_run, circle,
                                circle_problem, mather, mather_problem, morse,
                                morse_problem)
-from banachscale.lie import LieError, lie_step, LieState, rho_schedule
+from banachscale.lie import (LieError, LieState, LocalityExponents, lie_step,
+                             rho_schedule)
+from banachscale.local_ops import LocalOperator, WeightFunction
 from banachscale.sequences import PositiveSequence
 from banachscale.series import TruncatedSeries
 
@@ -150,6 +154,123 @@ def test_a_reused_mather_problem_runs_as_a_fresh_one():
     for _ in range(8):
         r0 = monomial(7, rng.uniform(0.5, 1.5) * 1e-4 * rng.choice((-1, 1)))
         assert outcome(reused, r0) == outcome(mather_problem(f), r0)
+
+
+# ---- the schedule memo ----
+
+def _schedule_value(schedule):
+    """Everything a schedule holds, comparable by value."""
+    radii = schedule.radii
+    return (schedule.rho.to_json(), schedule.sigma.to_json(),
+            schedule.b.to_json(), schedule.report, radii.kind,
+            radii._log_radii.tobytes(),
+            tuple(radii.radius(n).hex() for n in range(80)))
+
+
+def _schedule_outcome(call):
+    try:
+        return _schedule_value(call())
+    except LieError as exc:
+        return repr(exc)
+
+
+def test_certified_demos_write_the_same_trace_whatever_the_memo_holds():
+    f3 = monomial(3, 1.0)
+    demos._SCHEDULES.clear()
+    cold = {"morse": morse().trace.to_json(),
+            "mather": mather().trace.to_json()}
+    rng = np.random.default_rng(4)
+    for _ in range(3):      # other seeds of the same problems
+        morse(r0=monomial(3, rng.uniform(0.5, 1.5) * 1e-3))
+        mather(r0=monomial(7, rng.uniform(0.5, 1.5) * 1e-4))
+    # other problems: another |j|, another t, another cap and base point
+    _certified_run(morse_problem(j_const=5.0), monomial(3, 1e-4), 1.0, 3)
+    morse(t=0.9)
+    mather(f=f3 + monomial(5, 1.0), r0=monomial(9, 1e-4))
+    morse(cap=128)
+    assert morse().trace.to_json() == cold["morse"]
+    assert mather().trace.to_json() == cold["mather"]
+    demos._SCHEDULES.clear()
+    assert mather().trace.to_json() == cold["mather"]
+    assert morse().trace.to_json() == cold["morse"]
+
+
+def _pi(norm):
+    return LocalOperator(lambda g, t, s: g, WeightFunction(k=0), norm,
+                         kind="projector")
+
+
+@pytest.mark.parametrize("change", [
+    {"j_norms": PositiveSequence.constant(9.0)},
+    {"kappa_norms": PositiveSequence.constant(1.0)},
+    {"exponents": LocalityExponents(alpha=0, beta=1, gamma=1, nu=0, xi=0)},
+    {"exponents": LocalityExponents(alpha=0, beta=0, gamma=1, nu=1, xi=0)},
+    {"projector": _pi(1.0)},
+    {"f": TruncatedSeries.monomial(2, 1.5, cap=64, ref_radius=1.0)},
+    {"t": 0.9},
+], ids=["j", "kappa", "exponent-k", "exponent-l", "projector", "tau0", "t"])
+def test_a_problem_differing_in_one_key_field_gets_its_own_schedule(change):
+    base = morse_problem()
+    change = dict(change)
+    t = change.pop("t", 1.0)
+    other = dataclasses.replace(base, **change)
+    demos._tuned_schedule(base, 1.0)                  # the memo holds base
+    got = _schedule_outcome(lambda: demos._tuned_schedule(other, t))
+    want = _schedule_outcome(lambda: rho_schedule(other, STRICT_B, t))
+    assert got == want
+    assert got != _schedule_value(demos._tuned_schedule(base, 1.0))
+    # and a second lookup, now from the memo, still reads the same
+    assert _schedule_outcome(lambda: demos._tuned_schedule(other, t)) == want
+
+
+def test_the_projector_norm_and_the_base_point_value_are_in_the_key():
+    with_pi = dataclasses.replace(morse_problem(), projector=_pi(1.0))
+    other_pi = dataclasses.replace(with_pi, projector=_pi(2.0))
+    demos._tuned_schedule(with_pi, 1.0)
+    assert _schedule_value(demos._tuned_schedule(other_pi, 1.0)) \
+        == _schedule_value(rho_schedule(other_pi, STRICT_B, 1.0)) \
+        != _schedule_value(demos._tuned_schedule(with_pi, 1.0))
+    # the cap is not: f = z^2 at caps 64 and 128 has the same |f|_t
+    assert demos._tuned_schedule(morse_problem(cap=128), 1.0) \
+        is demos._tuned_schedule(morse_problem(), 1.0)
+    # lie.rho_schedule itself tunes afresh on every call
+    assert rho_schedule(with_pi, STRICT_B, 1.0) \
+        is not rho_schedule(with_pi, STRICT_B, 1.0)
+
+
+def test_a_kept_schedule_is_read_only():
+    schedule = demos._tuned_schedule(morse_problem(), 1.0)
+    log_radii = schedule.radii._log_radii
+    assert not log_radii.flags.writeable
+    with pytest.raises(ValueError):
+        log_radii[1] = 0.0
+
+
+@pytest.mark.parametrize("problem, t", [
+    (morse_problem(), 0.0),
+    (morse_problem(), -1.0),
+    (morse_problem(), math.nan),
+    (morse_problem(), 1.5),
+    (morse_problem(cap=16), 2.0),
+    (dataclasses.replace(morse_problem(),
+                         j_norms=PositiveSequence.exp_power(1, 2.0)), 1.0),
+], ids=["t=0", "t<0", "t=nan", "t above f's radius", "cap 16",
+        "non-summable j"])
+def test_refusals_keep_their_type_and_message(problem, t):
+    with pytest.raises(LieError) as direct:
+        rho_schedule(problem, STRICT_B, t)
+    for _ in range(2):      # a refusal is not kept
+        with pytest.raises(LieError) as run:
+            _certified_run(problem, monomial(3, 1e-4), t, 3)
+        assert str(run.value) == str(direct.value)
+
+
+def test_the_memo_keeps_a_fixed_number_of_schedules():
+    problem = morse_problem(cap=16)
+    for t in np.linspace(0.5, 1.0, 100):
+        demos._tuned_schedule(problem, float(t))
+    assert len(demos._SCHEDULES) == demos._SCHEDULES_KEPT
+    assert next(reversed(demos._SCHEDULES))[-1] == 1.0
 
 
 def test_mather_zero_perturbation_is_identity():

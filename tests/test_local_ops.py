@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from scipy.integrate import solve_ivp
 
+from banachscale import local_ops
 from banachscale.local_ops import (
     EXP,
     EXP_NEG,
@@ -818,19 +819,24 @@ def _counted(u):
 
 
 def _field_case(rng, cap):
-    a = poly(rng.uniform(-1.0, 1.0, 3) * [0.05, 0.08, 0.04], cap=cap)
-    g = rand_poly(rng, cap=cap, deg=cap // 3)
+    # caps 0 and 1 keep a through the cap and g of degree cap: the
+    # field step's ramp cap..1 is then empty or [1]
+    a = poly((rng.uniform(-1.0, 1.0, 3) * [0.05, 0.08, 0.04])[:cap + 1],
+             cap=cap)
+    g = rand_poly(rng, cap=cap, deg=cap // 3 or cap)
     g.coeffs[: cap // 3 + 1] *= 0.6 ** np.arange(cap // 3 + 1)
     return certify_vector_field(a), g
 
 
 def _multiplier_case(rng, cap):
-    return (multiplication_operator(_band_multiplier(rng, cap, 2, 0.2)),
-            _fourier_input(rng, cap))
+    # at cap 0 the only mode is the mean, so the multiplier is a constant
+    m = _band_multiplier(rng, cap, min(cap, 2), 0.2) if cap \
+        else TruncatedSeries.fourier_mode(0, 0.2 / math.e, cap=0)
+    return multiplication_operator(m), _fourier_input(rng, cap)
 
 
 @pytest.mark.parametrize("symbol", [EXP, EXP_NEG, PHI, PSI])
-@pytest.mark.parametrize("cap", [16, 64, 128])
+@pytest.mark.parametrize("cap", [0, 1, 16, 64, 128])
 @pytest.mark.parametrize("case", [_field_case, _multiplier_case])
 def test_array_step_matches_the_series_action_bit_for_bit(symbol, cap,
                                                           case):
@@ -838,9 +844,64 @@ def test_array_step_matches_the_series_action_bit_for_bit(symbol, cap,
     u, g = case(rng, cap)
     counted, tails = _counted(u)
     app = borel_apply(symbol, counted, 1.0, 0.5, g)
-    assert tails and app.terms >= 2
+    assert tails and app.terms >= min(cap + 1, 2)
     assert _app_bits(app) == _app_bits(borel_apply(symbol, u, 1.0, 0.5, g)) \
         == _object_borel_apply(symbol, u, 1.0, 0.5, g)
+
+
+@pytest.mark.parametrize("symbol", [EXP, EXP_NEG, PHI, PSI])
+def test_an_overflow_whose_weighted_sum_underflows_leaves_no_tail(symbol):
+    # a = 1e-150 z^2 lifts g's top term 1e-150 z^16 to degree 17 at
+    # about 1e-299, and its weight (2^-6)^17 takes it below the least
+    # subnormal: the overflow is nonzero, its majorant 0.0, on both forms
+    cap, r = 16, 2.0 ** -6
+    a = poly([0.0, 0.0, 1e-150], cap=cap)
+    u = certify_vector_field(a)
+    g = poly([*0.5 ** np.arange(cap), 1e-150], cap=cap, ref=r)
+    full = np.convolve(a.coeffs, g.derivative().coeffs)
+    assert np.count_nonzero(full[cap + 1:])
+    kept, tail = u.array_step.apply(g.coeffs, r)
+    image = u.action(g, r, r)
+    assert tail == 0.0 and image.tail == 0.0
+    assert kept.tobytes() == image.coeffs.tobytes()
+    counted, tails = _counted(u)
+    app = borel_apply(symbol, counted, r, r / 2, g)
+    assert tails[0] == 0.0
+    assert _app_bits(app) == _object_borel_apply(symbol, u, r, r / 2, g)
+
+
+@pytest.mark.parametrize("symbol", [EXP, EXP_NEG, PHI, PSI])
+def test_an_infinite_overflow_raises_as_the_series_action_does(symbol):
+    # g' = 16e308 z^15 is inf, and inf times the complex ramp is inf + nan
+    # i: the overflow carries inf and NaN, its tail is NaN, and both
+    # forms refuse it with the same SeriesError
+    cap = 16
+    u = certify_vector_field(poly([0.0, 0.0, 0.1], cap=cap))
+    g = poly([0.5, 0.25, *[0.0] * (cap - 2), 1e308], cap=cap)
+    counted, tails = _counted(u)
+    with np.errstate(over="ignore", invalid="ignore"):
+        with pytest.raises(SeriesError) as array_form:
+            borel_apply(symbol, counted, 1.0, 0.5, g)
+        with pytest.raises(SeriesError) as series_form:
+            _object_borel_apply(symbol, u, 1.0, 0.5, g)
+    assert len(tails) == 1 and math.isnan(tails[0])
+    assert str(array_form.value) == str(series_form.value) \
+        == "tail must be nonnegative, got nan"
+
+
+def test_the_field_step_correlates_as_np_convolve_does():
+    # the step calls np.convolve's routine on f' reversed and contiguous;
+    # np.convolve passes it the reversed view, which the routine copies
+    rng = np.random.default_rng(33)
+    for n in range(1, 200):
+        a, v = (rng.standard_normal((2, n)) + 1j * rng.standard_normal((2, n)))
+        for x in (a, v):        # signed zeros in either part
+            x.real[rng.random(n) < 0.2] = -0.0
+            x.imag[rng.random(n) < 0.2] = 0.0
+            x[rng.random(n) < 0.1] = complex(-0.0, -0.0)
+        want = np.convolve(a, v)
+        got = local_ops._correlate(a, np.ascontiguousarray(v[::-1]), 2)
+        assert got.tobytes() == want.tobytes()
 
 
 @pytest.mark.parametrize("symbol", [EXP, EXP_NEG, PHI, PSI])

@@ -1115,6 +1115,37 @@ def test_a_nan_tail_from_an_operation_still_raises(basis, dim):
         f.scale(0.0)                      # inf * 0
 
 
+@pytest.mark.parametrize("cap,r", [(1, 1e200), (64, 1e3)])
+def test_a_zero_overflow_under_infinite_weights_still_raises(cap, r):
+    # the overflow weights r^(cap+1..2cap) reach inf; an overflow of
+    # exact zeros then weighs 0 inf = NaN, as the weighted sum gives,
+    # not the 0.0 an all-zero overflow takes otherwise
+    f = TS.monomial(0, 1.0, cap=cap, ref_radius=r)
+    with np.errstate(over="ignore", invalid="ignore"), \
+            pytest.raises(SeriesError, match="got nan"):
+        f.multiply(f)
+    assert f.restrict(1.0).multiply(f.restrict(1.0)).tail == 0.0
+
+
+def test_weighted_sum_reduces_as_the_flat_reduction():
+    # a vector reduces along its axis, with the bits of axis=None
+    rng = np.random.default_rng(31)
+    for n in range(600):
+        c = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+        w = np.exp(rng.uniform(-750.0, 5.0, n))     # subnormals and zeros
+        pick = rng.random(n)
+        c[pick < 0.02] = math.inf
+        c[(pick >= 0.02) & (pick < 0.05)] = complex(-0.0, 5e-324)
+        w[(pick >= 0.05) & (pick < 0.07)] = 5e-324
+        with np.errstate(invalid="ignore"):     # inf times a zero weight
+            want = float(np.add.reduce(np.abs(c) * w, axis=None))
+            assert series_module._weighted_sum(c, w).hex() == want.hex()
+    cube = rng.standard_normal((5, 5, 5)) + 1j * rng.standard_normal((5, 5, 5))
+    w = rng.random((5, 5, 5))
+    assert series_module._weighted_sum(cube, w).hex() \
+        == float(np.add.reduce(np.abs(cube) * w, axis=None)).hex()
+
+
 _ZEROISH = [0.0, -0.0, complex(0.0, -0.0), complex(-0.0, 0.0),
             complex(-0.0, -0.0), math.nan, complex(0.0, math.nan),
             complex(math.nan, -0.0), 5e-324, complex(0.0, -5e-324)]

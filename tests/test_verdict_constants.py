@@ -44,6 +44,9 @@ ALLOWED = {
         0.0: "omega > 0",
         (1.0 + math.sqrt(5.0)) / 2.0: "omega's default, the golden mean",
     },
+    ("demos", "_tuned_schedule"): {
+        0.0: "t > 0: rho_schedule's own check, run before the key is built",
+    },
     ("demos", "mather_problem.m_member"): {
         1e-12: "_FLOOR: membership ignores coefficients below 1e-12 times "
                "the run's seed's largest (ROADMAP item 1: derive it)",

@@ -19,7 +19,9 @@ each opened by a label line:
 * `@ NAME`: library outputs as `float.hex`.  Each demo at caps
   16/64/128 prints its residual, every detail (a non-float as its repr)
   and every row's `value_norm`, then its b_n and sigma_n (`None` when
-  absent) and `checks_passed`.  The sequence layer on fixed geometric,
+  absent) and `checks_passed`; `morse` and `mather` then run again in
+  the same process and print the SHA-256 of both runs' trace JSON,
+  which must agree.  The sequence layer on fixed geometric,
   exp_power, product and scaled families prints `bruno_check` and
   `taming_epsilon_log` at depths 60 and 240, `bruno_transform` at
   n = 0..5, and `lemma_rho`'s report, the SHA-256 of its rho's JSON
@@ -57,6 +59,7 @@ LIE_EXTRA = ("morse --steps 70", "morse --t 0.1", "mather --steps 0",
              "morse --steps -1", "circle --omega 0.75", "morse --steps 121",
              "circle --steps 54")
 ENGINES = ("model", "newton", "nashmoser", "lie")
+REPLAYED = ("morse", "mather")     # certified demos, run twice in process
 
 
 def sha(data: bytes) -> str:
@@ -83,6 +86,10 @@ def cli_run(argv: list[str]) -> list[str]:
         lines += [f"{name} sha256 {sha(path.read_bytes())}"
                   for name, path in files.items() if path.exists()]
     return lines
+
+
+def trace_sha(report) -> str:
+    return sha(report.trace.to_json().encode())
 
 
 def hexed(*xs: float) -> str:
@@ -210,6 +217,10 @@ def demo_outputs() -> list[str]:
                           f"row {rec.n} b_n {maybe_hex(rec.bound)} sigma_n "
                           f"{maybe_hex(rec.sigma)} checks_passed "
                           f"{rec.checks_passed}"]
+            if demo in REPLAYED:
+                again = getattr(demos, demo)(cap=cap)
+                lines.append(f"trace sha256 {trace_sha(rep)} replay "
+                             f"{trace_sha(again)}")
     return lines
 
 
