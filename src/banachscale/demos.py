@@ -43,6 +43,7 @@ GOLDEN_MEAN = (1.0 + math.sqrt(5.0)) / 2.0
 GOLDEN_C = 1.0 / (1.0 + GOLDEN_MEAN)
 
 _STRICT_B = PositiveSequence.exp_power(-1, 1.5)
+_STRICT_B_JSON = _STRICT_B.to_json()
 _FLOOR = 1e-12      # mather's membership floor, relative to the seed
 _SCHEDULES: dict = {}   # tuned schedules by problem value, least recent first
 _SCHEDULES_KEPT = 8
@@ -78,7 +79,7 @@ def _tuned_schedule(problem: ActionProblem, t: float) -> LieSchedule:
     key = (problem.j_norms.to_json(), None if kap is None else kap.to_json(),
            problem.exponents,
            None if problem.projector is None else problem.projector.norm_bound,
-           problem.f.restrict(t).majorant_norm(t), _STRICT_B.to_json(), t)
+           problem.f.majorant_norm(t), _STRICT_B_JSON, t)
     schedule = _SCHEDULES.pop(key, None)
     if schedule is None:
         schedule = rho_schedule(problem, _STRICT_B, t)
@@ -197,7 +198,7 @@ def _normalization_defect(conjugacy, f: TruncatedSeries, t: float,
     included; this is the distance of the conjugated seed to the base
     point, as opposed to the coefficientwise replay defect.  g(f + r0)
     is the image `run_lie` carried."""
-    tau = f if f.ref_radius == t else f.restrict(t)
+    tau = f.at(t)
     gx, g_rem = conjugacy.image
     gx, base = align(gx, tau)
     return (gx - base).majorant_norm(s_inf) + g_rem
@@ -239,21 +240,19 @@ def mather_problem(f: TruncatedSeries, *,
             "is not invertible")
 
     # Coefficients of z^(k-1) / f' = 1 / (lead * unit).  They do not
-    # depend on the radius, so halve it until the Neumann condition
-    # theta < 1 holds and the reciprocal is computable.
+    # depend on the radius, so take r <= min(1, 1/(2S)) with
+    # S = sum_{i>=1} |unit_i / unit_0|: theta <= r S <= 1/2.
     unit_c = np.zeros(cap + 1, dtype=complex)
     unit_c[:cap + 2 - k] = fp.coeffs[k - 1:] / lead
-    radius = f.ref_radius
-    rec = None
-    for _ in range(80):
-        unit = TruncatedSeries(1, cap, radius, "taylor", unit_c.copy())
-        try:
-            rec = unit.reciprocal()
-            break
-        except SeriesError:
-            radius *= 0.5
-    if rec is None:
-        raise LieError("f' / z^(k-1) is not invertible near the origin")
+    refusal = "f' / z^(k-1) is not invertible near the origin"
+    S = float(np.sum(np.abs(unit_c[1:] / unit_c[0])))
+    if not math.isfinite(S):
+        raise LieError(refusal)
+    radius = min(f.ref_radius, 1.0, 0.5 / S if S else 1.0)
+    try:    # P = 1/unit can still overflow its coefficients
+        rec = TruncatedSeries(1, cap, radius, "taylor", unit_c).reciprocal()
+    except SeriesError:
+        raise LieError(refusal) from None
     rec_c = rec.coeffs / lead
 
     scale = {}      # the seed's largest |coefficient|
@@ -346,7 +345,7 @@ def circle_problem(omega: float = GOLDEN_MEAN, *,
 
     # the zero mode: the transversal of constant fields, norm 1 everywhere
     pi = LocalOperator(
-        lambda g, t, s: g.cutoff(0, 1).restrict(min(s, g.ref_radius)),
+        lambda g, t, s: g.cutoff(0, 1).at(s),
         WeightFunction(k=0), 1.0, kind="projector", name="mean")
     return ActionProblem(
         f, qi, lambda n, g: True,

@@ -322,7 +322,7 @@ def nash_moser(f: Callable[[TruncatedSeries], TruncatedSeries],
         "bruno_gate": gate_lo,
     }
 
-    x = x0.restrict(s0) if x0.ref_radius > s0 else x0.copy()
+    x = x0.at(s0)
     d_prev = None
     log_env = None      # running log of the closed-form envelope
     growths = 0

@@ -238,11 +238,10 @@ def lie_step(state: LieState, problem: ActionProblem,
 
     u_op = guard("j(tau_n) r_n", problem.quasi_inverse, n, tau, r)
     w_u = guard("u_n(tau_n)", u_op, tau, s, p1)
-    w = guard("r_n - u_n(tau_n)", _sub, r.restrict(p1), w_u)
+    w = guard("r_n - u_n(tau_n)", _sub, r, w_u)
     pi = problem.projector
     delta_raw = guard("pi(r_n - u_n(tau_n))", _project, pi, w, p1, p2)
-    kappa_val = guard("(iota - pi)(r_n - u_n(tau_n))",
-                      _sub, w.restrict(p2), delta_raw)
+    kappa_val = guard("(iota - pi)(r_n - u_n(tau_n))", _sub, w, delta_raw)
 
     phi_app = guard("phi(u_n) tau_n", borel_apply, PHI, u_op, s, s1, tau)
     psi_app = None
@@ -268,7 +267,7 @@ def lie_step(state: LieState, problem: ActionProblem,
         slack += r_next.tail
         r_next.tail = 0.0
     delta = delta_raw.restrict(s1)
-    tau_next = guard("tau_{n+1}", _add, tau.restrict(s1), delta)
+    tau_next = guard("tau_{n+1}", _add, tau, delta)
 
     # x_{n+1} = e^(-u_n) ... e^(-u_0) x_0 must hold coefficientwise
     image = state.x if state.image is None else state.image
@@ -399,7 +398,7 @@ def rho_schedule(problem: ActionProblem, b: PositiveSequence,
 
     exps = problem.exponents
     k, l = exps.k, exps.l
-    tau0 = problem.f.restrict(t).majorant_norm(t)
+    tau0 = problem.f.majorant_norm(t)
     kap = problem.kappa_norms
     logs = _derived_logs(
         problem, tau0, problem.j_norms.log_values(_WINDOW + 1),
@@ -490,8 +489,7 @@ def run_lie(problem: ActionProblem, radii: RadiusSchedule,
     t = radii.radius(0)
     if problem.f.ref_radius < t or r0.ref_radius < t:
         raise LieError("f and r_0 must be certified at the starting radius")
-    tau = problem.f if problem.f.ref_radius == t else problem.f.restrict(t)
-    r = r0 if r0.ref_radius == t else r0.restrict(t)
+    tau, r = problem.f.at(t), r0.at(t)
     x0 = _add(tau, r)
     slack0 = 0.0
     if r.tail > 0.0:

@@ -148,11 +148,6 @@ class LocalOperator:
         return f"LocalOperator({self.name}, bound={self.norm_bound:g})"
 
 
-def _clamp(f: TruncatedSeries, t: float) -> TruncatedSeries:
-    """f itself when certified at most up to t, else f restricted to t."""
-    return f if f.ref_radius <= t else f.restrict(t)
-
-
 def _check_window(t: float, s: float, caps: Sequence[float]) -> None:
     if not (0.0 < s <= t):
         raise OperatorError(f"need 0 < s <= t, got ({t}, {s})")
@@ -195,7 +190,7 @@ def certify_vector_field(a: TruncatedSeries, name: str = "vector_field"
 
     def action(f: TruncatedSeries, t: float, s: float) -> TruncatedSeries:
         _check_window(t, s, (f.ref_radius, a.ref_radius))
-        ft = _clamp(f, t)
+        ft = f.at(t)
         if ft.tail == 0.0:
             fp = ft.derivative()
         elif s < t:
@@ -207,10 +202,10 @@ def certify_vector_field(a: TruncatedSeries, name: str = "vector_field"
             raise OperatorError("a tailed argument needs s < t")
         am, fp = align(a, fp)
         prod = am.multiply(fp)
-        return _clamp(prod, s)
+        return prod.at(s)
 
     # action on a tail-free f of a's cap: align only restricts a, which
-    # keeps its coefficients, and no clamp moves the product.  f' is
+    # keeps its coefficients, and prod.at(s) moves nothing.  f' is
     # built reversed in `rev`: +0.0 (its top entry), then c_cap cap, ...,
     # c_1 1.  np.convolve(a, f') would pass correlate f'[::-1] and copy
     # it to this same contiguous array, so the sums and bits are its own.
@@ -240,10 +235,10 @@ def multiplication_operator(h: TruncatedSeries, name: str = "multiplication"
 
     def action(f: TruncatedSeries, t: float, s: float) -> TruncatedSeries:
         _check_window(t, s, (f.ref_radius, h.ref_radius))
-        ft = _clamp(f, t)
+        ft = f.at(t)
         hm, ft = align(h, ft)
         prod = hm.multiply(ft)
-        return _clamp(prod, s)
+        return prod.at(s)
 
     def array_action(c: np.ndarray, r: float) -> tuple[np.ndarray, float]:
         return truncated_product(h.basis, 1, h.cap, r, h.coeffs, c)
@@ -334,7 +329,7 @@ def borel_apply(symbol: BorelSymbol, u: LocalOperator, t: float, s: float,
     if not (x < symbol.radius):
         raise OperatorError(
             f"outside the Borel disc: |u|/lambda = {x:g} >= {symbol.radius:g}")
-    gt = _clamp(g, t)
+    gt = g.at(t)
     input_norm = gt.majorant_norm(gt.ref_radius)
     bound = symbol.majorant(x) * input_norm
 
@@ -411,7 +406,7 @@ def borel_apply(symbol: BorelSymbol, u: LocalOperator, t: float, s: float,
     else:
         remainder = max(0.0, symbol.majorant(x) * (1.0 + 4.0 * _EPS)
                         - partial * (1.0 - 4.0 * _EPS)) * input_norm
-    result = _clamp(acc, s)
+    result = acc.at(s)
     folded = False
     if remainder > 0.0 and u.order_raise >= 1 \
             and gt.order() + (terms + 1) * u.order_raise > result.cap:

@@ -49,11 +49,13 @@ Tail bookkeeping rules worth knowing (each documented at the operation):
 * divide_by_coordinate refuses a nonzero z_axis = 0 face, divides the
   tail by ref_radius and likewise drops the cap by one when a tail is
   present;
+* at(s) is the series itself when its reference radius is at most s,
+  else restrict(s): restricting to its own radius is the identity;
 * align(f, g) brings two series to common ground before mixed
-  arithmetic: both move to the smaller reference radius (tails rescale
-  by their decay factor), then to a common cap.  The tail-free side is
-  widened when it has the smaller cap; otherwise the wider side is
-  narrowed, folding its dropped coefficients into its tail.
+  arithmetic: both move to the smaller radius with `at` (a tail
+  rescales by its decay factor), then to a common cap.  The tail-free
+  side is widened when it has the smaller cap; otherwise the wider side
+  is narrowed, folding its dropped coefficients into its tail.
 
 The array-level functions `truncated_product` and `derivative_coeffs`
 act on bare coefficient arrays: `multiply` and `derivative` call them,
@@ -684,6 +686,11 @@ class TruncatedSeries:
         return self._owning(self.dim, self.cap, s, self.basis,
                             self.coeffs.copy(), self.tail * factor)
 
+    def at(self, s: float) -> "TruncatedSeries":
+        """This series read at radius s: itself when its reference radius
+        is at most s, else `restrict(s)`, which refuses s <= 0 or NaN."""
+        return self if self.ref_radius <= s else self.restrict(s)
+
     # -- serialization --
 
     def to_json_dict(self) -> dict:
@@ -731,8 +738,7 @@ def align(f: TruncatedSeries, g: TruncatedSeries
     to the other cap, or else the wider side folds down into its tail.
     A side that already fits is returned as is."""
     r = min(f.ref_radius, g.ref_radius)
-    f = f if f.ref_radius == r else f.restrict(r)
-    g = g if g.ref_radius == r else g.restrict(r)
+    f, g = f.at(r), g.at(r)
     if f.cap < g.cap:
         if f.tail == 0.0:
             return f.with_cap(g.cap), g

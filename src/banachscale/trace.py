@@ -81,10 +81,11 @@ class StepRecord:
 class IterationTrace:
     """Full record of an iteration run.
 
-    `status` is one of 'converged', 'bounded', 'diverged', 'refused',
-    'ran'; `certified` means every per-step check the engine performs
-    passed, so the run's conclusion is backed by the recorded
-    inequalities rather than by luck.
+    `status` is 'ran' until the engine sets 'converged', 'diverged',
+    'bounded' (model_iteration) or 'uncertified' (nash_moser, when the
+    Bruno gate refuses); `certified` means every per-step check the
+    engine performs passed, so the run's conclusion is backed by the
+    recorded inequalities rather than by luck.
     """
 
     engine: str

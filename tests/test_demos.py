@@ -15,7 +15,7 @@ from banachscale.lie import (LieError, LieState, LocalityExponents, lie_step,
                              rho_schedule)
 from banachscale.local_ops import LocalOperator, WeightFunction
 from banachscale.sequences import PositiveSequence
-from banachscale.series import TruncatedSeries
+from banachscale.series import SeriesError, TruncatedSeries
 
 STRICT_B = PositiveSequence.exp_power(-1, 1.5)
 
@@ -285,6 +285,64 @@ def test_mather_dense_base_point():
     assert rep.converged
     assert rep.residual <= 1e-8
     assert rep.certificate.verdict == "certified"
+
+
+def _halving_reciprocal(f):
+    """The coefficients of z^(k-1) / f' as mather_problem once found
+    them: halve the radius from f's own until the reciprocal of the unit
+    f' / (lead z^(k-1)) is computable, at most 80 times (None if never)."""
+    k, cap = f.order(), f.cap
+    fp = f.derivative(0)
+    lead = fp.coefficient(k - 1)
+    unit_c = np.zeros(cap + 1, dtype=complex)
+    unit_c[:cap + 2 - k] = fp.coeffs[k - 1:] / lead
+    radius = f.ref_radius
+    for _ in range(80):
+        try:
+            unit = TruncatedSeries(1, cap, radius, "taylor", unit_c)
+            return unit.reciprocal().coeffs / lead
+        except SeriesError:
+            radius *= 0.5
+    return None
+
+
+def _rec_c(problem):
+    """The reciprocal coefficients the problem's step fields divide by."""
+    qi = problem.quasi_inverse
+    return qi.__closure__[qi.__code__.co_freevars.index("rec_c")] \
+        .cell_contents
+
+
+def test_mather_reciprocal_is_the_halving_search_bit_for_bit():
+    rng = np.random.default_rng(34)
+    for _ in range(300):
+        k = int(rng.integers(2, 8))
+        cap = int(rng.choice((3, 5, 8, 16, 33, 64)))
+        cap = max(cap, k)
+        c = rng.normal(size=cap + 1) + 1j * rng.normal(size=cap + 1)
+        c[:k] = 0.0
+        c *= 10.0 ** rng.uniform(-2.0, 2.0, size=cap + 1)
+        f = TruncatedSeries(1, cap, float(rng.choice((0.3, 1.0, 2.5))),
+                            "taylor", c)
+        want = _halving_reciprocal(f)
+        if want is None:
+            with pytest.raises(LieError, match="not invertible"):
+                mather_problem(f)
+            continue
+        got = _rec_c(mather_problem(f))
+        assert got.tobytes() == want.tobytes()
+
+
+def test_mather_refuses_a_unit_without_a_finite_reciprocal():
+    for a in (1e5, 1e200):      # P = 1/(1 + c z) overflows at cap 64
+        with np.errstate(over="ignore", invalid="ignore"), \
+                pytest.raises(LieError, match="not invertible near the"):
+            mather_problem(monomial(3, 1.0) + monomial(4, a))
+    f = monomial(3, 1.0)
+    f.coeffs[5] = math.inf      # f' = 3 z^2 + (inf + nan i) z^4: S is nan
+    with np.errstate(invalid="ignore"), \
+            pytest.raises(LieError, match="not invertible near the origin"):
+        mather_problem(f)
 
 
 def test_mather_rejects_vanishing_derivative():

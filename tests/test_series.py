@@ -706,6 +706,42 @@ def test_align_takes_the_smaller_radius_then_a_common_cap():
     assert a is f and b is f
 
 
+@pytest.mark.parametrize("basis,dim", _BASES)
+@pytest.mark.parametrize("tail", [0.0, 0.05])
+def test_at_reads_a_series_at_a_radius(basis, dim, tail):
+    f = _series(np.random.default_rng(73 + dim), basis, dim, 3, tail=tail)
+    r = f.ref_radius
+    for s in (r, r * (1.0 + 2.0 ** -52), 1.5, math.inf):
+        assert f.at(s) is f
+    for s in (r * (1.0 - 2.0 ** -52), 0.5, 1e-3):
+        g = f.at(s)
+        decay = math.exp(4 * (s - r)) if basis == "fourier" else (s / r) ** 4
+        assert (g.ref_radius, g.cap, g.tail) == (s, 3, tail * decay)
+        assert np.array_equal(g.coeffs, f.coeffs)
+        assert not np.shares_memory(g.coeffs, f.coeffs)
+    for s in (0.0, -0.5, -math.inf, math.nan):
+        with pytest.raises(SeriesError, match="cannot restrict"):
+            f.at(s)
+
+
+@pytest.mark.parametrize("basis,dim", _BASES)
+def test_align_returns_a_side_that_fits_itself(basis, dim):
+    rng = np.random.default_rng(83 + dim)
+    f = _series(rng, basis, dim, 3, tail=0.05)
+    g = _series(rng, basis, dim, 3, tail=0.01)
+    a, b = align(f, g)
+    assert a is f and b is g
+    low = _series(rng, basis, dim, 3, ref=0.5)
+    for a, b in (align(f, low), align(low, f)[::-1]):
+        assert b is low and (a.ref_radius, a.cap) == (0.5, 3)
+    narrow = _series(rng, basis, dim, 2)     # tail-free: widened to f's cap
+    a, b = align(narrow, f)
+    assert b is f and a.cap == 3
+    wide = _series(rng, basis, dim, 5)       # f is tailed: wide narrows
+    a, b = align(f, wide)
+    assert a is f and b.cap == 3
+
+
 # ---- product kernel ----
 
 _U = 2.0 ** -53
