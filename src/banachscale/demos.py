@@ -345,7 +345,7 @@ def circle_problem(omega: float = GOLDEN_MEAN, *,
 
     # the zero mode: the transversal of constant fields, norm 1 everywhere
     pi = LocalOperator(
-        lambda g, t, s: g.cutoff(0, 1).at(s),
+        lambda g, t, s: g.cutoff(0, 1),
         WeightFunction(k=0), 1.0, kind="projector", name="mean")
     return ActionProblem(
         f, qi, lambda n, g: True,

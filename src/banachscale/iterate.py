@@ -283,8 +283,8 @@ def nash_moser(f: Callable[[TruncatedSeries], TruncatedSeries],
                d2f_const: float) -> IterationTrace:
     """Newton iteration with radius loss: x_{n+1} = iota(x_n + j(x_n)(y - f(x_n))).
 
-    The residual y - f(x_n) is formed at s_n, restricted to the midpoint
-    s_{n+1/2}, and j(x_n) (a LocalOperator with Df o j = iota exactly)
+    The residual y - f(x_n) is formed at s_n, and j(x_n) (a LocalOperator
+    with Df o j = iota exactly) reads it at the midpoint s_{n+1/2} and
     carries it to s_{n+1} where the update lands.  The declared locality
     exponents (a, b, k, l) and certificate constants j_const, d2f_const
     build the model a_n = M q^(-alpha n) (see `quadratic_model`); the
@@ -332,7 +332,7 @@ def nash_moser(f: Callable[[TruncatedSeries], TruncatedSeries],
         s_next = schedule.radius(n + 1)
         try:
             resid = y.restrict(s_n) - f(x)
-            w = j(x)(resid.restrict(s_half), s_half, s_next)
+            w = j(x)(resid, s_half, s_next)
         except (SeriesError, OperatorError) as exc:
             raise IterationError(f"step {n}: {exc}") from exc
         x = x.restrict(s_next) + w

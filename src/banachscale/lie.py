@@ -30,8 +30,8 @@ import numpy as np
 from .iterate import RadiusSchedule
 from .local_ops import (EXP_NEG, PHI, PSI, LocalOperator, OperatorError,
                         borel_apply, product_of_exponentials)
-from .sequences import (PositiveSequence, SequenceDomainError, bruno_check,
-                        exp_or_inf, lemma_rho, log_rows)
+from .sequences import (PositiveSequence, SequenceDomainError, exp_or_inf,
+                        lemma_rho, log_rows)
 from .series import SeriesError, TruncatedSeries, align
 from .trace import IterationTrace, StepRecord
 
@@ -67,11 +67,9 @@ def _max_coeff_diff(a: TruncatedSeries, b: TruncatedSeries) -> float:
 
 
 def _negated(u: LocalOperator) -> LocalOperator:
-    def action(g: TruncatedSeries, t: float, s: float) -> TruncatedSeries:
-        return u.action(g, t, s).scale(-1.0)
-
-    return LocalOperator(action, u.weight, u.norm_bound, u.kind,
-                         f"-{u.name}", u.order_raise, u.cert_radius)
+    return LocalOperator(lambda g, t, s: u(g, t, s).scale(-1.0), u.weight,
+                         u.norm_bound, u.kind, f"-{u.name}", u.order_raise,
+                         u.cert_radius)
 
 
 def _project(pi: LocalOperator | None, w: TruncatedSeries, t: float,
@@ -384,25 +382,23 @@ def rho_schedule(problem: ActionProblem, b: PositiveSequence,
         raise LieError("the starting radius t must be positive")
     if problem.f.ref_radius < t:
         raise LieError("f is not certified at the starting radius")
+    walks = {}      # log |j|, log |kappa| on the window, one walk each
     for label, seq in (("j", problem.j_norms),
                        ("kappa", problem.kappa_norms)):
         if seq is None:
             continue
         try:
-            cert = bruno_check(seq, depth=_WINDOW + 1)
+            walks[label] = seq.log_values(_WINDOW + 1)
         except SequenceDomainError as exc:
             raise LieError(f"|{label}| norm sequence: {exc}") from None
-        if cert.verdict == "not_bruno":
+        if seq.divergence_witness():
             raise LieError(
                 f"|{label}| is certified non-summable; no schedule exists")
 
     exps = problem.exponents
     k, l = exps.k, exps.l
     tau0 = problem.f.majorant_norm(t)
-    kap = problem.kappa_norms
-    logs = _derived_logs(
-        problem, tau0, problem.j_norms.log_values(_WINDOW + 1),
-        None if kap is None else kap.log_values(_WINDOW + 1))
+    logs = _derived_logs(problem, tau0, walks["j"], walks.get("kappa"))
     # lemma_rho needs closed-form inputs for its tail certificates, so
     # dominate 2 (a'' + a''') by a scaled power of |j|: the pair check
     # only gets harder and the taming epsilon only smaller.

@@ -8,6 +8,11 @@ bound: for all 0 < s < t up to cert_radius,
 
     |u(f)|_s  <=  norm_bound * |f|_t / lambda(t, s).
 
+Calling u(f, t, s) is the one application rule: it refuses a window
+outside 0 < s <= t <= min(f's ref radius, cert_radius), hands the action
+f read at t (`TruncatedSeries.at`) and reads the action's result at s,
+so an action only computes and nothing else calls it.
+
 Certification is analytic per operator class; random sampling only ever
 falsifies.  For vector fields a(z) d/dz the bound is the majorant norm
 of a (for a = 1 this gives |d/dz| = 1), and the class satisfies the
@@ -117,15 +122,17 @@ class LocalOperator:
     order_raise is a certified lower bound on how much one application
     raises the vanishing order of its argument (counted on exactly zero
     coefficients, no tolerance).  cert_radius caps the radii t at which
-    the norm_bound certificate applies.  array_step is None, or the
-    same action on bare tail-free coefficient arrays (`ArrayStep`), which
-    `certify_vector_field` and `multiplication_operator` attach.
+    the norm_bound certificate applies.  action(ft, t, s) gets f read at
+    t, and the call reads its result at s (see the module).  array_step
+    is None, or the same action on bare tail-free coefficient arrays
+    (`ArrayStep`), which `certify_vector_field` and
+    `multiplication_operator` attach.
     """
 
     def __init__(self, action: Callable, weight: WeightFunction,
                  norm_bound: float, kind: str = "generic", name: str = "",
                  order_raise: int = 0, cert_radius: float = math.inf):
-        if norm_bound < 0:
+        if not (norm_bound >= 0):
             raise OperatorError("norm_bound must be nonnegative")
         self.action = action
         self.weight = weight
@@ -138,7 +145,9 @@ class LocalOperator:
 
     def __call__(self, f: TruncatedSeries, t: float, s: float
                  ) -> TruncatedSeries:
-        return self.action(f, t, s)
+        """u(f) from radius t to s by the one application rule."""
+        _check_window(t, s, (f.ref_radius, self.cert_radius))
+        return self.action(f.at(t), t, s).at(s)
 
     @property
     def is_zero(self) -> bool:
@@ -188,9 +197,7 @@ def certify_vector_field(a: TruncatedSeries, name: str = "vector_field"
     bound = a.majorant_norm(a.ref_radius)
     raise_by = max(0, a.order() - 1)
 
-    def action(f: TruncatedSeries, t: float, s: float) -> TruncatedSeries:
-        _check_window(t, s, (f.ref_radius, a.ref_radius))
-        ft = f.at(t)
+    def action(ft: TruncatedSeries, t: float, s: float) -> TruncatedSeries:
         if ft.tail == 0.0:
             fp = ft.derivative()
         elif s < t:
@@ -201,14 +208,13 @@ def certify_vector_field(a: TruncatedSeries, name: str = "vector_field"
         else:
             raise OperatorError("a tailed argument needs s < t")
         am, fp = align(a, fp)
-        prod = am.multiply(fp)
-        return prod.at(s)
+        return am.multiply(fp)
 
-    # action on a tail-free f of a's cap: align only restricts a, which
-    # keeps its coefficients, and prod.at(s) moves nothing.  f' is
-    # built reversed in `rev`: +0.0 (its top entry), then c_cap cap, ...,
-    # c_1 1.  np.convolve(a, f') would pass correlate f'[::-1] and copy
-    # it to this same contiguous array, so the sums and bits are its own.
+    # action from r to r on a tail-free f of a's cap: align only restricts
+    # a, which keeps its coefficients.  f' is built reversed in `rev`:
+    # +0.0 (its top entry), then c_cap cap, ..., c_1 1.  np.convolve(a, f')
+    # would pass correlate f'[::-1] and copy it to this same contiguous
+    # array, so the sums and bits are its own.
     cap = a.cap
     ramp = np.arange(cap, 0, -1).astype(complex)   # cap..1
     rev = np.zeros(cap + 1, dtype=complex)
@@ -233,12 +239,9 @@ def multiplication_operator(h: TruncatedSeries, name: str = "multiplication"
     """
     bound = h.majorant_norm(h.ref_radius)
 
-    def action(f: TruncatedSeries, t: float, s: float) -> TruncatedSeries:
-        _check_window(t, s, (f.ref_radius, h.ref_radius))
-        ft = f.at(t)
+    def action(ft: TruncatedSeries, t: float, s: float) -> TruncatedSeries:
         hm, ft = align(h, ft)
-        prod = hm.multiply(ft)
-        return prod.at(s)
+        return hm.multiply(ft)
 
     def array_action(c: np.ndarray, r: float) -> tuple[np.ndarray, float]:
         return truncated_product(h.basis, 1, h.cap, r, h.coeffs, c)
@@ -299,8 +302,7 @@ class BorelApplication:
 
 
 def borel_apply(symbol: BorelSymbol, u: LocalOperator, t: float, s: float,
-                g: TruncatedSeries, max_terms: int | None = None
-                ) -> BorelApplication:
+                g: TruncatedSeries) -> BorelApplication:
     """Compute B f(u) g = sum_n a_n u^n(g) / n! with certified remainder.
 
     pre: norm_bound(u) < R * lambda(t, s) (derivations; other kinds need
@@ -316,7 +318,7 @@ def borel_apply(symbol: BorelSymbol, u: LocalOperator, t: float, s: float,
     float honesty); everything uncomputed is covered by the remainder
     (|f|(x) - partial) |g|_t.
     Only a tailed iterate's radius descent may end the series that way:
-    an action that fails on a tail-free iterate raises its error.
+    an application that fails on a tail-free iterate raises its error.
     A series with no exact ending also stops after term k >= 2 once
     (k+1) x^(k+1) / (1-x)^2 |g|_t <= 2^-53 |acc|_s (see the module).
     """
@@ -333,8 +335,6 @@ def borel_apply(symbol: BorelSymbol, u: LocalOperator, t: float, s: float,
     input_norm = gt.majorant_norm(gt.ref_radius)
     bound = symbol.majorant(x) * input_norm
 
-    if max_terms is None:
-        max_terms = gt.cap + 1
     acc = TruncatedSeries(gt.dim, gt.cap, gt.ref_radius, gt.basis)
     a0 = symbol.coeff(0)
     if a0 != 0.0:
@@ -351,7 +351,7 @@ def borel_apply(symbol: BorelSymbol, u: LocalOperator, t: float, s: float,
     terms = 0
     exact = False
     endless = u.kind != "derivation" and u.order_raise < 1
-    for k in range(1, max_terms + 1):
+    for k in range(1, gt.cap + 2):
         if bare:
             w, tail = step.apply(w, r)
             if tail != 0.0:     # _owning refuses a NaN tail, as action does
@@ -363,7 +363,7 @@ def borel_apply(symbol: BorelSymbol, u: LocalOperator, t: float, s: float,
             if w.tail > 0.0 and not (ref_next < w.ref_radius):
                 break
             try:
-                w = u.action(w, w.ref_radius, ref_next)
+                w = u(w, w.ref_radius, ref_next)
             except (OperatorError, SeriesError):
                 if w.tail == 0.0:
                     raise   # a malformed application, not radius descent

@@ -555,7 +555,7 @@ def model_iteration(a: PositiveSequence, b: PositiveSequence | None,
     exactly; a violation marks the trace uncertified but the run
     continues.
     """
-    if x0 < 0:
+    if not (x0 >= 0):
         raise SequenceDomainError("x0 must be nonnegative")
     if steps < 0:
         raise SequenceDomainError("steps must be nonnegative")

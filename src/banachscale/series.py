@@ -57,12 +57,11 @@ Tail bookkeeping rules worth knowing (each documented at the operation):
   side is widened when it has the smaller cap; otherwise the wider side
   is narrowed, folding its dropped coefficients into its tail.
 
-The array-level functions `truncated_product` and `derivative_coeffs`
-act on bare coefficient arrays: `multiply` and `derivative` call them,
-and so does a local operator's step on a tail-free iterate (see
-`local_ops`).  `truncated_product` cuts the full product with
-`_kept_and_tail`, which a vector field's step shares, so `multiply` and
-those steps agree bit for bit.
+The array-level function `truncated_product` acts on bare coefficient
+arrays: `multiply` calls it, and so does a multiplication operator's
+step on a tail-free iterate (see `local_ops`).  It cuts the full product
+with `_kept_and_tail`, which a vector field's step shares, so `multiply`
+and those steps agree bit for bit.
 
 Majorants read their weights t^|I| (e^(|k| t) on a strip) from one
 bounded cache keyed by (basis, dim, cap, t), which also holds the
@@ -87,7 +86,7 @@ from functools import lru_cache
 import numpy as np
 
 __all__ = ["TruncatedSeries", "SeriesError", "align", "truncated_product",
-           "derivative_coeffs", "DEFAULT_CAP_1D", "DEFAULT_CAP_ND"]
+           "DEFAULT_CAP_1D", "DEFAULT_CAP_ND"]
 
 DEFAULT_CAP_1D = 64
 DEFAULT_CAP_ND = 16
@@ -277,7 +276,7 @@ def truncated_product(basis: str, dim: int, cap: int, r: float,
     return _kept_and_tail(basis, dim, cap, r, _full_product(dim, cap, a, b))
 
 
-def derivative_coeffs(coeffs: np.ndarray, axis: int = 0) -> np.ndarray:
+def _derivative_coeffs(coeffs: np.ndarray, axis: int = 0) -> np.ndarray:
     """Taylor coefficients of d/dz_axis of the polynomial `coeffs`, at the
     same cap: index i + 1 along axis, times i + 1, lands at i, and the
     top face is +0."""
@@ -550,7 +549,7 @@ class TruncatedSeries:
             at = self.ref_radius * self.cap / (self.cap + 1)
         if not (0 <= axis < self.dim):
             raise SeriesError("axis out of range")
-        coeffs = derivative_coeffs(self.coeffs, axis)
+        coeffs = _derivative_coeffs(self.coeffs, axis)
         if self.tail == 0.0:
             return self._owning(self.dim, self.cap, self.ref_radius,
                                 "taylor", coeffs, 0.0)

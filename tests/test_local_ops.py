@@ -65,6 +65,54 @@ def test_weight_rejects_bad_parameters():
         WeightFunction().value(0.5, 0.7)
 
 
+# ---- the application rule ----
+
+def _doubling(cert_radius=math.inf):
+    """2 f as a hand-built operator: (operator, the arguments it saw)."""
+    seen = []
+
+    def action(ft, t, s):
+        seen.append(ft)
+        return ft.scale(2.0)
+    return LocalOperator(action, WeightFunction(k=0), 2.0,
+                         cert_radius=cert_radius), seen
+
+
+@pytest.mark.parametrize("cert,t,s,msg", [
+    (0.8, 0.95, 0.5, "radius 0.95 beyond certified radius 0.9"),  # f's
+    (math.inf, 0.95, 0.5, "radius 0.95 beyond certified radius 0.9"),
+    (0.8, 0.85, 0.5, "radius 0.85 beyond certified radius 0.8"),
+    (0.8, 0.5, 0.6, "need 0 < s <= t"),
+    (0.8, 0.5, 0.0, "need 0 < s <= t"),
+    (0.8, 0.5, -0.1, "need 0 < s <= t"),
+    (0.8, math.nan, 0.5, "need 0 < s <= t"),
+    (0.8, 0.5, math.nan, "need 0 < s <= t"),
+])
+def test_an_operator_refuses_a_window_outside_its_radii(cert, t, s, msg):
+    # hand-built operators get the window check too, before the action
+    u, seen = _doubling(cert)
+    with pytest.raises(OperatorError, match=msg):
+        u(poly([1.0, 0.5], cap=8, ref=0.9, tail=1e-3), t, s)
+    assert seen == []
+
+
+@pytest.mark.parametrize("t,s", [(0.8, 0.5), (0.9, 0.9), (0.8, 0.8)])
+def test_an_operator_reads_its_argument_at_t_and_its_result_at_s(t, s):
+    u, seen = _doubling(0.9)
+    f = poly([1.0, 0.5], cap=8, ref=0.9, tail=1e-3)
+    out = u(f, t, s)
+    assert len(seen) == 1 and _bits(seen[0]) == _bits(f.at(t))
+    assert _bits(out) == _bits(f.at(t).scale(2.0).at(s))
+    assert seen[0].ref_radius == t and out.ref_radius == s
+
+
+def test_an_operator_refuses_a_nan_norm_bound():
+    # NaN passed `norm_bound < 0`, and a product of exponentials over
+    # the operator reported sigma NaN
+    with pytest.raises(OperatorError, match="norm_bound must be nonneg"):
+        LocalOperator(lambda f, t, s: f, WeightFunction(k=0), math.nan)
+
+
 # ---- certified vector fields ----
 
 def test_unit_vector_field_has_norm_one():
@@ -591,7 +639,7 @@ def _reference_borel_series(symbol, u, t, s, g):
             else max(s, s + 0.75 * (w.ref_radius - s))
         if w.tail > 0.0 and not (ref_next < w.ref_radius):
             break
-        w = u.action(w, w.ref_radius, ref_next)
+        w = u(w, w.ref_radius, ref_next)
         kfact *= k
         if w.is_zero:
             break
@@ -723,7 +771,12 @@ def test_rounding_stop_is_the_first_term_below_rounding(symbol, cap, x):
     k = app.terms
 
     def below(j):
-        acc = borel_apply(symbol, u, t, s, g, max_terms=j).series
+        # acc_j = sum_{i<=j} a_i u^i(g) / i!, every iterate at t
+        acc, w, kfact = g.scale(symbol.coeff(0)), g, 1.0
+        for i in range(1, j + 1):
+            w, kfact = u(w, t, t), kfact * i
+            assert w.tail == 0.0
+            acc = acc + w.scale(symbol.coeff(i) / kfact)
         return (j + 1) * app.x ** (j + 1) * app.input_norm \
             <= 2.0 ** -53 * (1.0 - app.x) ** 2 * acc.majorant_norm(s)
     assert 2 <= k < cap + 1 and below(k)
@@ -760,7 +813,7 @@ def _object_borel_apply(symbol, u, t, s, g):
         if w.tail > 0.0 and not (ref_next < w.ref_radius):
             break
         try:
-            w = u.action(w, w.ref_radius, ref_next)
+            w = u(w, w.ref_radius, ref_next)
         except (OperatorError, SeriesError):
             if w.tail == 0.0:
                 raise
@@ -861,7 +914,7 @@ def test_an_overflow_whose_weighted_sum_underflows_leaves_no_tail(symbol):
     full = np.convolve(a.coeffs, g.derivative().coeffs)
     assert np.count_nonzero(full[cap + 1:])
     kept, tail = u.array_step.apply(g.coeffs, r)
-    image = u.action(g, r, r)
+    image = u(g, r, r)
     assert tail == 0.0 and image.tail == 0.0
     assert kept.tobytes() == image.coeffs.tobytes()
     counted, tails = _counted(u)

@@ -702,6 +702,12 @@ def test_model_refuses_negative_steps():
         model_iteration(PS.constant(1.0), None, x0=0.5, steps=-1)
 
 
+def test_model_refuses_a_nan_x0():
+    # NaN passed `x0 < 0`, and the run reported x_0 = 0, certified
+    with pytest.raises(SequenceDomainError, match="x0 must be nonnegative"):
+        model_iteration(PS.constant(1.0), PS.constant(1.0), x0=math.nan,
+                        steps=3)
+
 
 def test_model_pure_quadratic_closed_values():
     trace = model_iteration(PS.constant(1.0), None, x0=0.5, steps=3)
